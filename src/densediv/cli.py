@@ -140,6 +140,15 @@ def _expected_omega(family: ThetaFamily, x: int) -> float:
     return 0.0
 
 
+def _check_common(args: argparse.Namespace) -> None:
+    """Reject shared option values that no subcommand can honour."""
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+    xi = getattr(args, "xi", None)
+    if xi is not None and not (math.isfinite(xi) and xi > 0):
+        raise ConfigurationError(f"--xi must be finite and > 0, got {xi}")
+
+
 # ---- subcommand handlers ----
 
 
@@ -402,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common, fam], help="list members ascending"
     )
     p_enum.add_argument("--x", type=_parse_exact_int, required=True)
-    p_enum.add_argument("--emit", choices=["csv"], default="csv")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_count = sub.add_parser(
@@ -481,6 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         print(f"densediv {__version__}", file=sys.stderr)
     try:
+        _check_common(args)
         return args.handler(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .arith import SpfTable, divisor_ratio_bound, factorize
 from .errors import ConfigurationError, DomainError, ResourceCapError
 
@@ -112,26 +110,6 @@ class ThetaFamily:
             return n * self.t_num // self.t_den
         if self.kind == "practical":
             return sigma_n + 1
-        if self.kind == "shifted1":
-            return n + 1
-        return n + 2
-
-    def threshold_at_least(self, n: int, sigma_n: int, q: int) -> bool:
-        """Whether theta(n) >= q, exactly."""
-        if self.kind == "dense":
-            return n * self.t_num >= q * self.t_den
-        return self.threshold_floor(n, sigma_n) >= q
-
-    def threshold_floor_vec(self, n: np.ndarray, sigma: np.ndarray | None) -> np.ndarray:
-        """Vectorized threshold_floor over int64 arrays (int64-guarded)."""
-        if self.kind == "dense":
-            if len(n) and int(n.max()) * self.t_num >= 2**62:
-                raise DomainError("threshold products would overflow int64")
-            return n * self.t_num // self.t_den
-        if self.kind == "practical":
-            if sigma is None:
-                raise DomainError("practical thresholds require sigma values")
-            return sigma + 1
         if self.kind == "shifted1":
             return n + 1
         return n + 2

@@ -11,11 +11,13 @@ Two engines:
 - a reference pure-Python DFS (any visitor, arbitrary-precision integers),
   partitionable at the first level (one task per admissible first prime
   power) across processes with a deterministic ordered merge;
-- a vectorized numpy frontier BFS used automatically for counting and
-  moment collection at large x.  It walks the equivalent "ascending primes
-  with repeats" representation (valid because every supported threshold
-  rule is nondecreasing along divisibility chains) in int64 arrays, with an
-  explicit overflow guard that falls back to the Python engine.
+- a vectorized numpy frontier used automatically for counting and moment
+  collection at large x.  It walks the equivalent "ascending primes with
+  repeats" representation (valid because every supported threshold rule is
+  nondecreasing along divisibility chains) in int64 blocks popped depth
+  first, tallies the childless leaves n*p with a new prime p > sqrt(x/n)
+  in bulk per parent instead of building them, and guards int64 overflow
+  by falling back to the Python engine.
 
 Engine choice is a deterministic function of the query alone -- never of
 the thread count -- so identical queries produce identical output bytes.
@@ -24,7 +26,6 @@ the thread count -- so identical queries produce identical output bytes.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,8 +41,10 @@ from .families import ThetaFamily
 # overhead dominates there) -- keep deterministic, never tune at runtime.
 _NUMPY_MIN_X = 100_000
 
-# Target child-array length per expansion block in the frontier engine.
-_CHUNK = 1 << 20
+# Target child rows per expansion block in the frontier engine.  Blocks are
+# expanded depth first, so live rows stay near depth * _CHUNK; 2^16 was
+# fastest and smallest among 2^14..2^20 for counts and moments at 1e9-1e11.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,53 +76,72 @@ class CountQuery:
 
 @dataclass
 class MomentSummary:
-    """Streaming accumulator over an enumerated member set.
+    """Exact integer histograms of omega, big omega and tau over a member set.
 
+    Every moment derives from the histograms, so merging two summaries is
+    histogram addition and no result depends on summation order.
     exceed_count counts members with |omega - expected| > deviation_bound,
     where deviation_bound = xi * sqrt(max(ln ln x, 0)) is fixed up front.
     """
 
     expected: float
     deviation_bound: float
-    count: int = 0
-    sum_omega: int = 0
-    sum_omega_sq: int = 0
-    sum_big_omega: int = 0
-    sum_big_omega_sq: int = 0
-    sum_tau: int = 0
-    sum_log_tau: float = 0.0
     histogram_omega: dict[int, int] = field(default_factory=dict)
     histogram_big_omega: dict[int, int] = field(default_factory=dict)
-    exceed_count: int = 0
+    histogram_tau: dict[int, int] = field(default_factory=dict)
 
     def add(self, omega: int, big_omega: int, tau: int) -> None:
-        self.count += 1
-        self.sum_omega += omega
-        self.sum_omega_sq += omega * omega
-        self.sum_big_omega += big_omega
-        self.sum_big_omega_sq += big_omega * big_omega
-        self.sum_tau += tau
-        self.sum_log_tau += math.log(tau)
-        self.histogram_omega[omega] = self.histogram_omega.get(omega, 0) + 1
-        self.histogram_big_omega[big_omega] = (
-            self.histogram_big_omega.get(big_omega, 0) + 1
-        )
-        if abs(omega - self.expected) > self.deviation_bound:
-            self.exceed_count += 1
+        h = self.histogram_omega
+        h[omega] = h.get(omega, 0) + 1
+        h = self.histogram_big_omega
+        h[big_omega] = h.get(big_omega, 0) + 1
+        h = self.histogram_tau
+        h[tau] = h.get(tau, 0) + 1
 
     def merge(self, other: "MomentSummary") -> None:
-        self.count += other.count
-        self.sum_omega += other.sum_omega
-        self.sum_omega_sq += other.sum_omega_sq
-        self.sum_big_omega += other.sum_big_omega
-        self.sum_big_omega_sq += other.sum_big_omega_sq
-        self.sum_tau += other.sum_tau
-        self.sum_log_tau += other.sum_log_tau
-        for k, v in other.histogram_omega.items():
-            self.histogram_omega[k] = self.histogram_omega.get(k, 0) + v
-        for k, v in other.histogram_big_omega.items():
-            self.histogram_big_omega[k] = self.histogram_big_omega.get(k, 0) + v
-        self.exceed_count += other.exceed_count
+        for mine, theirs in (
+            (self.histogram_omega, other.histogram_omega),
+            (self.histogram_big_omega, other.histogram_big_omega),
+            (self.histogram_tau, other.histogram_tau),
+        ):
+            for k, v in theirs.items():
+                mine[k] = mine.get(k, 0) + v
+
+    @property
+    def count(self) -> int:
+        return sum(self.histogram_omega.values())
+
+    @property
+    def sum_omega(self) -> int:
+        return sum(k * v for k, v in self.histogram_omega.items())
+
+    @property
+    def sum_omega_sq(self) -> int:
+        return sum(k * k * v for k, v in self.histogram_omega.items())
+
+    @property
+    def sum_big_omega(self) -> int:
+        return sum(k * v for k, v in self.histogram_big_omega.items())
+
+    @property
+    def sum_big_omega_sq(self) -> int:
+        return sum(k * k * v for k, v in self.histogram_big_omega.items())
+
+    @property
+    def sum_tau(self) -> int:
+        return sum(k * v for k, v in self.histogram_tau.items())
+
+    @property
+    def sum_log_tau(self) -> float:
+        return math.fsum(v * math.log(k) for k, v in self.histogram_tau.items())
+
+    @property
+    def exceed_count(self) -> int:
+        return sum(
+            v
+            for k, v in self.histogram_omega.items()
+            if abs(k - self.expected) > self.deviation_bound
+        )
 
     @property
     def mean_omega(self) -> float:
@@ -417,6 +439,29 @@ def _admissible_hi(
     return np.searchsorted(primes, b, side="right")
 
 
+class _Histogram:
+    """Growable exact int64 histogram over small nonnegative integer keys."""
+
+    def __init__(self) -> None:
+        self.counts = np.zeros(64, dtype=np.int64)
+
+    def add(self, keys: np.ndarray, weights: np.ndarray | None = None) -> None:
+        if len(keys) == 0:
+            return
+        need = int(keys.max()) + 1
+        if need > len(self.counts):
+            grown = np.zeros(max(need, 2 * len(self.counts)), dtype=np.int64)
+            grown[: len(self.counts)] = self.counts
+            self.counts = grown
+        if weights is None:
+            self.counts[:need] += np.bincount(keys, minlength=need)
+        else:
+            np.add.at(self.counts, keys, weights)
+
+    def as_dict(self) -> dict[int, int]:
+        return {int(k): int(self.counts[k]) for k in np.flatnonzero(self.counts)}
+
+
 def _frontier_run(
     family: ThetaFamily,
     x: int,
@@ -424,44 +469,72 @@ def _frontier_run(
     moments: MomentSummary | None,
     tau_sink: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> list[int] | MomentSummary:
-    """Level-by-level vectorized walk.  Exactly one of qs / moments selects
-    the mode; tau_sink (optional, moments mode) receives (n, tau) arrays of
-    each expansion block for range-filtered collectors."""
+    """Depth-first vectorized walk over blocks of frontier rows.
+
+    Exactly one of qs / moments selects the mode.  A child n*p whose prime
+    p is new and exceeds sqrt(x/n) is a leaf (n*p*p' > x for every p' >= p)
+    and its statistics depend on the parent alone, so such leaves are
+    tallied in bulk per parent and never built.  The other children are
+    materialized in blocks of about _CHUNK rows popped LIFO, which keeps
+    the live rows near depth * _CHUNK.  tau_sink (optional, moments mode)
+    receives the (n, tau) arrays of every member, so it turns the bulk
+    leaf tally off.
+    """
     want_moments = moments is not None
+    collapse = tau_sink is None
     primes = primes_up_to(_prime_limit(family, x))
+    prime_sq = primes * primes  # below 2^63 under the _numpy_safe guard
     practical = family.kind == "practical"
+    # q > x divides no member; skipping it keeps every q in int64 range.
+    live_qs = [(k, q) for k, q in enumerate(qs or []) if q <= x]
     counts_out = [0] * len(qs) if qs is not None else None
-    hist = np.zeros(64, dtype=np.int64)
-    hist_big = np.zeros(64, dtype=np.int64)
+    hist_omega = _Histogram()
+    hist_tau = _Histogram()
+    hist_big: dict[int, int] = {}
 
-    def tally_counts(values: np.ndarray) -> None:
-        for k, q in enumerate(qs):
+    def tally_rows(level: int, blk: dict[str, np.ndarray]) -> None:
+        """Tally every materialized row of one block (all at one level)."""
+        n = blk["n"]
+        if want_moments:
+            hist_omega.add(blk["omega"])
+            hist_tau.add(blk["tau"])
+            hist_big[level] = hist_big.get(level, 0) + len(n)
+            if tau_sink is not None:
+                tau_sink(n, blk["tau"])
+            return
+        for k, q in live_qs:
+            counts_out[k] += len(n) if q == 1 else int(np.count_nonzero(n % q == 0))
+
+    def tally_leaves(level: int, blk: dict[str, np.ndarray], mid, hi) -> None:
+        """Tally the leaves n*primes[j], j in [mid, hi), of every row."""
+        rows = np.flatnonzero(hi > mid)
+        if len(rows) == 0:
+            return
+        mid, hi = mid[rows], hi[rows]
+        leaves = hi - mid
+        if want_moments:
+            hist_omega.add(blk["omega"][rows] + 1, leaves)
+            hist_tau.add(blk["tau"][rows] * 2, leaves)
+            hist_big[level] = hist_big.get(level, 0) + int(leaves.sum())
+            return
+        n = blk["n"][rows]
+        for k, q in live_qs:
             if q == 1:
-                counts_out[k] += len(values)
-            else:
-                counts_out[k] += int(np.count_nonzero(values % q == 0))
-
-    def tally_moments(level: int, omega: np.ndarray, tau: np.ndarray) -> None:
-        tot = len(omega)
-        om64 = omega.astype(np.int64)
-        moments.count += tot
-        moments.sum_omega += int(om64.sum())
-        moments.sum_omega_sq += int((om64 * om64).sum())
-        moments.sum_big_omega += level * tot
-        moments.sum_big_omega_sq += level * level * tot
-        moments.sum_tau += int(tau.sum(dtype=np.int64))
-        moments.sum_log_tau += float(np.log(tau.astype(np.float64)).sum())
-        bc = np.bincount(omega)
-        hist[: len(bc)] += bc
-        hist_big[min(level, 63)] += tot
-        moments.exceed_count += int(
-            np.count_nonzero(np.abs(om64 - moments.expected) > moments.deviation_bound)
-        )
+                counts_out[k] += int(leaves.sum())
+                continue
+            # q | n*p  iff  r | p  with r = q / gcd(q, n): every leaf counts
+            # when r = 1, and only the leaf p = r when r is a prime in range.
+            r = q // np.gcd(n, q)
+            idx = np.searchsorted(primes, r)
+            hit = (idx >= mid) & (idx < hi)
+            counts_out[k] += int(leaves[r == 1].sum()) + int(
+                np.count_nonzero(primes[idx[hit]] == r[hit])
+            )
 
     # Root n = 1: last = -1 marks "no prime used yet".
     root = {
         "n": np.array([1], dtype=np.int64),
-        "last": np.array([-1], dtype=np.int32),
+        "last": np.array([-1], dtype=np.int64),
     }
     if practical:
         root["sigma"] = np.array([1], dtype=np.int64)
@@ -470,74 +543,66 @@ def _frontier_run(
         root["e"] = np.array([0], dtype=np.int64)
         root["tau"] = np.array([1], dtype=np.int64)
         root["omega"] = np.array([0], dtype=np.int64)
-        tally_moments(0, root["omega"], root["tau"])
-        if tau_sink is not None:
-            tau_sink(root["n"], root["tau"])
-    else:
-        tally_counts(root["n"])
+    tally_rows(0, root)
 
-    frontier = deque([root])
-    level = 0
-    while frontier:
-        level += 1
-        for _ in range(len(frontier)):
-            chunk = frontier.popleft()
-            n = chunk["n"]
-            last = chunk["last"]
-            sigma = chunk.get("sigma")
-            hi = _admissible_hi(family, x, primes, n, sigma)
-            lo = np.maximum(last, 0).astype(np.int64)
-            cnt = np.maximum(hi - lo, 0)
-            cum = np.cumsum(cnt)
-            total = int(cum[-1]) if len(cum) else 0
-            if total == 0:
-                continue
-            # split the parent chunk so each expansion block stays near _CHUNK
-            bnds = (np.searchsorted(cum, np.arange(_CHUNK, total, _CHUNK)) + 1).tolist()
-            edges = [0] + bnds + [len(n)]
-            for a, b in zip(edges, edges[1:]):
-                c = cnt[a:b]
-                tot = int(c.sum())
-                if tot == 0:
-                    continue
-                par = np.repeat(np.arange(a, b), c)
-                lstarts = np.cumsum(c) - c
-                offs = np.arange(tot) - np.repeat(lstarts, c)
-                j = lo[par] + offs
-                p = primes[j]
-                child: dict[str, np.ndarray] = {
-                    "n": n[par] * p,
-                    "last": j.astype(np.int32),
-                }
-                same = j == last[par]
-                if practical:
-                    pp_par = chunk["pp"][par]
-                    new_pp = np.where(same, pp_par * p + 1, p + 1)
-                    sig_base = np.where(same, sigma[par] // pp_par, sigma[par])
-                    child["pp"] = new_pp
-                    child["sigma"] = sig_base * new_pp
-                if want_moments:
-                    e_par = chunk["e"][par]
-                    tau_par = chunk["tau"][par]
-                    child["e"] = np.where(same, e_par + 1, 1)
-                    child["tau"] = np.where(
-                        same, tau_par // (e_par + 1) * (e_par + 2), tau_par * 2
-                    )
-                    child["omega"] = chunk["omega"][par] + ~same
-                    tally_moments(level, child["omega"], child["tau"])
-                    if tau_sink is not None:
-                        tau_sink(child["n"], child["tau"])
-                else:
-                    tally_counts(child["n"])
-                frontier.append(child)
+    # Stack entries (level, block, first row not yet expanded).
+    stack = [(0, root, 0)]
+    while stack:
+        level, blk, a = stack.pop()
+        n = blk["n"]
+        last = blk["last"]
+        if a == 0:
+            hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
+            lo = np.maximum(last, 0)
+            mid = hi
+            if collapse:
+                # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
+                # whose square exceeds x // n, hence a leaf.
+                s = np.searchsorted(prime_sq, x // n, side="right")
+                mid = np.minimum(np.maximum(s, last + 1), hi)
+                tally_leaves(level + 1, blk, mid, hi)
+            cnt = np.maximum(mid - lo, 0)
+            blk["lo"] = lo
+            blk["cnt"] = cnt
+            blk["cum"] = np.cumsum(cnt)
+        lo = blk["lo"]
+        cum = blk["cum"]
+        base = int(cum[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(cum, base + _CHUNK, side="right")))
+        if b < len(n):
+            stack.append((level, blk, b))
+        c = blk["cnt"][a:b]
+        tot = int(cum[b - 1]) - base
+        if tot == 0:
+            continue
+        par = np.repeat(np.arange(a, b), c)
+        offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
+        j = lo[par] + offs
+        p = primes[j]
+        child: dict[str, np.ndarray] = {"n": n[par] * p, "last": j}
+        same = j == last[par]
+        if practical:
+            sigma = blk["sigma"]
+            pp_par = blk["pp"][par]
+            new_pp = np.where(same, pp_par * p + 1, p + 1)
+            sig_base = np.where(same, sigma[par] // pp_par, sigma[par])
+            child["pp"] = new_pp
+            child["sigma"] = sig_base * new_pp
+        if want_moments:
+            e_par = blk["e"][par]
+            tau_par = blk["tau"][par]
+            child["e"] = np.where(same, e_par + 1, 1)
+            child["tau"] = np.where(
+                same, tau_par // (e_par + 1) * (e_par + 2), tau_par * 2
+            )
+            child["omega"] = blk["omega"][par] + ~same
+        tally_rows(level + 1, child)
+        stack.append((level + 1, child, 0))
 
     if want_moments:
-        moments.histogram_omega = {
-            int(k): int(v) for k, v in enumerate(hist) if v > 0
-        }
-        moments.histogram_big_omega = {
-            int(k): int(v) for k, v in enumerate(hist_big) if v > 0
-        }
+        moments.histogram_omega = hist_omega.as_dict()
+        moments.histogram_big_omega = hist_big
+        moments.histogram_tau = hist_tau.as_dict()
         return moments
     return counts_out
 

@@ -272,6 +272,33 @@ class TestExitCodes:
         code, _, err = run(capsys, ["enumerate", "--family", "dense", "--t", "2", "--x", "0"])
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, err = run(
+            capsys,
+            ["count", "--family", "dense", "--t", "2", "--x", "20", "--threads", threads],
+        )
+        assert (code, out) == (2, [])
+        assert err.startswith("error: --threads") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("xi", ["-1", "0", "nan", "inf"])
+    def test_stats_bad_xi_rejected(self, capsys, xi):
+        code, out, err = run(
+            capsys,
+            ["stats", "--family", "dense", "--t", "2", "--x", "1000", "--xi", xi],
+        )
+        assert (code, out) == (2, [])
+        assert err.startswith("error: --xi") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("xi", ["-1", "0", "nan", "inf"])
+    def test_experiment_bad_xi_rejected(self, capsys, xi):
+        code, out, err = run(
+            capsys,
+            ["experiment", "concentration", "--t", "2", "--xs", "1000", "--xi", xi],
+        )
+        assert (code, out) == (2, [])
+        assert err.startswith("error: --xi") and err.count("\n") == 1
+
     def test_verbose_banner(self, capsys):
         code, _, err = run(
             capsys,

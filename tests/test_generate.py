@@ -1,12 +1,15 @@
 """Enumeration/counting engine tests: DFS vs brute-force filtration, python
 vs numpy engine agreement, worker-count determinism, and moment summaries."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import densediv.generate as generate
 from densediv import (
     CountQuery,
     DomainError,
@@ -20,6 +23,7 @@ from densediv import (
     factor_stats,
     factorize,
     is_member,
+    is_prime,
     iter_members,
     multiple_vanishing_threshold,
 )
@@ -31,6 +35,48 @@ SHIFTED1 = ThetaFamily.shifted_one()
 SHIFTED2 = ThetaFamily.shifted_two()
 
 ALL_FAMILIES = [DENSE2, DENSE52, PRACTICAL, SHIFTED1, SHIFTED2]
+COLLAPSE_FAMILIES = [
+    DENSE2,
+    DENSE52,
+    ThetaFamily.dense(Fraction(12, 5)),
+    ThetaFamily.dense(Fraction(8, 3)),
+    PRACTICAL,
+    SHIFTED1,
+    SHIFTED2,
+]
+
+
+def _family_id(f):
+    return f"{f.kind}{f.t_num}_{f.t_den}" if f.kind == "dense" else f.kind
+
+
+def _filter_qs(x):
+    """q = 1, prime powers, composites, a prime above sqrt(x), and q > x."""
+    big_prime = next(p for p in itertools.count(math.isqrt(x) + 1) if is_prime(p))
+    return [1, 2, 3, 4, 8, 9, 25, 6, 12, 30, 210, big_prime, x + 1]
+
+
+def _assert_matches_reference(family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0):
+    """numpy counts and moments equal plain iter_members tallies."""
+    recs = list(iter_members(family, x))
+    got = count_members_multi(family, x, qs, engine="numpy")
+    assert got == [sum(r.n % q == 0 for r in recs) for q in qs]
+    for xi in xis:
+        s = collect_moments(family, x, xi, expected, engine="numpy")
+        bound = deviation_bound(x, xi)
+        assert s.exceed_count == sum(abs(r.omega - expected) > bound for r in recs)
+    assert s.count == len(recs)
+    assert s.histogram_omega == Counter(r.omega for r in recs)
+    assert s.histogram_big_omega == Counter(r.big_omega for r in recs)
+    assert s.histogram_tau == Counter(r.tau for r in recs)
+    assert s.sum_omega == sum(r.omega for r in recs)
+    assert s.sum_omega_sq == sum(r.omega**2 for r in recs)
+    assert s.sum_big_omega == sum(r.big_omega for r in recs)
+    assert s.sum_big_omega_sq == sum(r.big_omega**2 for r in recs)
+    assert s.sum_tau == sum(r.tau for r in recs)
+    assert s.sum_log_tau == pytest.approx(
+        math.fsum(math.log(r.tau) for r in recs), rel=1e-12
+    )
 
 
 class TestIterMembers:
@@ -101,6 +147,32 @@ class TestCounts:
         multi = count_members_multi(DENSE52, 50_000, qs)
         for q, c in zip(qs, multi):
             assert count_members(CountQuery(x=50_000, family=DENSE52, q=q)) == c
+
+
+class TestCollapsedFrontier:
+    """The leaf-collapsing numpy frontier against the reference generator."""
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 6, 97, 3000, 200_000])
+    @pytest.mark.parametrize("family", COLLAPSE_FAMILIES, ids=_family_id)
+    def test_matches_reference(self, family, x):
+        _assert_matches_reference(family, x, _filter_qs(x))
+
+    @pytest.mark.parametrize("family", [DENSE2, PRACTICAL], ids=_family_id)
+    def test_tiny_blocks(self, monkeypatch, family):
+        # Blocks of a few rows force every parent block to be expanded in
+        # several resumed slices.
+        x = 20_000
+        monkeypatch.setattr(generate, "_CHUNK", 5)
+        _assert_matches_reference(family, x, _filter_qs(x), xis=(1.0,))
+        ns, taus = collect_divisor_counts(family, x, engine="numpy")
+        recs = sorted(iter_members(family, x), key=lambda r: r.n)
+        assert ns.tolist() == [r.n for r in recs]
+        assert taus.tolist() == [r.tau for r in recs]
+
+    def test_pinned_large_counts(self):
+        assert count_members_multi(DENSE2, 10**9, [1]) == [60447501]
+        assert count_members_multi(DENSE52, 3 * 10**8, [3]) == [13120582]
+        assert count_members_multi(PRACTICAL, 3 * 10**8, [1]) == [20615357]
 
 
 class TestVanishingThreshold:
