@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceCapError, SieveRangeError
+from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRangeError
 
 # Largest divisor list we will materialize (oracle support only).
 DIVISOR_CAP = 10**6
+
+# Largest x for rough_counts: its floor-quotient tables take O(sqrt(x))
+# memory (16 MB at the cap) and its sieve O(x^{3/4}) time.
+ROUGH_COUNTS_CAP = 10**12
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -54,10 +58,9 @@ def build_spf_table(limit: int) -> SpfTable:
         if spf[p] == 0:
             block = spf[p * p :: p]
             block[block == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    fixed = np.flatnonzero(spf[2:] == np.arange(2, limit + 1, dtype=np.int64))
-    primes = (fixed + 2).astype(np.int64)
+    # Entries still zero after the sieve are exactly the primes.
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
     return SpfTable(limit=limit, spf=spf, primes=primes)
 
 
@@ -189,11 +192,82 @@ def rough_count(x, y, table: SpfTable) -> int:
     if X > table.limit:
         raise SieveRangeError(f"x={x} exceeds table limit {table.limit}")
     Y = math.floor(y) if y > 0 else 0
+    if Y >= X:
+        return 1  # every n in [2, X] has a prime factor <= X <= Y
     if Y < 2:
         return X  # every n >= 2 has smallest prime factor >= 2 > Y; n = 1 counts too
     if Y >= table.limit:
         Y = table.limit  # spf values never exceed limit
     return 1 + int(np.count_nonzero(table.spf[2 : X + 1] > Y))
+
+
+def rough_counts(x: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Vectorised rough_count: the int64 array Phi(X_i, Y_i) of counts of
+    integers in [1, X_i] with no prime factor <= Y_i, for X_i in {x // k}.
+
+    One Lucy_Hedgehog sieve runs over the floor quotients v of x.  After
+    stage k (primes p_1..p_k struck out) S_k[v] counts the integers in
+    [2, v] that are prime or have smallest prime factor > p_k, so for
+    Y < X and k = pi(Y)
+
+        Phi(X, Y) - 1 = S_k[X] - pi(Y),
+
+    and S_k[X] stops changing once p_k >= sqrt(x).  Each query is read at
+    stage pi(min(Y, sqrt(x))), in one sweep with the queries sorted by
+    stage.  Y >= X gives 1 and X < 1 gives 0.  O(x^{3/4}) time; memory is
+    O(sqrt(x)) for the tables plus a prime sieve up to max(sqrt(x), Y_i)
+    over the queries with Y_i < X_i, from which pi(Y) is read.
+    """
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    if x > ROUGH_COUNTS_CAP:
+        raise ResourceCapError(f"x={x} exceeds the rough-count cap {ROUGH_COUNTS_CAP}")
+    X = np.asarray(X, dtype=np.int64)
+    Y = np.asarray(Y, dtype=np.int64)
+    out = (X >= 1).astype(np.int64)
+    ask = np.flatnonzero((X >= 1) & (Y < X))
+    if len(ask) == 0:
+        return out
+    Xa, Ya = X[ask], Y[ask]
+    r = math.isqrt(x)
+    if int(Xa.max()) > x or np.any(x // (x // Xa) != Xa):
+        raise DomainError(f"every X must be a floor quotient x // k of x={x}")
+    primes = primes_up_to(max(r, int(Ya.max())))
+    pi_y = np.searchsorted(primes, Ya, side="right")
+    n_sieve = int(np.searchsorted(primes, r, side="right"))
+    stage = np.minimum(pi_y, n_sieve)
+    order = np.argsort(stage, kind="stable")
+    starts = np.searchsorted(stage[order], np.arange(n_sieve + 2))
+
+    # small[v] = S(v) for v <= r; large[k - 1] = S(x // k) for x // k > r.
+    small = np.arange(-1, r, dtype=np.int64)
+    n_large = x // (r + 1)
+    large = x // np.arange(1, n_large + 1, dtype=np.int64) - 1
+    for k in range(n_sieve + 1):
+        sel = order[starts[k] : starts[k + 1]]
+        if len(sel):
+            v = Xa[sel]
+            is_small = v <= r
+            s = np.empty(len(v), dtype=np.int64)
+            s[is_small] = small[v[is_small]]
+            s[~is_small] = large[x // v[~is_small] - 1]
+            out[ask[sel]] = 1 + s - pi_y[sel]
+        if k == n_sieve:
+            break
+        p = int(primes[k])
+        sp = k  # S(p - 1): the primes below p
+        p2 = p * p
+        # S(v) -= S(v // p) - S(p - 1) for every v >= p^2, large first
+        # because it reads small; each right side is read before writing.
+        top = min(n_large, x // p2)
+        mid = min(top, n_large // p)
+        large[:mid] -= large[p - 1 : mid * p : p] - sp
+        if top > mid:
+            d = np.arange(mid + 1, top + 1, dtype=np.int64) * p
+            large[mid:top] -= small[x // d] - sp
+        if p2 <= r:
+            small[p2:] -= small[np.arange(p2, r + 1) // p] - sp
+    return out
 
 
 def divisor_list(f: PrimePowerFactorization, cap: int = DIVISOR_CAP) -> list[int]:

@@ -273,11 +273,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     if check in ("phik", "lambdak") and not args.qs:
         raise ConfigurationError(f"--qs is required for {check}")
     if check == "phi0":
-        table = build_spf_table(max(args.x, 3))
-        result = check_partition_identity(family, args.x, table)
+        result = check_partition_identity(family, args.x)
     elif check == "phik":
-        table = build_spf_table(max(args.x, 3))
-        result = check_shifted_partition_identity(family, args.x, args.qs, table)
+        result = check_shifted_partition_identity(family, args.x, args.qs)
     elif check == "lambda0":
         table = build_spf_table(_weight_table_limit(family, args.N))
         total = weight_series_partial_sum(family, args.s, args.N, table)
@@ -341,6 +339,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         report = mean_omega_experiment(parse_t(args.t), args.xs, threads)
     elif name == "concentration":
         _require(args, "t", "xs")
+        if args.xi < 1.0:
+            raise ConfigurationError(f"--xi must be >= 1 for concentration, got {args.xi}")
         parts = [
             concentration_experiment(parse_t(args.t), x, args.xi, threads)
             for x in args.xs

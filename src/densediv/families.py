@@ -105,7 +105,11 @@ class ThetaFamily:
         return p <= n + 2
 
     def threshold_floor(self, n: int, sigma_n: int) -> int:
-        """floor(theta(n)); a prime p is allowed iff p <= this value."""
+        """floor(theta(n)); a prime p is allowed iff p <= this value.
+
+        Also applies elementwise to int64 arrays n and sigma_n (sigma_n is
+        read only by the practical rule and may be None otherwise).
+        """
         if self.kind == "dense":
             return n * self.t_num // self.t_den
         if self.kind == "practical":

@@ -427,15 +427,7 @@ def _admissible_hi(
     family: ThetaFamily, x: int, primes: np.ndarray, n: np.ndarray, sigma
 ) -> np.ndarray:
     """Per-node number of primes admissible as the next (>= last) factor."""
-    if family.kind == "dense":
-        b = n * family.t_num // family.t_den
-    elif family.kind == "practical":
-        b = sigma + 1
-    elif family.kind == "shifted1":
-        b = n + 1
-    else:
-        b = n + 2
-    np.minimum(b, x // n, out=b)
+    b = np.minimum(family.threshold_floor(n, sigma), x // n)
     return np.searchsorted(primes, b, side="right")
 
 
@@ -467,7 +459,8 @@ def _frontier_run(
     x: int,
     qs: list[int] | None,
     moments: MomentSummary | None,
-    tau_sink: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    row_hook: Callable[[dict[str, np.ndarray]], None] | None = None,
+    collapse: bool = True,
 ) -> list[int] | MomentSummary:
     """Depth-first vectorized walk over blocks of frontier rows.
 
@@ -476,12 +469,12 @@ def _frontier_run(
     and its statistics depend on the parent alone, so such leaves are
     tallied in bulk per parent and never built.  The other children are
     materialized in blocks of about _CHUNK rows popped LIFO, which keeps
-    the live rows near depth * _CHUNK.  tau_sink (optional, moments mode)
-    receives the (n, tau) arrays of every member, so it turns the bulk
-    leaf tally off.
+    the live rows near depth * _CHUNK.  row_hook (optional) receives every
+    materialized block: its "n" column, "sigma" for the practical family,
+    and "tau" in moments mode.  With collapse off every member is
+    materialized, so the hook sees them all.
     """
     want_moments = moments is not None
-    collapse = tau_sink is None
     primes = primes_up_to(_prime_limit(family, x))
     prime_sq = primes * primes  # below 2^63 under the _numpy_safe guard
     practical = family.kind == "practical"
@@ -495,12 +488,12 @@ def _frontier_run(
     def tally_rows(level: int, blk: dict[str, np.ndarray]) -> None:
         """Tally every materialized row of one block (all at one level)."""
         n = blk["n"]
+        if row_hook is not None:
+            row_hook(blk)
         if want_moments:
             hist_omega.add(blk["omega"])
             hist_tau.add(blk["tau"])
             hist_big[level] = hist_big.get(level, 0) + len(n)
-            if tau_sink is not None:
-                tau_sink(n, blk["tau"])
             return
         for k, q in live_qs:
             counts_out[k] += len(n) if q == 1 else int(np.count_nonzero(n % q == 0))
@@ -700,18 +693,19 @@ def collect_divisor_counts(
         n_blocks: list[np.ndarray] = []
         tau_blocks: list[np.ndarray] = []
 
-        def sink(n_arr: np.ndarray, tau_arr: np.ndarray) -> None:
-            keep = n_arr > n_min
+        def sink(blk: dict[str, np.ndarray]) -> None:
+            keep = blk["n"] > n_min
             if keep.any():
-                n_blocks.append(n_arr[keep])
-                tau_blocks.append(tau_arr[keep])
+                n_blocks.append(blk["n"][keep])
+                tau_blocks.append(blk["tau"][keep])
 
         _frontier_run(
             family,
             x,
             qs=None,
             moments=MomentSummary(expected=0.0, deviation_bound=math.inf),
-            tau_sink=sink,
+            row_hook=sink,
+            collapse=False,
         )
         n_all = (
             np.concatenate(n_blocks) if n_blocks else np.empty(0, dtype=np.int64)

@@ -30,11 +30,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SpfTable, factor_stats, factorize, is_prime, rough_count
+from .arith import (
+    ROUGH_COUNTS_CAP,
+    SpfTable,
+    build_spf_table,
+    factor_stats,
+    factorize,
+    is_prime,
+    rough_count,
+    rough_counts,
+)
 from .constants import EULER_GAMMA
-from .errors import ConfigurationError, DomainError, SieveRangeError
+from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRangeError
 from .families import ThetaFamily, is_member
-from .generate import iter_members
+from .generate import _frontier_run, _numpy_safe, iter_members
 
 __all__ = [
     "SeriesTerm",
@@ -172,17 +181,81 @@ def series_term(
     return SeriesTerm(n=n, weight=weight, log_moment=log_moment, s=s)
 
 
+def _floor_quotient_path(family: ThetaFamily, x: int) -> bool:
+    """Whether the table-free path covers x: every product the frontier
+    forms stays in int64.  x beyond 10^12 is refused before any work."""
+    if x > ROUGH_COUNTS_CAP:
+        raise ResourceCapError(f"x={x} exceeds the identity cap {ROUGH_COUNTS_CAP}")
+    return _numpy_safe(family, x)
+
+
+def _rough_sum(family: ThetaFamily, x: int, q: int, theta_min: int = 0) -> int:
+    """Sum of Phi(x // n, theta(n)) over the members n <= x with q | n and
+    theta(n) >= theta_min.
+
+    A leaf n = m*p that the frontier tallies without building has
+    p^2 > x // m, so x // n < p <= theta(m) <= theta(n) and Phi = 1.  The
+    walk's q-filtered count therefore covers every unbuilt member at
+    Phi = 1; the built rows are filtered here, and those with
+    theta(n) < x // n add Phi - 1.  Every x // n is a floor quotient of x,
+    answered by one rough_counts table.
+
+    The theta filter passes every unbuilt leaf when x >= theta_min^2: a
+    member with theta(n) < theta_min has n < theta(n) < theta_min, and a
+    leaf that small has x < m*p^2 = n*p < theta_min^2.  Below that the
+    leaf tally is turned off and every member is built and filtered.
+    """
+    if q > x:
+        return 0
+    built = kept = 0
+    xs: list[np.ndarray] = []
+    ys: list[np.ndarray] = []
+
+    def hook(blk: dict[str, np.ndarray]) -> None:
+        nonlocal built, kept
+        n = blk["n"]
+        theta = family.threshold_floor(n, blk.get("sigma"))
+        keep = n % q == 0
+        built += int(np.count_nonzero(keep))
+        keep &= theta >= theta_min
+        quot = x // n[keep]
+        theta = theta[keep]
+        kept += len(quot)
+        low = theta < quot
+        xs.append(quot[low])
+        ys.append(theta[low])
+
+    count = _frontier_run(
+        family, x, qs=[q], moments=None, row_hook=hook, collapse=x >= theta_min**2
+    )[0]
+    count += kept - built
+    quot = np.concatenate(xs)
+    theta = np.concatenate(ys)
+    return count + int(rough_counts(x, quot, theta).sum()) - len(quot)
+
+
 def check_partition_identity(
-    family: ThetaFamily, x: int, table: SpfTable
+    family: ThetaFamily, x: int, table: SpfTable | None = None
 ) -> CheckResult:
     """Exact check: member-wise rough counts partition the integers up to x.
 
     lhs sums ``rough_count(x // n, theta_floor(n))`` over members n <= x;
     rhs is x.  Equality is exact -- any mismatch indicates a bug in the
     enumerator, the thresholds, or the sieve.
+
+    Without a table (x <= 10^12) the sum runs over the leaf-collapsed
+    frontier with floor-quotient prime counts and no size-x sieve; with
+    one it is the reference loop of ``rough_count`` over ``iter_members``.
+    A family whose frontier products would leave int64 (a dense t with a
+    large numerator) takes the reference loop over a size-x sieve.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
+    if table is None:
+        if _floor_quotient_path(family, x):
+            lhs = _rough_sum(family, x, 1)
+            return CheckResult("partition", lhs, x, abs(lhs - x), lhs == x)
+        table = build_spf_table(max(x, 3))
     lhs = 0
     for rec in iter_members(family, x):
         thr = family.threshold_floor(rec.n, rec.sigma)
@@ -191,7 +264,7 @@ def check_partition_identity(
 
 
 def check_shifted_partition_identity(
-    family: ThetaFamily, x: int, qs: list[int], table: SpfTable
+    family: ThetaFamily, x: int, qs: list[int], table: SpfTable | None = None
 ) -> CheckResult:
     """Exact check of the divisor-shifted partition identity.
 
@@ -203,7 +276,9 @@ def check_shifted_partition_identity(
                 (Q / q_k) | n of rough_count(x // (n q_k), theta_floor(n))
 
     Both sides count the same multiples, grouped differently; equality is
-    exact at every x.
+    exact at every x.  The table selects the path as in
+    ``check_partition_identity``; on the floor-quotient path x // (n q_k)
+    is taken as (x // q_k) // n.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -211,6 +286,14 @@ def check_shifted_partition_identity(
     q_all = math.prod(qs)
     q_last = qs[-1]
     q_rest = q_all // q_last
+    if table is None:
+        if _floor_quotient_path(family, x):
+            lhs = _rough_sum(family, x, q_all)
+            rhs = 0
+            if x >= q_last:
+                rhs = _rough_sum(family, x // q_last, q_rest, theta_min=q_last)
+            return CheckResult("shifted_partition", lhs, rhs, abs(lhs - rhs), lhs == rhs)
+        table = build_spf_table(max(x, 3))
     lhs = 0
     for rec in iter_members(family, x):
         if rec.n % q_all == 0:

@@ -9,6 +9,7 @@ import pytest
 
 from densediv import (
     ConfigurationError,
+    DomainError,
     ResourceCapError,
     SieveRangeError,
     build_spf_table,
@@ -19,6 +20,7 @@ from densediv import (
     is_prime,
     primes_up_to,
     rough_count,
+    rough_counts,
 )
 
 
@@ -164,6 +166,31 @@ class TestRoughCount:
     def test_x_beyond_limit(self, table):
         with pytest.raises(SieveRangeError):
             rough_count(table.limit + 1, 2, table)
+
+
+class TestRoughCounts:
+    @pytest.mark.parametrize("x", [*range(1, 61), 3000])
+    def test_matches_rough_count(self, table, x):
+        quotients = sorted({x // k for k in range(1, x + 1)})
+        X = np.array([v for v in quotients for _ in range(v + 1)])
+        Y = np.array([y for v in quotients for y in range(v + 1)])
+        expect = [rough_count(v, y, table) for v, y in zip(X.tolist(), Y.tolist())]
+        assert rough_counts(x, X, Y).tolist() == expect
+
+    def test_prime_count_at_1e9(self):
+        # Phi(x, sqrt x) = 1 + pi(x) - pi(sqrt x), with pi(1e9) = 50847534.
+        x = 10**9
+        assert rough_counts(x, np.array([x]), np.array([31622])).tolist() == [
+            1 + 50847534 - 3401
+        ]
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            rough_counts(100, np.array([30]), np.array([2]))  # 30 is no 100 // k
+        with pytest.raises(DomainError):
+            rough_counts(0, np.array([1]), np.array([0]))
+        with pytest.raises(ResourceCapError):
+            rough_counts(10**12 + 1, np.array([1]), np.array([0]))
 
 
 class TestDivisorList:

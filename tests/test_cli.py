@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+import densediv.arith
+import densediv.generate
 from densediv.cli import main
 
 
@@ -139,6 +141,20 @@ class TestIdentity:
         )
         assert code == 0
         assert out[1] == "5,5,0,true"
+
+    @pytest.mark.parametrize(
+        "check, expect",
+        [(["phi0"], "300000,300000,0,true"), (["phik", "--qs", "2,3"], "50000,50000,0,true")],
+    )
+    def test_int64_overflowing_t_takes_reference_loop(self, capsys, check, expect):
+        # x * t_num is about 6e18 > 2^62: the frontier would leave int64.
+        code, out, _ = run(
+            capsys,
+            ["identity", "--check", *check, "--family", "dense",
+             "--t", "2.0000000000001", "--x", "300000"],
+        )
+        assert code == 0
+        assert out == ["lhs,rhs,gap,pass", expect]
 
     def test_weight_series(self, capsys):
         code, out, _ = run(
@@ -290,7 +306,7 @@ class TestExitCodes:
         assert (code, out) == (2, [])
         assert err.startswith("error: --xi") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("xi", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("xi", ["-1", "0", "0.5", "nan", "inf"])
     def test_experiment_bad_xi_rejected(self, capsys, xi):
         code, out, err = run(
             capsys,
@@ -298,6 +314,20 @@ class TestExitCodes:
         )
         assert (code, out) == (2, [])
         assert err.startswith("error: --xi") and err.count("\n") == 1
+
+    def test_identity_beyond_cap_starts_no_work(self, capsys, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("sieve started")
+
+        monkeypatch.setattr(densediv.arith, "primes_up_to", refuse)
+        monkeypatch.setattr(densediv.generate, "primes_up_to", refuse)
+        code, out, err = run(
+            capsys,
+            ["identity", "--check", "phi0", "--family", "dense", "--t", "2",
+             "--x", "1000000000001"],
+        )
+        assert (code, out) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_verbose_banner(self, capsys):
         code, _, err = run(

@@ -174,6 +174,13 @@ class TestCollapsedFrontier:
         assert count_members_multi(DENSE52, 3 * 10**8, [3]) == [13120582]
         assert count_members_multi(PRACTICAL, 3 * 10**8, [1]) == [20615357]
 
+    def test_practical_count_matches_weingartner(self):
+        # Weingartner (Math. Comp. 88, 2019): P(x) ~ c x / ln x with
+        # c = 1.33607...; at 1e10 the ratio is 1.34194, 0.44% above c.
+        x = 10**10
+        assert count_members_multi(PRACTICAL, x, [1]) == [582798892]
+        assert 582798892 * math.log(x) / x == pytest.approx(1.33607, rel=0.01)
+
 
 class TestVanishingThreshold:
     def test_spot_values(self, table):

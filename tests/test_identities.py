@@ -6,6 +6,7 @@ rule, and the sieve against each other at every x.  The series checks are
 truncations with pinned gaps.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from densediv import (
     ConfigurationError,
     DomainError,
     EULER_GAMMA,
+    ResourceCapError,
     SieveRangeError,
     ThetaFamily,
     check_partition_identity,
@@ -28,6 +30,7 @@ from densediv import (
 )
 
 DENSE2 = ThetaFamily.dense(2)
+DENSE3 = ThetaFamily.dense(3)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
 PRACTICAL = ThetaFamily.practical()
 
@@ -76,6 +79,69 @@ class TestShiftedPartitionIdentity:
             check_shifted_partition_identity(DENSE2, 100, [4], table)
         with pytest.raises(ConfigurationError):
             check_shifted_partition_identity(DENSE2, 100, [3, 2], table)
+
+
+class TestFloorQuotientPath:
+    """With no table the identities run on the collapsed frontier and
+    floor-quotient prime counts; the table loop is the reference."""
+
+    @pytest.mark.parametrize(
+        "family", [DENSE2, DENSE3, PRACTICAL], ids=["dense2", "dense3", "practical"]
+    )
+    def test_matches_table_reference(self, table, family):
+        # Criterion 1's grid, thinned above 300 to bound the suite's time.
+        for x in itertools.chain(range(1, 301), range(301, 1001, 7), (10**4, 10**5)):
+            assert check_partition_identity(family, x) == check_partition_identity(
+                family, x, table
+            ), x
+        for x in (10**3, 10**4):
+            for qs in ([2], [3], [5], [2, 2], [2, 3], [3, 5]):
+                fast = check_shifted_partition_identity(family, x, qs)
+                assert fast == check_shifted_partition_identity(family, x, qs, table)
+
+    @pytest.mark.parametrize(
+        "family",
+        [DENSE2, PRACTICAL, ThetaFamily.shifted_two()],
+        ids=["dense2", "practical", "shifted2"],
+    )
+    def test_shifted_large_last_prime(self, table, family):
+        # The right side keeps its leaf tally only for x // q_k >= q_k^2;
+        # these cases fall on both sides of that bound.
+        for x in (7, 50, 500, 2000, 20_000):
+            for qs in ([7], [2, 13], [31], [97]):
+                fast = check_shifted_partition_identity(family, x, qs)
+                assert fast == check_shifted_partition_identity(family, x, qs, table)
+
+    @pytest.mark.parametrize("family", [DENSE2, PRACTICAL], ids=["dense2", "practical"])
+    def test_partition_exact_at_1e9(self, family):
+        x = 10**9
+        res = check_partition_identity(family, x)
+        assert res == CheckResult("partition", x, x, 0, True)
+        assert type(res.lhs) is int
+
+    def test_shifted_exact_at_1e8(self):
+        res = check_shifted_partition_identity(DENSE2, 10**8, [2, 3])
+        assert res.passed and res.lhs == res.rhs == 16_666_666
+
+    def test_q_beyond_x(self):
+        res = check_shifted_partition_identity(DENSE2, 10, [11, 13])
+        assert res == CheckResult("shifted_partition", 0, 0, 0, True)
+
+    def test_ranges(self):
+        with pytest.raises(ResourceCapError):
+            check_partition_identity(DENSE2, 10**12 + 1)
+
+    def test_int64_overflowing_t_takes_reference_loop(self, table):
+        # x * t_num >= 2^62 rules out the frontier; the size-x sieve serves.
+        family = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
+        for x in (1, 97, 3000):
+            res = check_partition_identity(family, x)
+            assert res == check_partition_identity(family, x, table)
+            assert res.passed
+            shifted = check_shifted_partition_identity(family, x, [2, 3])
+            assert shifted == check_shifted_partition_identity(family, x, [2, 3], table)
+        with pytest.raises(ConfigurationError):
+            check_partition_identity(ThetaFamily.dense(10**7), 10**12)
 
 
 class TestSeriesTerm:
