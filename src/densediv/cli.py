@@ -395,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output atomically to this file")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="worker count for partitioned enumeration (output-invariant)",
+        help="accepted for compatibility; has no effect (counting is serial)",
     )
 
     fam = argparse.ArgumentParser(add_help=False)

@@ -96,19 +96,14 @@ class ThetaFamily:
 
     def prime_allowed(self, n: int, sigma_n: int, p: int) -> bool:
         """Whether prime p may extend the partial product n (sigma_n = sigma(n))."""
-        if self.kind == "dense":
-            return p * self.t_den <= n * self.t_num
-        if self.kind == "practical":
-            return p <= sigma_n + 1
-        if self.kind == "shifted1":
-            return p <= n + 1
-        return p <= n + 2
+        return p <= self.threshold_floor(n, sigma_n)  # exact: p is an integer
 
     def threshold_floor(self, n: int, sigma_n: int) -> int:
         """floor(theta(n)); a prime p is allowed iff p <= this value.
 
-        Also applies elementwise to int64 arrays n and sigma_n (sigma_n is
-        read only by the practical rule and may be None otherwise).
+        Also applies elementwise to int64 or object (Python int) arrays n
+        and sigma_n (sigma_n is read only by the practical rule and may be
+        None otherwise).
         """
         if self.kind == "dense":
             return n * self.t_num // self.t_den

@@ -4,6 +4,8 @@ output, and worker-count invariance, all via in-process main() calls."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -348,3 +350,17 @@ class TestThreadInvariance:
         _, one, _ = run(capsys, base + ["--threads", "1"])
         _, four, _ = run(capsys, base + ["--threads", "4"])
         assert one == four
+
+
+def test_import_loads_no_process_pool():
+    # Counting is serial; importing the package and its CLI must not pull
+    # in the process-pool machinery (about 15-20 ms of every CLI start).
+    code = (
+        "import sys, densediv, densediv.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
-"""Enumeration/counting engine tests: DFS vs brute-force filtration, python
-vs numpy engine agreement, worker-count determinism, and moment summaries."""
+"""Enumeration/counting engine tests: DFS vs brute-force filtration, the
+frontier on int64 and Python-int columns against the DFS reference,
+engine/threads invariance, and moment summaries."""
 
 import itertools
 import math
@@ -19,7 +20,6 @@ from densediv import (
     count_members,
     count_members_multi,
     deviation_bound,
-    enumerate_members,
     factor_stats,
     factorize,
     is_member,
@@ -56,27 +56,42 @@ def _filter_qs(x):
     return [1, 2, 3, 4, 8, 9, 25, 6, 12, 30, 210, big_prime, x + 1]
 
 
-def _assert_matches_reference(family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0):
-    """numpy counts and moments equal plain iter_members tallies."""
+def _assert_matches_reference(
+    family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0, engines=("numpy", "python")
+):
+    """Frontier counts and moments, for each engine (int64 or Python-int
+    columns), equal plain iter_members tallies."""
     recs = list(iter_members(family, x))
-    got = count_members_multi(family, x, qs, engine="numpy")
-    assert got == [sum(r.n % q == 0 for r in recs) for q in qs]
-    for xi in xis:
-        s = collect_moments(family, x, xi, expected, engine="numpy")
-        bound = deviation_bound(x, xi)
-        assert s.exceed_count == sum(abs(r.omega - expected) > bound for r in recs)
-    assert s.count == len(recs)
-    assert s.histogram_omega == Counter(r.omega for r in recs)
-    assert s.histogram_big_omega == Counter(r.big_omega for r in recs)
-    assert s.histogram_tau == Counter(r.tau for r in recs)
-    assert s.sum_omega == sum(r.omega for r in recs)
-    assert s.sum_omega_sq == sum(r.omega**2 for r in recs)
-    assert s.sum_big_omega == sum(r.big_omega for r in recs)
-    assert s.sum_big_omega_sq == sum(r.big_omega**2 for r in recs)
-    assert s.sum_tau == sum(r.tau for r in recs)
-    assert s.sum_log_tau == pytest.approx(
-        math.fsum(math.log(r.tau) for r in recs), rel=1e-12
-    )
+    for engine in engines:
+        got = count_members_multi(family, x, qs, engine=engine)
+        assert got == [sum(r.n % q == 0 for r in recs) for q in qs]
+        for xi in xis:
+            s = collect_moments(family, x, xi, expected, engine=engine)
+            bound = deviation_bound(x, xi)
+            assert s.exceed_count == sum(abs(r.omega - expected) > bound for r in recs)
+        assert s.count == len(recs)
+        assert s.histogram_omega == Counter(r.omega for r in recs)
+        assert s.histogram_big_omega == Counter(r.big_omega for r in recs)
+        assert s.histogram_tau == Counter(r.tau for r in recs)
+        assert s.sum_omega == sum(r.omega for r in recs)
+        assert s.sum_omega_sq == sum(r.omega**2 for r in recs)
+        assert s.sum_big_omega == sum(r.big_omega for r in recs)
+        assert s.sum_big_omega_sq == sum(r.big_omega**2 for r in recs)
+        assert s.sum_tau == sum(r.tau for r in recs)
+        assert s.sum_log_tau == pytest.approx(
+            math.fsum(math.log(r.tau) for r in recs), rel=1e-12
+        )
+
+
+def _assert_divisor_counts_match(family, x, engines):
+    """collect_divisor_counts gives int64 arrays equal to the sorted
+    iter_members records, for each engine."""
+    recs = sorted(iter_members(family, x), key=lambda r: r.n)
+    for engine in engines:
+        ns, taus = collect_divisor_counts(family, x, engine=engine)
+        assert ns.dtype == taus.dtype == np.int64
+        assert ns.tolist() == [r.n for r in recs]
+        assert taus.tolist() == [r.tau for r in recs]
 
 
 class TestIterMembers:
@@ -105,11 +120,6 @@ class TestIterMembers:
                 st.sigma,
                 st.p_max,
             ), rec.n
-
-    def test_visitor_matches_iterator(self):
-        seen: list[int] = []
-        enumerate_members(DENSE2, 1000, lambda rec: seen.append(rec.n))
-        assert seen == [rec.n for rec in iter_members(DENSE2, 1000)]
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -150,7 +160,8 @@ class TestCounts:
 
 
 class TestCollapsedFrontier:
-    """The leaf-collapsing numpy frontier against the reference generator."""
+    """The leaf-collapsing frontier, on int64 and on Python-int columns,
+    against the reference generator."""
 
     @pytest.mark.parametrize("x", [1, 2, 3, 4, 6, 97, 3000, 200_000])
     @pytest.mark.parametrize("family", COLLAPSE_FAMILIES, ids=_family_id)
@@ -164,10 +175,28 @@ class TestCollapsedFrontier:
         x = 20_000
         monkeypatch.setattr(generate, "_CHUNK", 5)
         _assert_matches_reference(family, x, _filter_qs(x), xis=(1.0,))
-        ns, taus = collect_divisor_counts(family, x, engine="numpy")
-        recs = sorted(iter_members(family, x), key=lambda r: r.n)
-        assert ns.tolist() == [r.n for r in recs]
-        assert taus.tolist() == [r.tau for r in recs]
+        _assert_divisor_counts_match(family, x, ("numpy", "python"))
+
+    @pytest.mark.parametrize("x", [97, 3000, 200_000])
+    def test_int64_unsafe_family(self, x):
+        # x * t_num >= 2^62: auto falls back to Python-int columns, and the
+        # int64-only engine refuses the query.
+        family = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
+        qs = _filter_qs(x)
+        _assert_matches_reference(family, x, qs, xis=(1.0,), engines=("auto", "python"))
+        _assert_divisor_counts_match(family, x, ("auto", "python"))
+        with pytest.raises(DomainError):
+            count_members_multi(family, x, qs, engine="numpy")
+        with pytest.raises(DomainError):
+            collect_moments(family, x, 1.0, 2.0, engine="numpy")
+        with pytest.raises(DomainError):
+            collect_divisor_counts(family, x, engine="numpy")
+
+    def test_ratio_bound_above_x(self):
+        # t >= x admits every n <= x; the prime sieve stops at x, not sqrt(x t).
+        family = ThetaFamily.dense(10**12)
+        assert count_members_multi(family, 10**5, [1, 7]) == [100000, 14285]
+        assert collect_moments(family, 10**5, 1.0, 2.0).count == 100000
 
     def test_pinned_large_counts(self):
         assert count_members_multi(DENSE2, 10**9, [1]) == [60447501]
