@@ -22,6 +22,10 @@ DIVISOR_CAP = 10**6
 # memory (16 MB at the cap) and its sieve O(x^{3/4}) time.
 ROUGH_COUNTS_CAP = 10**12
 
+# Largest bound for a fresh prime sieve (sieve_primes with no table).  The
+# weight series at the cap (dense t=2, N = 1.5e8) peak near 1.1 GB RSS.
+PRIME_SIEVE_CAP = 3 * 10**8
+
 # Witness set making Miller-Rabin deterministic for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -74,6 +78,26 @@ def primes_up_to(limit: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve).astype(np.int64)
+
+
+def check_sieve_bound(bound, table: SpfTable | None, what: str) -> None:
+    """Refuse a prime bound past the table's limit (SieveRangeError) or, with
+    no table, past PRIME_SIEVE_CAP (ResourceCapError)."""
+    if table is not None and bound > table.limit:
+        raise SieveRangeError(f"{what}={bound} exceeds sieve limit {table.limit}")
+    if table is None and bound > PRIME_SIEVE_CAP:
+        raise ResourceCapError(
+            f"{what}={bound} exceeds the prime-sieve cap {PRIME_SIEVE_CAP}"
+        )
+
+
+def sieve_primes(bound, table: SpfTable | None, what: str) -> np.ndarray:
+    """Ascending primes <= bound (a real number): read from the table when one
+    is given, sieved afresh otherwise; check_sieve_bound guards both."""
+    check_sieve_bound(bound, table, what)
+    if table is None:
+        return primes_up_to(math.floor(bound))
+    return table.primes[: np.searchsorted(table.primes, bound, side="right")]
 
 
 def is_prime(n: int) -> bool:

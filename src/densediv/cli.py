@@ -21,7 +21,6 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from . import __version__
-from .arith import build_spf_table
 from .constants import (
     DENSITY_SCALE,
     constants_bundle,
@@ -251,16 +250,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _weight_table_limit(family: ThetaFamily, limit: int) -> int:
-    """Sieve size covering every member threshold up to the truncation."""
-    if family.kind == "dense":
-        return max(3, limit * family.t_num // family.t_den + 1)
-    best = 3
-    for rec in iter_members(family, limit):
-        best = max(best, family.threshold_floor(rec.n, rec.sigma))
-    return best
-
-
 def _cmd_identity(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     check = args.check
@@ -277,25 +266,20 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     elif check == "phik":
         result = check_shifted_partition_identity(family, args.x, args.qs)
     elif check == "lambda0":
-        table = build_spf_table(_weight_table_limit(family, args.N))
-        total = weight_series_partial_sum(family, args.s, args.N, table)
+        total = weight_series_partial_sum(family, args.s, args.N)
         result = CheckResult(
             "weight_series", total, 1.0, 1.0 - total,
             0.0 <= total <= 1.0 + 1e-9,
         )
     elif check == "lambdak":
-        table = build_spf_table(_weight_table_limit(family, args.N))
-        result = check_weight_shift(family, args.s, args.N, args.qs, table)
+        result = check_weight_shift(family, args.s, args.N, args.qs)
     elif check == "mu0":
-        table = build_spf_table(_weight_table_limit(family, args.N))
-        total = weighted_log_moment_sum(family, args.s, args.N, table)
+        total = weighted_log_moment_sum(family, args.s, args.N)
         result = CheckResult("log_moment_series", total, 0.0, abs(total), True)
     else:  # muapprox
         if family.kind != "dense":
             raise ConfigurationError("muapprox applies to the dense family")
-        gap = log_moment_gap(
-            args.x, family.t, build_spf_table(_weight_table_limit(family, args.x))
-        )
+        gap = log_moment_gap(args.x, family.t)
         result = CheckResult("log_moment_limit", gap, 0.0, gap, True)
     lines = [
         "lhs,rhs,gap,pass",

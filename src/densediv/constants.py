@@ -4,32 +4,28 @@ The central constant is ``C = 1/(1 - e^{-gamma})``: it multiplies ``ln ln x``
 in the expected number of distinct prime factors of a member, and scales the
 leading coefficient of the member-count asymptotics.  The module also carries
 the exponent constants quoted for shifted-prime / twin corollaries and the
-plug-in formulas for the leading coefficients of divisor-filtered counts,
-plus an empirical estimator that turns an exact count into a measured
-coefficient for comparison against those formulas.
+plug-in formulas for the leading coefficients of divisor-filtered counts
+(``experiments.empirical_coeff`` measures those coefficients from exact
+counts).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import is_prime
-from .errors import ConfigurationError, DomainError, EstimateUndefinedError
-from .generate import CountQuery
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "EULER_GAMMA",
     "DENSITY_SCALE",
     "ConstantsBundle",
-    "CoeffEstimate",
     "constants_bundle",
     "expected_distinct_factors",
     "leading_coeff_asymptotic",
     "prime_multiple_coeff",
     "semiprime_multiple_coeff",
-    "empirical_coeff",
 ]
 
 #: Euler--Mascheroni constant, stored as a literal (not computed).
@@ -73,23 +69,6 @@ class ConstantsBundle:
     exp_shifted_prime_e: float
     exp_twin_e: float
     e_log2: float
-
-
-@dataclass(frozen=True)
-class CoeffEstimate:
-    """Empirical vs. formula leading coefficient for one divisor filter.
-
-    ``c_hat = count * ln(x*t) / x`` is the measured coefficient implied by an
-    exact count; ``c_formula`` is the closed-form main term for the same
-    (q, t); ``rel_err`` compares the two.
-    """
-
-    q: int
-    t: Fraction
-    x: int
-    c_hat: float
-    c_formula: float
-    rel_err: float
 
 
 def constants_bundle() -> ConstantsBundle:
@@ -178,49 +157,3 @@ def semiprime_multiple_coeff(p: int, q: int, t: float, c_theta: float) -> float:
             f"formula requires p <= q <= t, got p={p}, q={q}, t={t}"
         )
     return (c_theta + DENSITY_SCALE * math.log(p * q)) / (p * q)
-
-
-def empirical_coeff(query: CountQuery, count: int) -> CoeffEstimate:
-    """Turn an exact divisor-filtered count into a measured coefficient.
-
-    ``c_hat = count * ln(x*t) / x`` mirrors the asymptotic shape
-    ``count ~ c * x / ln(x*t)``.  The reference ``c_formula`` is the q = 1
-    main term for q = 1 and the prime-multiple main term for prime q.
-
-    Parameters
-    ----------
-    query : CountQuery
-        Must use a dense family (the coefficient normalization needs t).
-    count : int
-        Exact count for the query; must be positive.
-
-    Raises
-    ------
-    DomainError
-        If the query's family is not dense.
-    EstimateUndefinedError
-        If count == 0 (no members -- the estimate is undefined).
-    ConfigurationError
-        If q is neither 1 nor prime.
-    """
-    family = query.family
-    if family.kind != "dense":
-        raise DomainError("empirical coefficients require a dense family")
-    if count == 0:
-        raise EstimateUndefinedError(
-            f"no members <= {query.x} divisible by {query.q}"
-        )
-    if count < 0:
-        raise ConfigurationError(f"count must be >= 0, got {count}")
-    t = family.t
-    t_float = family.t_num / family.t_den
-    c_hat = count * (math.log(query.x) + math.log(t_float)) / query.x
-    c_theta = leading_coeff_asymptotic(t_float)
-    if query.q == 1:
-        c_formula = c_theta
-    else:
-        c_formula = prime_multiple_coeff(query.q, t_float, c_theta)
-    rel_err = abs(c_hat - c_formula) / c_formula
-    return CoeffEstimate(
-        q=query.q, t=t, x=query.x, c_hat=c_hat, c_formula=c_formula, rel_err=rel_err
-    )

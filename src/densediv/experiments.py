@@ -22,13 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SpfTable, build_spf_table, rough_count
+from .arith import SpfTable, check_sieve_bound, rough_counts
 from .constants import (
     DENSITY_SCALE,
-    empirical_coeff,
     expected_distinct_factors,
+    leading_coeff_asymptotic,
+    prime_multiple_coeff,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, EstimateUndefinedError
 from .families import ThetaFamily
 from .generate import (
     CountQuery,
@@ -39,6 +40,7 @@ from .generate import (
 from .specfun import SolverConfig, TabulatedFunction, rough_count_approx, tabulate_buchstab
 
 __all__ = [
+    "CoeffEstimate",
     "ReportRow",
     "ExperimentReport",
     "mean_omega_experiment",
@@ -48,6 +50,7 @@ __all__ = [
     "margenstern_tables",
     "tau_normal_order_experiment",
     "count_ratio_experiment",
+    "empirical_coeff",
 ]
 
 #: Denominator floor for relative errors against near-zero predictions.
@@ -96,6 +99,56 @@ class ExperimentReport:
     def rows_for(self, metric: str) -> list[ReportRow]:
         """All rows carrying the given metric label, in grid order."""
         return [row for row in self.rows if row.metric == metric]
+
+
+@dataclass(frozen=True)
+class CoeffEstimate:
+    """Empirical vs. formula leading coefficient for one divisor filter.
+
+    ``c_hat = count * ln(x*t) / x`` is the measured coefficient implied by an
+    exact count; ``c_formula`` is the closed-form main term for the same
+    (q, t); ``rel_err`` compares the two.
+    """
+
+    q: int
+    t: Fraction
+    x: int
+    c_hat: float
+    c_formula: float
+    rel_err: float
+
+
+def empirical_coeff(query: CountQuery, count: int) -> CoeffEstimate:
+    """Turn an exact divisor-filtered count into a measured coefficient.
+
+    ``c_hat = count * ln(x*t) / x`` mirrors the asymptotic shape
+    ``count ~ c * x / ln(x*t)``.  The reference ``c_formula`` is the q = 1
+    main term for q = 1 and the prime-multiple main term for prime q.  The
+    query's family must be dense (DomainError: the normalization needs t);
+    count == 0 has no estimate (EstimateUndefinedError), and a negative
+    count or a q that is neither 1 nor prime is a ConfigurationError.
+    """
+    family = query.family
+    if family.kind != "dense":
+        raise DomainError("empirical coefficients require a dense family")
+    if count == 0:
+        raise EstimateUndefinedError(
+            f"no members <= {query.x} divisible by {query.q}"
+        )
+    if count < 0:
+        raise ConfigurationError(f"count must be >= 0, got {count}")
+    t = family.t
+    t_float = family.t_num / family.t_den
+    c_hat = count * (math.log(query.x) + math.log(t_float)) / query.x
+    c_theta = leading_coeff_asymptotic(t_float)
+    if query.q == 1:
+        c_formula = c_theta
+    else:
+        c_formula = prime_multiple_coeff(query.q, t_float, c_theta)
+    rel_err = abs(c_hat - c_formula) / c_formula
+    return CoeffEstimate(
+        q=query.q, t=t, x=query.x, c_hat=c_hat, c_formula=c_formula, rel_err=rel_err
+    )
 
 
 def _rel_err(measured: float, predicted: float) -> float:
@@ -248,7 +301,9 @@ def phi_approx_scan(
 ) -> ExperimentReport:
     """Exact rough-number counts vs. the main-term approximation on a grid.
 
-    Each (x, y) yields a ``rough_count`` row (measured = exact count,
+    The exact counts of each x come from one ``rough_counts`` call and the
+    Mertens products from the primes up to y (see mertens_product).  Each
+    (x, y) yields a ``rough_count`` row (measured = exact count,
     predicted = approximation) and a report-only ``scaled_residual`` row
     carrying ``|exact - approx| * ln y / (x e^{-u/3})`` -- the residual in
     units of the theoretical error term.  The verdict gates only the deep
@@ -256,17 +311,17 @@ def phi_approx_scan(
     is report-only.  The y value is carried in the t column.
     """
     _validate_grid(x_grid)
-    if not y_grid or any(y < 2 for y in y_grid):
+    if not y_grid or not all(y >= 2 for y in y_grid):
         raise DomainError(f"y grid values must be >= 2, got {y_grid}")
-    if table is None:
-        table = build_spf_table(max(x_grid))
+    check_sieve_bound(max(y_grid), table, "y")
     if w is None:
         w = tabulate_buchstab(SolverConfig())
     rows: list[ReportRow] = []
     gated: list[float] = []
     for x in x_grid:
-        for y in y_grid:
-            exact = rough_count(x, y, table)
+        ys = [math.floor(y) for y in y_grid]
+        exact_row = rough_counts(x, [x] * len(ys), ys).tolist()
+        for y, exact in zip(y_grid, exact_row):
             approx = rough_count_approx(x, y, w, table)
             rel = _rel_err(exact, approx)
             u = math.log(max(1, x)) / math.log(y)

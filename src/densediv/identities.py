@@ -19,7 +19,9 @@ The weighted analogues replace counting with Dirichlet-type weights
 for members n; the weights sum to 1 over the full (infinite) member set,
 the weight * log_moment series sums to 0, and the log moment approaches
 ``ln t - gamma`` for the fixed-ratio family.  Finite truncations of these
-series are checked as trends, not equalities.
+series are checked as trends, not equalities.  Their members come from
+one frontier walk, and their primes from an optional SpfTable or a fresh
+sieve capped at PRIME_SIEVE_CAP.
 """
 
 from __future__ import annotations
@@ -34,16 +36,24 @@ from .arith import (
     ROUGH_COUNTS_CAP,
     SpfTable,
     build_spf_table,
+    check_sieve_bound,
     factor_stats,
     factorize,
     is_prime,
     rough_count,
     rough_counts,
+    sieve_primes,
 )
 from .constants import EULER_GAMMA
-from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRangeError
+from .errors import ConfigurationError, DomainError, ResourceCapError
 from .families import ThetaFamily, is_member
-from .generate import _frontier_run, _numpy_safe, iter_members
+from .generate import (
+    _column_dtype,
+    _frontier_run,
+    _numpy_safe,
+    _prime_limit,
+    iter_members,
+)
 
 __all__ = [
     "SeriesTerm",
@@ -89,9 +99,11 @@ class CheckResult:
     passed: bool
 
 
-def _validate_s(s: float) -> None:
+def _validate_s(s: float, limit: int = 1) -> None:
     if s < 1.0:
         raise DomainError(f"series exponent s must be >= 1, got {s}")
+    if limit < 1:
+        raise DomainError(f"limit must be >= 1, got {limit}")
 
 
 def _validate_qs(qs: list[int]) -> None:
@@ -104,51 +116,62 @@ def _validate_qs(qs: list[int]) -> None:
 
 
 def _prime_weight_arrays(
-    s: float, table: SpfTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prefix arrays over the sieved primes for O(1) per-member lookups.
+    s: float, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix arrays over ascending primes for O(1) per-member lookups.
 
-    Returns (primes, prod_pad, mu_pad) where prod_pad[k] is the product of
+    Returns (prod_pad, mu_pad) where prod_pad[k] is the product of
     ``1 - p^{-s}`` over the first k primes and mu_pad[k] the prefix sum of
     ``ln p / (p^s - 1)`` (index 0 = empty product/sum).
     """
-    primes = table.primes
     pf = primes.astype(np.float64)
     ps = pf**s
     prod_pad = np.concatenate(([1.0], np.cumprod(1.0 - 1.0 / ps)))
     mu_pad = np.concatenate(([0.0], np.cumsum(np.log(pf) / (ps - 1.0))))
-    return primes, prod_pad, mu_pad
+    return prod_pad, mu_pad
 
 
 def _member_arrays(
-    family: ThetaFamily, limit: int
+    family: ThetaFamily, limit: int, table: SpfTable | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n, threshold_floor) arrays over members n <= limit, ascending in n."""
-    ns: list[int] = []
-    thrs: list[int] = []
-    for rec in iter_members(family, limit):
-        ns.append(rec.n)
-        thrs.append(family.threshold_floor(rec.n, rec.sigma))
-    n_arr = np.asarray(ns, dtype=np.int64)
-    thr_arr = np.asarray(thrs, dtype=np.int64)
+    """int64 (n, threshold_floor) arrays over members n <= limit, ascending
+    in n, from one frontier walk that builds every member.  Each block's
+    thresholds pass check_sieve_bound, so an over-scale walk stops early."""
+    ns: list[np.ndarray] = []
+    thrs: list[np.ndarray] = []
+
+    def hook(blk: dict[str, np.ndarray]) -> None:
+        thr = family.threshold_floor(blk["n"], blk.get("sigma"))
+        check_sieve_bound(int(thr.max()), table, "threshold")
+        ns.append(blk["n"])
+        thrs.append(thr)
+
+    # The walk sieves primes up to _prime_limit, below the threshold of the
+    # member 2^k <= limit near the cap: this refuses only what the hook would.
+    check_sieve_bound(_prime_limit(family, limit), None, "prime bound")
+    dtype = _column_dtype("auto", family, limit)
+    _frontier_run(
+        family, limit, qs=[1], moments=None, row_hook=hook, collapse=False, dtype=dtype
+    )
+    # Python-int columns convert exactly: n <= limit, thresholds <= the bound.
+    n_arr = np.concatenate(ns).astype(np.int64, copy=False)
+    thr_arr = np.concatenate(thrs).astype(np.int64, copy=False)
     order = np.argsort(n_arr, kind="stable")
     return n_arr[order], thr_arr[order]
 
 
-def _weights(
-    n_arr: np.ndarray,
-    thr_arr: np.ndarray,
-    s: float,
-    table: SpfTable,
-) -> np.ndarray:
-    """Vector of weights for pre-enumerated members."""
-    if len(thr_arr) and int(thr_arr.max()) > table.limit:
-        raise SieveRangeError(
-            f"threshold {int(thr_arr.max())} exceeds sieve limit {table.limit}"
-        )
-    primes, prod_pad, _ = _prime_weight_arrays(s, table)
+def _member_weights(
+    family: ThetaFamily, s: float, limit: int, table: SpfTable | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, threshold_floor, weight, log_moment) over members n <= limit,
+    ascending in n; the primes come from the table or a fresh sieve."""
+    n_arr, thr_arr = _member_arrays(family, limit, table)
+    primes = sieve_primes(int(thr_arr.max()), table, "threshold")
+    prod_pad, mu_pad = _prime_weight_arrays(s, primes)
     idx = np.searchsorted(primes, thr_arr, side="right")
-    return n_arr.astype(np.float64) ** (-s) * prod_pad[idx]
+    n_float = n_arr.astype(np.float64)
+    weights = n_float ** (-s) * prod_pad[idx]
+    return n_arr, thr_arr, weights, mu_pad[idx] - np.log(n_float)
 
 
 def series_term(
@@ -168,16 +191,11 @@ def series_term(
         raise DomainError(f"n must be >= 1, got {n}")
     sigma = factor_stats(factorize(n, table)).sigma
     thr = family.threshold_floor(n, sigma)
-    if thr > table.limit:
-        raise SieveRangeError(
-            f"threshold {thr} for n={n} exceeds sieve limit {table.limit}"
-        )
-    primes, prod_pad, mu_pad = _prime_weight_arrays(s, table)
-    idx = int(np.searchsorted(primes, thr, side="right"))
-    weight = float(n) ** (-s) * float(prod_pad[idx])
+    prod_pad, mu_pad = _prime_weight_arrays(s, sieve_primes(thr, table, "threshold"))
+    weight = float(n) ** (-s) * float(prod_pad[-1])
     if not is_member(n, family, table):
         weight = 0.0
-    log_moment = float(mu_pad[idx]) - math.log(n)
+    log_moment = float(mu_pad[-1]) - math.log(n)
     return SeriesTerm(n=n, weight=weight, log_moment=log_moment, s=s)
 
 
@@ -311,19 +329,17 @@ def check_shifted_partition_identity(
 
 
 def weight_series_partial_sum(
-    family: ThetaFamily, s: float, limit: int, table: SpfTable
+    family: ThetaFamily, s: float, limit: int, table: SpfTable | None = None
 ) -> float:
     """Partial sum of member weights up to the truncation limit.
 
     The full series sums to exactly 1; the partial sum is nondecreasing in
     the limit and approaches 1 from below (tail roughly proportional to
-    1/ln(limit) at s = 1).
+    1/ln(limit) at s = 1).  Without a table the primes are sieved up to the
+    largest member threshold, at most PRIME_SIEVE_CAP (ResourceCapError).
     """
-    _validate_s(s)
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
-    n_arr, thr_arr = _member_arrays(family, limit)
-    return float(np.sum(_weights(n_arr, thr_arr, s, table)))
+    _validate_s(s, limit)
+    return float(np.sum(_member_weights(family, s, limit, table)[2]))
 
 
 def check_weight_shift(
@@ -331,7 +347,7 @@ def check_weight_shift(
     s: float,
     limit: int,
     qs: list[int],
-    table: SpfTable,
+    table: SpfTable | None = None,
 ) -> CheckResult:
     """Truncated check of the divisor-shift relation for the weight series.
 
@@ -341,15 +357,12 @@ def check_weight_shift(
     at the same limit here, so the result is a shrinking gap, not an exact
     equality; ``passed`` is always True (report-only).
     """
-    _validate_s(s)
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
+    _validate_s(s, limit)
     _validate_qs(qs)
     q_all = math.prod(qs)
     q_last = qs[-1]
     q_rest = q_all // q_last
-    n_arr, thr_arr = _member_arrays(family, limit)
-    w = _weights(n_arr, thr_arr, s, table)
+    n_arr, thr_arr, w, _ = _member_weights(family, s, limit, table)
     lhs = float(np.sum(w[n_arr % q_all == 0]))
     keep = (thr_arr >= q_last) & (n_arr % q_rest == 0)
     rhs = float(q_last) ** (-s) * float(np.sum(w[keep]))
@@ -357,29 +370,19 @@ def check_weight_shift(
 
 
 def weighted_log_moment_sum(
-    family: ThetaFamily, s: float, limit: int, table: SpfTable
+    family: ThetaFamily, s: float, limit: int, table: SpfTable | None = None
 ) -> float:
     """Truncated sum of weight * log_moment over members up to the limit.
 
     The full series sums to exactly 0; the magnitude of the truncated sum
     shrinks as the limit grows.
     """
-    _validate_s(s)
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
-    n_arr, thr_arr = _member_arrays(family, limit)
-    if len(thr_arr) and int(thr_arr.max()) > table.limit:
-        raise SieveRangeError(
-            f"threshold {int(thr_arr.max())} exceeds sieve limit {table.limit}"
-        )
-    primes, prod_pad, mu_pad = _prime_weight_arrays(s, table)
-    idx = np.searchsorted(primes, thr_arr, side="right")
-    weights = n_arr.astype(np.float64) ** (-s) * prod_pad[idx]
-    moments = mu_pad[idx] - np.log(n_arr.astype(np.float64))
+    _validate_s(s, limit)
+    _, _, weights, moments = _member_weights(family, s, limit, table)
     return float(np.sum(weights * moments))
 
 
-def log_moment_gap(n: int, t: Fraction, table: SpfTable) -> float:
+def log_moment_gap(n: int, t: Fraction, table: SpfTable | None = None) -> float:
     """Distance of the fixed-ratio log moment from its limit ``ln t - gamma``.
 
     Evaluates ``|mu_n - (ln t - gamma)|`` at s = 1, where
@@ -389,7 +392,9 @@ def log_moment_gap(n: int, t: Fraction, table: SpfTable) -> float:
     Raises
     ------
     SieveRangeError
-        If n*t exceeds the sieve limit.
+        If n*t exceeds the sieve limit of the given table.
+    ResourceCapError
+        If n*t exceeds PRIME_SIEVE_CAP and no table is given.
     """
     t = Fraction(t)
     if n < 1:
@@ -397,9 +402,7 @@ def log_moment_gap(n: int, t: Fraction, table: SpfTable) -> float:
     if t < 2:
         raise DomainError(f"t must be >= 2, got {t}")
     thr = n * t.numerator // t.denominator
-    if thr > table.limit:
-        raise SieveRangeError(f"n*t={thr} exceeds sieve limit {table.limit}")
-    primes = table.primes[table.primes <= thr].astype(np.float64)
+    primes = sieve_primes(thr, table, "n*t").astype(np.float64)
     mu = float(np.sum(np.log(primes) / (primes - 1.0))) - math.log(n)
     target = math.log(t.numerator / t.denominator) - EULER_GAMMA
     return abs(mu - target)

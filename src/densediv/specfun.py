@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfTable
+from .arith import SpfTable, sieve_primes
 from .constants import DENSITY_SCALE, EULER_GAMMA
-from .errors import ConfigurationError, DomainError, SieveRangeError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "BUCHSTAB_LIMIT",
@@ -253,26 +253,26 @@ def density_kernel_reference(v: float) -> float:
     return DENSITY_SCALE / (v + 1.0)
 
 
-def mertens_product(y: float, table: SpfTable) -> float:
-    """Product of ``1 - 1/p`` over primes p <= y, multiplied left to right.
+def mertens_product(y: float, table: SpfTable | None = None) -> float:
+    """Product of ``1 - 1/p`` over primes p <= y (read from the table, or
+    sieved afresh without one), multiplied left to right.
 
     Raises
     ------
     DomainError
         If y < 2 (no primes -- the empty product is deliberately excluded).
     SieveRangeError
-        If y exceeds the sieve limit.
+        If y exceeds the sieve limit of the given table.
+    ResourceCapError
+        If y exceeds PRIME_SIEVE_CAP and no table is given.
     """
     if y < 2.0:
         raise DomainError(f"y must be >= 2, got {y}")
-    if y > table.limit:
-        raise SieveRangeError(f"y={y} exceeds sieve limit {table.limit}")
-    primes = table.primes[table.primes <= math.floor(y)]
-    return float(np.multiply.reduce(1.0 - 1.0 / primes))
+    return float(np.multiply.reduce(1.0 - 1.0 / sieve_primes(y, table, "y")))
 
 
 def rough_count_approx(
-    x: float, y: float, w: TabulatedFunction, table: SpfTable
+    x: float, y: float, w: TabulatedFunction, table: SpfTable | None = None
 ) -> float:
     """Main-term approximation to the rough-number count.
 

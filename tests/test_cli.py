@@ -255,6 +255,15 @@ class TestExperimentCommand:
         assert code == 0
         assert out[1].split(",")[1] == "10"
 
+    def test_phi_scan_y_beyond_every_x(self, capsys):
+        # y above max(xs): every n in [2, x] has a prime factor <= y.
+        code, out, _ = run(
+            capsys, ["experiment", "phi-scan", "--xs", "1000", "--ys", "2000"]
+        )
+        assert code == 0
+        row = out[1].split(",")
+        assert (row[0], row[1], row[3], row[-1]) == ("1000", "2000", "1", "rough_count")
+
     def test_missing_argument(self, capsys):
         code, _, err = run(capsys, ["experiment", "mean-omega", "--xs", "100,200"])
         assert code == 2 and "--t is required" in err
@@ -331,6 +340,22 @@ class TestExitCodes:
         assert (code, out) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--check", "lambda0", "--t", "2", "--N", "1e9"],
+            ["--check", "lambda0", "--t", "1000000", "--N", "100000"],
+            ["--check", "mu0", "--t", "1e12", "--N", "1e9"],
+            ["--check", "muapprox", "--t", "2", "--x", "1e9"],
+        ],
+        ids=["lambda0-t2", "lambda0-t1e6", "mu0-t1e12", "muapprox"],
+    )
+    def test_weight_series_beyond_sieve_cap(self, capsys, argv):
+        code, out, err = run(capsys, ["identity", "--family", "dense", *argv])
+        assert (code, out) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "prime-sieve cap" in err
+
     def test_verbose_banner(self, capsys):
         code, _, err = run(
             capsys,
@@ -350,6 +375,26 @@ class TestThreadInvariance:
         _, one, _ = run(capsys, base + ["--threads", "1"])
         _, four, _ = run(capsys, base + ["--threads", "4"])
         assert one == four
+
+
+def test_weight_series_and_phi_scan_build_no_factor_table(capsys, monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"build_spf_table({limit}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("densediv") and hasattr(module, "build_spf_table"):
+            monkeypatch.setattr(module, "build_spf_table", refuse)
+    dense = ["--family", "dense", "--t", "2"]
+    for argv in (
+        ["identity", "--check", "lambda0", *dense, "--N", "1000"],
+        ["identity", "--check", "lambdak", "--family", "practical", "--N", "1000",
+         "--qs", "2,3"],
+        ["identity", "--check", "mu0", "--family", "shifted1", "--N", "1000"],
+        ["identity", "--check", "muapprox", *dense, "--x", "1000"],
+        ["experiment", "phi-scan", "--xs", "1000,100000", "--ys", "10,2000"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(out) >= 2, argv
 
 
 def test_import_loads_no_process_pool():

@@ -14,6 +14,8 @@ from densediv import (
     DENSITY_SCALE,
     DomainError,
     ExperimentReport,
+    ResourceCapError,
+    SieveRangeError,
     SolverConfig,
     concentration_experiment,
     count_ratio_experiment,
@@ -138,9 +140,19 @@ class TestPhiScan:
         assert report.verdict == "pass"
         assert report.rows_for("rough_count")[0].rel_err < 0.05
 
+    def test_without_table(self, table, w):
+        xs, ys = [1000, 100_000], [2.0, 2.5, 100.0, 1000.7, 99_999.0]
+        assert phi_approx_scan(xs, ys, w=w) == phi_approx_scan(xs, ys, w=w, table=table)
+
     def test_validation(self, table, w):
         with pytest.raises(DomainError):
             phi_approx_scan([1000], [1.5], w=w, table=table)
+        with pytest.raises(DomainError):
+            phi_approx_scan([1000], [math.nan], w=w)
+        with pytest.raises(SieveRangeError):
+            phi_approx_scan([1000], [table.limit + 1.0], w=w, table=table)
+        with pytest.raises(ResourceCapError):
+            phi_approx_scan([1000], [math.inf], w=w)
         with pytest.raises(ConfigurationError):
             phi_approx_scan([], [10.0], w=w, table=table)
 

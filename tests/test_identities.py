@@ -10,6 +10,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from densediv import (
@@ -23,16 +24,32 @@ from densediv import (
     check_partition_identity,
     check_shifted_partition_identity,
     check_weight_shift,
+    iter_members,
     log_moment_gap,
     series_term,
     weight_series_partial_sum,
     weighted_log_moment_sum,
 )
+from densediv.arith import PRIME_SIEVE_CAP
+from densediv.identities import _member_arrays
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE3 = ThetaFamily.dense(3)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
 PRACTICAL = ThetaFamily.practical()
+
+# Families of the table-free parity checks: the four kinds, plus a dense t
+# whose frontier needs Python-int columns (x * t_num >= 2^62).
+SERIES_FAMILIES = [
+    DENSE2,
+    DENSE52,
+    PRACTICAL,
+    ThetaFamily.shifted_one(),
+    ThetaFamily.shifted_two(),
+    ThetaFamily.dense(Fraction(2**62 + 1, 2**61)),
+]
+SERIES_IDS = ["dense2", "dense5_2", "practical", "shifted1", "shifted2", "dense_big"]
+SERIES_LIMITS = [1, 2, 97, 3000, 10**5]
 
 
 class TestPartitionIdentity:
@@ -187,6 +204,32 @@ class TestWeightSeries:
         with pytest.raises(DomainError):
             weight_series_partial_sum(DENSE2, 1.0, 0, table)
 
+    @pytest.mark.parametrize("limit", SERIES_LIMITS)
+    @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
+    def test_member_arrays_match_iter_members(self, family, limit):
+        pairs = sorted(
+            (rec.n, family.threshold_floor(rec.n, rec.sigma))
+            for rec in iter_members(family, limit)
+        )
+        n_arr, thr_arr = _member_arrays(family, limit)
+        assert n_arr.dtype == thr_arr.dtype == np.int64
+        assert list(zip(n_arr.tolist(), thr_arr.tolist())) == pairs
+
+    @pytest.mark.parametrize("limit", SERIES_LIMITS)
+    @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
+    def test_without_table(self, table, family, limit):
+        for s in (1.0, 1.5):
+            assert weight_series_partial_sum(
+                family, s, limit
+            ) == weight_series_partial_sum(family, s, limit, table)
+
+    def test_sieve_bounds(self, table):
+        # The walk stops at the first block whose thresholds pass the bound.
+        with pytest.raises(SieveRangeError):
+            weight_series_partial_sum(DENSE2, 1.0, 2 * 10**6, table)
+        with pytest.raises(ResourceCapError):
+            weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
+
 
 class TestWeightShift:
     def test_gap_pinned_and_shrinking(self, table):
@@ -205,6 +248,14 @@ class TestWeightShift:
         terms = [series_term(n, DENSE2, 1.0, table) for n in range(1, limit + 1)]
         lhs = sum(t.weight for t in terms if t.n % 6 == 0)
         assert res.lhs == pytest.approx(lhs, rel=1e-12)
+
+    @pytest.mark.parametrize("limit", SERIES_LIMITS)
+    @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
+    def test_without_table(self, table, family, limit):
+        for s in (1.0, 1.5):
+            assert check_weight_shift(family, s, limit, [2, 3]) == check_weight_shift(
+                family, s, limit, [2, 3], table
+            )
 
     def test_validation(self, table):
         with pytest.raises(ConfigurationError):
@@ -229,6 +280,14 @@ class TestLogMomentSeries:
         assert weighted_log_moment_sum(DENSE2, 1.5, 200, table) == pytest.approx(
             brute, rel=1e-12
         )
+
+    @pytest.mark.parametrize("limit", SERIES_LIMITS)
+    @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
+    def test_without_table(self, table, family, limit):
+        for s in (1.0, 1.5):
+            assert weighted_log_moment_sum(
+                family, s, limit
+            ) == weighted_log_moment_sum(family, s, limit, table)
 
     def test_validation(self, table):
         with pytest.raises(DomainError):
@@ -255,3 +314,10 @@ class TestLogMomentGap:
             log_moment_gap(10, Fraction(3, 2), table)
         with pytest.raises(SieveRangeError):
             log_moment_gap(1_500_000, Fraction(2), table)
+        with pytest.raises(ResourceCapError):
+            log_moment_gap(PRIME_SIEVE_CAP // 2 + 1, Fraction(2))
+
+    def test_without_table(self, table):
+        for n in (1, 2, 97, 3000, 10**5):
+            for t in (Fraction(2), Fraction(5, 2), Fraction(10)):
+                assert log_moment_gap(n, t) == log_moment_gap(n, t, table)

@@ -12,6 +12,7 @@ from densediv import (
     DENSITY_SCALE,
     DomainError,
     EULER_GAMMA,
+    ResourceCapError,
     SieveRangeError,
     SolverConfig,
     TabulatedFunction,
@@ -22,6 +23,7 @@ from densediv import (
     tabulate_buchstab,
     tabulate_density_kernel,
 )
+from densediv.arith import PRIME_SIEVE_CAP
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,12 @@ class TestMertensProduct:
             mertens_product(1.5, table)
         with pytest.raises(SieveRangeError):
             mertens_product(table.limit + 1, table)
+        with pytest.raises(ResourceCapError):
+            mertens_product(PRIME_SIEVE_CAP + 1)
+
+    @pytest.mark.parametrize("y", [2, 2.5, 10, 10.9, 97, 1000.7, 99_999, 1e6])
+    def test_without_table(self, table, y):
+        assert mertens_product(y) == mertens_product(y, table)
 
 
 class TestRoughCountApprox:
@@ -207,6 +215,13 @@ class TestRoughCountApprox:
         exact = rough_count(100_000, 100, table)
         approx = rough_count_approx(100_000, 100, w_table, table)
         assert abs(approx - exact) / exact < 0.05
+
+    @pytest.mark.parametrize("y", [2, 10, 100, 1000.7])
+    def test_without_table(self, table, w_table, y):
+        for x in (0.5, 1, 97, 3000, 100_000):
+            assert rough_count_approx(x, y, w_table) == rough_count_approx(
+                x, y, w_table, table
+            )
 
     def test_nonnegative_and_validated(self, table, w_table):
         assert rough_count_approx(0.5, 10, w_table, table) >= 0.0
