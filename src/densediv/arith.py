@@ -26,6 +26,10 @@ ROUGH_COUNTS_CAP = 10**12
 # weight series at the cap (dense t=2, N = 1.5e8) peak near 1.1 GB RSS.
 PRIME_SIEVE_CAP = 3 * 10**8
 
+# Largest limit of an int32 SpfTable, and largest prime bound of a frontier
+# walk (one byte per integer sieved: 2 GB at the cap).
+SIEVE_LIMIT_CAP = 2**31
+
 # Witness set making Miller-Rabin deterministic for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,9 +57,9 @@ def build_spf_table(limit: int) -> SpfTable:
     Parameters
     ----------
     limit : int
-        Largest n covered; 2 <= limit <= 2**31.
+        Largest n covered; 2 <= limit <= SIEVE_LIMIT_CAP.
     """
-    if not 2 <= limit <= 2**31:
+    if not 2 <= limit <= SIEVE_LIMIT_CAP:
         raise ConfigurationError(f"sieve limit must be in [2, 2^31], got {limit}")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):

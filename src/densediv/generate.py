@@ -21,7 +21,8 @@ One production traversal and one reference:
   frontier is tested against, and the source of member listings.
 
 The column type is a deterministic function of the query and the engine
-argument; ``threads`` is accepted and has no effect.
+argument; ``threads`` is accepted and has no effect.  A query whose prime
+bound exceeds 2^31 is refused (ResourceCapError) before any sieving.
 """
 
 from __future__ import annotations
@@ -33,8 +34,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .arith import SpfTable, divisor_ratio_bound, factorize, primes_up_to
-from .errors import DomainError
+from .arith import (
+    SIEVE_LIMIT_CAP,
+    SpfTable,
+    divisor_ratio_bound,
+    factorize,
+    primes_up_to,
+)
+from .errors import DomainError, ResourceCapError
 from .families import ThetaFamily
 
 # Target child rows per expansion block in the frontier engine.  Blocks are
@@ -292,10 +299,16 @@ def _frontier_run(
     materialized, so the hook sees them all.  dtype is that of the n,
     sigma and pp columns: int64 under the _numpy_safe guard, object (Python
     ints) otherwise; the prime-index and small-statistic columns are int64.
+    A prime bound past SIEVE_LIMIT_CAP is refused before any sieving.
     """
     want_moments = moments is not None
-    primes = primes_up_to(_prime_limit(family, x))
-    prime_sq = primes.astype(dtype) * primes  # exact in either column type
+    bound = _prime_limit(family, x)
+    if bound > SIEVE_LIMIT_CAP:
+        raise ResourceCapError(f"prime bound {bound} exceeds the sieve cap 2^31")
+    primes = primes_up_to(bound)
+    # The cap bounds x below 2^62, so x // n and the squares of the primes
+    # <= sqrt(x) (the only ones with p^2 <= x // n) fit in int64.
+    prime_sq = primes[: np.searchsorted(primes, math.isqrt(x), side="right")] ** 2
     practical = family.kind == "practical"
     # q > x divides no member; skipping it keeps every q in int64 range.
     live_qs = [(k, q) for k, q in enumerate(qs or []) if q <= x]
@@ -370,7 +383,8 @@ def _frontier_run(
             if collapse:
                 # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
                 # whose square exceeds x // n, hence a leaf.
-                s = np.searchsorted(prime_sq, x // n, side="right")
+                xn = (x // n).astype(np.int64, copy=False)
+                s = np.searchsorted(prime_sq, xn, side="right")
                 mid = np.minimum(np.maximum(s, last + 1), hi)
                 tally_leaves(level + 1, blk, mid, hi)
             cnt = np.maximum(mid - lo, 0)

@@ -9,7 +9,11 @@ where Phi is the rough-number count -- every integer up to x factors
 uniquely as (member) * (rough part).  A shifted variant equates divisor-
 filtered sums on both sides.  Both are exact integer equalities at every
 finite x, so they validate the enumerator, the threshold arithmetic, and
-the rough-count sieve against each other with zero tolerance.
+the rough-count sieve against each other with zero tolerance.  Without a
+table both sums run over the leaf-collapsed frontier (on Python-int
+columns when int64 cannot hold its products) and one floor-quotient prime
+count table; with one they run the reference loop of rough_count over
+iter_members.
 
 The weighted analogues replace counting with Dirichlet-type weights
 
@@ -35,7 +39,6 @@ import numpy as np
 from .arith import (
     ROUGH_COUNTS_CAP,
     SpfTable,
-    build_spf_table,
     check_sieve_bound,
     factor_stats,
     factorize,
@@ -47,13 +50,7 @@ from .arith import (
 from .constants import EULER_GAMMA
 from .errors import ConfigurationError, DomainError, ResourceCapError
 from .families import ThetaFamily, is_member
-from .generate import (
-    _column_dtype,
-    _frontier_run,
-    _numpy_safe,
-    _prime_limit,
-    iter_members,
-)
+from .generate import _column_dtype, _frontier_run, _prime_limit, iter_members
 
 __all__ = [
     "SeriesTerm",
@@ -199,32 +196,39 @@ def series_term(
     return SeriesTerm(n=n, weight=weight, log_moment=log_moment, s=s)
 
 
-def _floor_quotient_path(family: ThetaFamily, x: int) -> bool:
-    """Whether the table-free path covers x: every product the frontier
-    forms stays in int64.  x beyond 10^12 is refused before any work."""
-    if x > ROUGH_COUNTS_CAP:
-        raise ResourceCapError(f"x={x} exceeds the identity cap {ROUGH_COUNTS_CAP}")
-    return _numpy_safe(family, x)
-
-
-def _rough_sum(family: ThetaFamily, x: int, q: int, theta_min: int = 0) -> int:
+def _rough_sum(
+    family: ThetaFamily, x: int, q: int, table: SpfTable | None, theta_min: int = 0
+) -> int:
     """Sum of Phi(x // n, theta(n)) over the members n <= x with q | n and
     theta(n) >= theta_min.
 
-    A leaf n = m*p that the frontier tallies without building has
-    p^2 > x // m, so x // n < p <= theta(m) <= theta(n) and Phi = 1.  The
-    walk's q-filtered count therefore covers every unbuilt member at
-    Phi = 1; the built rows are filtered here, and those with
-    theta(n) < x // n add Phi - 1.  Every x // n is a floor quotient of x,
-    answered by one rough_counts table.
+    With a table this is the reference loop of ``rough_count`` over
+    ``iter_members``.  Without one (x <= 10^12, else ResourceCapError) it
+    runs over the leaf-collapsed frontier.  A leaf n = m*p that the
+    frontier tallies without building has p^2 > x // m, so
+    x // n < p <= theta(m) <= theta(n) and Phi = 1.  The walk's q-filtered
+    count therefore covers every unbuilt member at Phi = 1; the built rows
+    are filtered here, and those with theta(n) < x // n add Phi - 1.  Each
+    such x // n is a floor quotient of x, and it and theta(n) are at most x,
+    so int64 holds them whatever the column type; one rough_counts table
+    answers them all.
 
     The theta filter passes every unbuilt leaf when x >= theta_min^2: a
     member with theta(n) < theta_min has n < theta(n) < theta_min, and a
     leaf that small has x < m*p^2 = n*p < theta_min^2.  Below that the
     leaf tally is turned off and every member is built and filtered.
     """
+    if table is None and x > ROUGH_COUNTS_CAP:
+        raise ResourceCapError(f"x={x} exceeds the identity cap {ROUGH_COUNTS_CAP}")
     if q > x:
         return 0
+    if table is not None:
+        total = 0
+        for rec in iter_members(family, x):
+            thr = family.threshold_floor(rec.n, rec.sigma)
+            if rec.n % q == 0 and thr >= theta_min:
+                total += rough_count(x // rec.n, thr, table)
+        return total
     built = kept = 0
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
@@ -240,11 +244,17 @@ def _rough_sum(family: ThetaFamily, x: int, q: int, theta_min: int = 0) -> int:
         theta = theta[keep]
         kept += len(quot)
         low = theta < quot
-        xs.append(quot[low])
-        ys.append(theta[low])
+        xs.append(quot[low].astype(np.int64, copy=False))
+        ys.append(theta[low].astype(np.int64, copy=False))
 
     count = _frontier_run(
-        family, x, qs=[q], moments=None, row_hook=hook, collapse=x >= theta_min**2
+        family,
+        x,
+        qs=[q],
+        moments=None,
+        row_hook=hook,
+        collapse=x >= theta_min**2,
+        dtype=_column_dtype("auto", family, x),
     )[0]
     count += kept - built
     quot = np.concatenate(xs)
@@ -262,22 +272,14 @@ def check_partition_identity(
     enumerator, the thresholds, or the sieve.
 
     Without a table (x <= 10^12) the sum runs over the leaf-collapsed
-    frontier with floor-quotient prime counts and no size-x sieve; with
-    one it is the reference loop of ``rough_count`` over ``iter_members``.
-    A family whose frontier products would leave int64 (a dense t with a
-    large numerator) takes the reference loop over a size-x sieve.
+    frontier with floor-quotient prime counts and no size-x sieve, on
+    Python-int columns when int64 cannot hold its products; a prime bound
+    past 2^31 is refused (ResourceCapError) before any sieving.  With a
+    table it is the reference loop of ``rough_count`` over ``iter_members``.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    if table is None:
-        if _floor_quotient_path(family, x):
-            lhs = _rough_sum(family, x, 1)
-            return CheckResult("partition", lhs, x, abs(lhs - x), lhs == x)
-        table = build_spf_table(max(x, 3))
-    lhs = 0
-    for rec in iter_members(family, x):
-        thr = family.threshold_floor(rec.n, rec.sigma)
-        lhs += rough_count(x // rec.n, thr, table)
+    lhs = _rough_sum(family, x, 1, table)
     return CheckResult("partition", lhs, x, abs(lhs - x), lhs == x)
 
 
@@ -295,36 +297,15 @@ def check_shifted_partition_identity(
 
     Both sides count the same multiples, grouped differently; equality is
     exact at every x.  The table selects the path as in
-    ``check_partition_identity``; on the floor-quotient path x // (n q_k)
-    is taken as (x // q_k) // n.
+    ``check_partition_identity``; x // (n q_k) is taken as (x // q_k) // n.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     _validate_qs(qs)
     q_all = math.prod(qs)
     q_last = qs[-1]
-    q_rest = q_all // q_last
-    if table is None:
-        if _floor_quotient_path(family, x):
-            lhs = _rough_sum(family, x, q_all)
-            rhs = 0
-            if x >= q_last:
-                rhs = _rough_sum(family, x // q_last, q_rest, theta_min=q_last)
-            return CheckResult("shifted_partition", lhs, rhs, abs(lhs - rhs), lhs == rhs)
-        table = build_spf_table(max(x, 3))
-    lhs = 0
-    for rec in iter_members(family, x):
-        if rec.n % q_all == 0:
-            thr = family.threshold_floor(rec.n, rec.sigma)
-            lhs += rough_count(x // rec.n, thr, table)
-    rhs = 0
-    if x >= q_last:
-        for rec in iter_members(family, x // q_last):
-            if rec.n % q_rest != 0:
-                continue
-            thr = family.threshold_floor(rec.n, rec.sigma)
-            if thr >= q_last:
-                rhs += rough_count(x // (rec.n * q_last), thr, table)
+    lhs = _rough_sum(family, x, q_all, table)
+    rhs = _rough_sum(family, x // q_last, q_all // q_last, table, theta_min=q_last)
     return CheckResult("shifted_partition", lhs, rhs, abs(lhs - rhs), lhs == rhs)
 
 

@@ -343,6 +343,25 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["count", "--family", "dense", "--t", "2", "--x", "1e20"],
+            ["identity", "--check", "phi0", "--family", "dense", "--t", "10000000",
+             "--x", "1e12"],
+        ],
+        ids=["count-1e20", "phi0-t1e7"],
+    )
+    def test_prime_bound_beyond_cap_starts_no_work(self, capsys, monkeypatch, argv):
+        def refuse(limit):
+            raise AssertionError("sieve started")
+
+        monkeypatch.setattr(densediv.arith, "primes_up_to", refuse)
+        monkeypatch.setattr(densediv.generate, "primes_up_to", refuse)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--check", "lambda0", "--t", "2", "--N", "1e9"],
             ["--check", "lambda0", "--t", "1000000", "--N", "100000"],
             ["--check", "mu0", "--t", "1e12", "--N", "1e9"],
@@ -385,6 +404,7 @@ def test_weight_series_and_phi_scan_build_no_factor_table(capsys, monkeypatch):
         if name.startswith("densediv") and hasattr(module, "build_spf_table"):
             monkeypatch.setattr(module, "build_spf_table", refuse)
     dense = ["--family", "dense", "--t", "2"]
+    near2 = ["--family", "dense", "--t", "2.0000000000001"]  # int64-unsafe
     for argv in (
         ["identity", "--check", "lambda0", *dense, "--N", "1000"],
         ["identity", "--check", "lambdak", "--family", "practical", "--N", "1000",
@@ -392,6 +412,8 @@ def test_weight_series_and_phi_scan_build_no_factor_table(capsys, monkeypatch):
         ["identity", "--check", "mu0", "--family", "shifted1", "--N", "1000"],
         ["identity", "--check", "muapprox", *dense, "--x", "1000"],
         ["experiment", "phi-scan", "--xs", "1000,100000", "--ys", "10,2000"],
+        ["identity", "--check", "phi0", *near2, "--x", "300000"],
+        ["identity", "--check", "phik", *near2, "--x", "300000", "--qs", "2,3"],
     ):
         code, out, _ = run(capsys, argv)
         assert code == 0 and len(out) >= 2, argv

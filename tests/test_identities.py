@@ -149,15 +149,21 @@ class TestFloorQuotientPath:
             check_partition_identity(DENSE2, 10**12 + 1)
 
     def test_int64_overflowing_t_takes_reference_loop(self, table):
-        # x * t_num >= 2^62 rules out the frontier; the size-x sieve serves.
-        family = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
-        for x in (1, 97, 3000):
-            res = check_partition_identity(family, x)
-            assert res == check_partition_identity(family, x, table)
-            assert res.passed
-            shifted = check_shifted_partition_identity(family, x, [2, 3])
-            assert shifted == check_shifted_partition_identity(family, x, [2, 3], table)
-        with pytest.raises(ConfigurationError):
+        # x * t_num >= 2^62: the frontier runs on Python-int columns and
+        # must match the table reference loop.  At t = 10^12 every n is a
+        # member.
+        overflowing = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
+        for family in (overflowing, ThetaFamily.dense(10**12)):
+            for x in (1, 97, 3000, 10**5):
+                res = check_partition_identity(family, x)
+                assert res == check_partition_identity(family, x, table)
+                assert res.passed
+                shifted = check_shifted_partition_identity(family, x, [2, 3])
+                assert shifted == check_shifted_partition_identity(
+                    family, x, [2, 3], table
+                )
+        # A prime bound past 2^31 is refused before any allocation.
+        with pytest.raises(ResourceCapError):
             check_partition_identity(ThetaFamily.dense(10**7), 10**12)
 
 
