@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRangeError
 
-# Largest divisor list we will materialize (oracle support only).
-DIVISOR_CAP = 10**6
-
 # Largest x for rough_counts: its floor-quotient tables take O(sqrt(x))
 # memory (16 MB at the cap) and its sieve O(x^{3/4}) time.
 ROUGH_COUNTS_CAP = 10**12
@@ -81,7 +78,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def check_sieve_bound(bound, table: SpfTable | None, what: str) -> None:
@@ -296,22 +293,3 @@ def rough_counts(x: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if p2 <= r:
             small[p2:] -= small[np.arange(p2, r + 1) // p] - sp
     return out
-
-
-def divisor_list(f: PrimePowerFactorization, cap: int = DIVISOR_CAP) -> list[int]:
-    """All divisors of f.n, ascending (exactly tau entries; capped)."""
-    tau = 1
-    for _, e in f.factors:
-        tau *= e + 1
-    if tau > cap:
-        raise ResourceCapError(f"tau={tau} exceeds divisor cap {cap}")
-    divs = [1]
-    for p, e in f.factors:
-        pk = 1
-        block = []
-        for _ in range(e):
-            pk *= p
-            block.extend(d * pk for d in divs)
-        divs.extend(block)
-    divs.sort()
-    return divs

@@ -38,7 +38,12 @@ from .experiments import (
     tau_normal_order_experiment,
 )
 from .families import FAMILY_KINDS, ThetaFamily, parse_t
-from .generate import collect_moments, count_members_multi, iter_members
+from .generate import (
+    MEMBER_COLUMNS,
+    collect_moments,
+    count_members_multi,
+    member_columns,
+)
 from .identities import (
     CheckResult,
     check_partition_identity,
@@ -153,11 +158,11 @@ def _check_common(args: argparse.Namespace) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
-    records = sorted(iter_members(family, args.x), key=lambda rec: rec.n)
-    lines = ["n,omega,big_omega,tau,sigma"]
+    columns = member_columns(family, args.x, MEMBER_COLUMNS)
+    lines = [",".join(MEMBER_COLUMNS)]
     lines.extend(
-        f"{rec.n},{rec.omega},{rec.big_omega},{rec.tau},{rec.sigma}"
-        for rec in records
+        f"{n},{omega},{big_omega},{tau},{sigma}"
+        for n, omega, big_omega, tau, sigma in zip(*(c.tolist() for c in columns))
     )
     _emit(lines, args.out)
     return 0

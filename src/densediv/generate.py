@@ -8,17 +8,19 @@ per member, with omega/big-omega/tau/sigma maintained incrementally.
 
 One production traversal and one reference:
 
-- the vectorized frontier (``_frontier_run``) serves every count, moment
-  and divisor-count query.  It walks the equivalent "ascending primes with
-  repeats" representation (valid because every supported threshold rule is
-  nondecreasing along divisibility chains) in blocks popped depth first,
-  and tallies the childless leaves n*p with a new prime p > sqrt(x/n) in
-  bulk per parent instead of building them.  Its n and sigma columns are
-  int64 when every product it forms fits there, and Python ints (object
-  dtype) otherwise or for engine="python"; both give identical results.
+- the vectorized frontier (``_frontier``) walks the equivalent "ascending
+  primes with repeats" representation (valid because every supported
+  threshold rule is nondecreasing along divisibility chains) in blocks
+  popped depth first.  It yields each block with the range of its
+  childless leaves n*p (a new prime p > sqrt(x/n)), which the caller
+  tallies in bulk instead of building them: counts, moment histograms,
+  sorted member columns and the identity sums are each a loop over the
+  blocks.  Its n and sigma columns are int64 when every product it forms
+  fits there, and Python ints (object dtype) otherwise or for
+  engine="python"; both give identical results.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
-  frontier is tested against, and the source of member listings.
+  frontier is tested against.
 
 The column type is a deterministic function of the query and the engine
 argument; ``threads`` is accepted and has no effect.  A query whose prime
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -81,8 +83,8 @@ class CountQuery:
 class MomentSummary:
     """Exact integer histograms of omega, big omega and tau over a member set.
 
-    Every moment derives from the histograms, so merging two summaries is
-    histogram addition and no result depends on summation order.
+    Every integer moment derives exactly from the histograms, so no result
+    depends on the order in which members are tallied.
     exceed_count counts members with |omega - expected| > deviation_bound,
     where deviation_bound = xi * sqrt(max(ln ln x, 0)) is fixed up front.
     """
@@ -92,23 +94,6 @@ class MomentSummary:
     histogram_omega: dict[int, int] = field(default_factory=dict)
     histogram_big_omega: dict[int, int] = field(default_factory=dict)
     histogram_tau: dict[int, int] = field(default_factory=dict)
-
-    def add(self, omega: int, big_omega: int, tau: int) -> None:
-        h = self.histogram_omega
-        h[omega] = h.get(omega, 0) + 1
-        h = self.histogram_big_omega
-        h[big_omega] = h.get(big_omega, 0) + 1
-        h = self.histogram_tau
-        h[tau] = h.get(tau, 0) + 1
-
-    def merge(self, other: "MomentSummary") -> None:
-        for mine, theirs in (
-            (self.histogram_omega, other.histogram_omega),
-            (self.histogram_big_omega, other.histogram_big_omega),
-            (self.histogram_tau, other.histogram_tau),
-        ):
-            for k, v in theirs.items():
-                mine[k] = mine.get(k, 0) + v
 
     @property
     def count(self) -> int:
@@ -239,11 +224,13 @@ def multiple_vanishing_threshold(
 # ---- frontier engine ----
 
 
-def _numpy_safe(family: ThetaFamily, x: int) -> bool:
-    """int64 headroom for every product the frontier engine forms."""
+def _numpy_safe(family: ThetaFamily, x: int, sigma: bool = False) -> bool:
+    """int64 headroom for every product the frontier engine forms, with the
+    sigma column (always built for the practical family) if asked for."""
+    bounded = x < 2**50  # sigma(n)*p <= x*(1+ln x)*p stays below 2^62
     if family.kind == "dense":
-        return x * family.t_num < 2**62
-    return x < 2**50  # sigma(n)*p <= x*(1+ln x)*p stays below 2^62
+        return x * family.t_num < 2**62 and (bounded or not sigma)
+    return bounded
 
 
 def _admissible_hi(
@@ -277,171 +264,142 @@ class _Histogram:
         return {int(k): int(self.counts[k]) for k in np.flatnonzero(self.counts)}
 
 
-def _frontier_run(
+def _frontier(
     family: ThetaFamily,
     x: int,
-    qs: list[int] | None,
-    moments: MomentSummary | None,
-    row_hook: Callable[[dict[str, np.ndarray]], None] | None = None,
+    dtype: type,
     collapse: bool = True,
-    dtype: type = np.int64,
-) -> list[int] | MomentSummary:
-    """Depth-first vectorized walk over blocks of frontier rows.
+    stats: bool = False,
+    sigma: bool = False,
+) -> tuple[np.ndarray, Iterator[tuple]]:
+    """(primes, blocks) for a walk over the members n <= x.  The primes are
+    sieved here, and a prime bound past SIEVE_LIMIT_CAP is refused first.
 
-    Exactly one of qs / moments selects the mode.  A child n*p whose prime
-    p is new and exceeds sqrt(x/n) is a leaf (n*p*p' > x for every p' >= p)
-    and its statistics depend on the parent alone, so such leaves are
-    tallied in bulk per parent and never built.  The other children are
-    materialized in blocks of about _CHUNK rows popped LIFO, which keeps
-    the live rows near depth * _CHUNK.  row_hook (optional) receives every
-    materialized block: its "n" column, "sigma" for the practical family,
-    and "tau" in moments mode.  With collapse off every member is
-    materialized, so the hook sees them all.  dtype is that of the n,
-    sigma and pp columns: int64 under the _numpy_safe guard, object (Python
-    ints) otherwise; the prime-index and small-statistic columns are int64.
-    A prime bound past SIEVE_LIMIT_CAP is refused before any sieving.
+    blocks yields every built block once, when it is first popped, as
+    (level, blk, mid, hi): the rows of blk have big omega level, and the
+    unbuilt leaves of row i are n[i]*primes[j] for j in [mid[i], hi[i]),
+    one level deeper.  A child n*p whose prime p is new and exceeds
+    sqrt(x/n) is such a leaf (n*p*p' > x for every p' >= p); the other
+    children are built in blocks of about _CHUNK rows popped LIFO, which
+    keeps the live rows near depth * _CHUNK.  With collapse off every
+    member is built and mid == hi.
+
+    blk holds "n" and "last" (the index of the largest prime of n); "sigma"
+    and "pp" (the sigma of that prime's full power) with sigma=True or for
+    the practical family; "omega", "tau" and "e" (that prime's exponent)
+    with stats=True.  The n, sigma and pp columns have the given dtype
+    (int64 under the _numpy_safe guard, object otherwise), the rest int64.
     """
-    want_moments = moments is not None
     bound = _prime_limit(family, x)
     if bound > SIEVE_LIMIT_CAP:
         raise ResourceCapError(f"prime bound {bound} exceeds the sieve cap 2^31")
     primes = primes_up_to(bound)
+    sigma = sigma or family.kind == "practical"
     # The cap bounds x below 2^62, so x // n and the squares of the primes
     # <= sqrt(x) (the only ones with p^2 <= x // n) fit in int64.
     prime_sq = primes[: np.searchsorted(primes, math.isqrt(x), side="right")] ** 2
-    practical = family.kind == "practical"
-    # q > x divides no member; skipping it keeps every q in int64 range.
-    live_qs = [(k, q) for k, q in enumerate(qs or []) if q <= x]
-    counts_out = [0] * len(qs) if qs is not None else None
-    hist_omega = _Histogram()
-    hist_tau = _Histogram()
-    hist_big: dict[int, int] = {}
 
-    def tally_rows(level: int, blk: dict[str, np.ndarray]) -> None:
-        """Tally every materialized row of one block (all at one level)."""
-        n = blk["n"]
-        if row_hook is not None:
-            row_hook(blk)
-        if want_moments:
-            hist_omega.add(blk["omega"])
-            hist_tau.add(blk["tau"])
-            hist_big[level] = hist_big.get(level, 0) + len(n)
-            return
-        for k, q in live_qs:
-            counts_out[k] += len(n) if q == 1 else int(np.count_nonzero(n % q == 0))
-
-    def tally_leaves(level: int, blk: dict[str, np.ndarray], mid, hi) -> None:
-        """Tally the leaves n*primes[j], j in [mid, hi), of every row."""
-        rows = np.flatnonzero(hi > mid)
-        if len(rows) == 0:
-            return
-        mid, hi = mid[rows], hi[rows]
-        leaves = hi - mid
-        if want_moments:
-            hist_omega.add(blk["omega"][rows] + 1, leaves)
-            hist_tau.add(blk["tau"][rows] * 2, leaves)
-            hist_big[level] = hist_big.get(level, 0) + int(leaves.sum())
-            return
-        n = blk["n"][rows]
-        for k, q in live_qs:
-            if q == 1:
-                counts_out[k] += int(leaves.sum())
+    def blocks() -> Iterator[tuple]:
+        # Root n = 1: last = -1 marks "no prime used yet".  No column is
+        # ever written in place, so the root's may share arrays.
+        one = np.array([1], dtype=dtype)
+        root = {"n": one, "last": np.array([-1], dtype=np.int64)}
+        if sigma:
+            root.update(sigma=one, pp=one)
+        if stats:
+            zero = np.array([0], dtype=np.int64)
+            root.update(e=zero, omega=zero, tau=np.array([1], dtype=np.int64))
+        # Stack entries (level, block, first row not yet expanded, expansion
+        # plan); the plan is None until the block is first popped.
+        stack = [(0, root, 0, None)]
+        while stack:
+            level, blk, a, plan = stack.pop()
+            n = blk["n"]
+            last = blk["last"]
+            if plan is None:
+                hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
+                mid = hi
+                if collapse:
+                    # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
+                    # whose square exceeds x // n, hence a leaf.
+                    xn = (x // n).astype(np.int64, copy=False)
+                    s = np.searchsorted(prime_sq, xn, side="right")
+                    mid = np.minimum(np.maximum(s, last + 1), hi)
+                yield level, blk, mid, hi
+                lo = np.maximum(last, 0)
+                cnt = np.maximum(mid - lo, 0)
+                plan = (lo, cnt, np.cumsum(cnt))
+            lo, cnt, cum = plan
+            base = int(cum[a - 1]) if a else 0
+            b = max(a + 1, int(np.searchsorted(cum, base + _CHUNK, side="right")))
+            if b < len(n):
+                stack.append((level, blk, b, plan))
+            c = cnt[a:b]
+            tot = int(cum[b - 1]) - base
+            if tot == 0:
                 continue
-            # q | n*p  iff  r | p  with r = q / gcd(q, n): every leaf counts
-            # when r = 1, and only the leaf p = r when r is a prime in range.
-            r = q // np.gcd(n, q)
-            idx = np.searchsorted(primes, r)
-            hit = (idx >= mid) & (idx < hi)
-            counts_out[k] += int(leaves[r == 1].sum()) + int(
-                np.count_nonzero(primes[idx[hit]] == r[hit])
-            )
+            par = np.repeat(np.arange(a, b), c)
+            offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
+            j = lo[par] + offs
+            p = primes[j]
+            child: dict[str, np.ndarray] = {"n": n[par] * p, "last": j}
+            same = j == last[par]
+            if sigma:
+                sig_par = blk["sigma"][par]
+                pp_par = blk["pp"][par]
+                new_pp = np.where(same, pp_par * p + 1, p + 1)
+                child["pp"] = new_pp
+                child["sigma"] = np.where(same, sig_par // pp_par, sig_par) * new_pp
+            if stats:
+                e_par = blk["e"][par]
+                tau_par = blk["tau"][par]
+                child["e"] = np.where(same, e_par + 1, 1)
+                child["tau"] = np.where(
+                    same, tau_par // (e_par + 1) * (e_par + 2), tau_par * 2
+                )
+                child["omega"] = blk["omega"][par] + ~same
+            stack.append((level + 1, child, 0, None))
 
-    # Root n = 1: last = -1 marks "no prime used yet".
-    root = {
-        "n": np.array([1], dtype=dtype),
-        "last": np.array([-1], dtype=np.int64),
-    }
-    if practical:
-        root["sigma"] = np.array([1], dtype=dtype)
-        root["pp"] = np.array([1], dtype=dtype)
-    if want_moments:
-        root["e"] = np.array([0], dtype=np.int64)
-        root["tau"] = np.array([1], dtype=np.int64)
-        root["omega"] = np.array([0], dtype=np.int64)
-    tally_rows(0, root)
+    return primes, blocks()
 
-    # Stack entries (level, block, first row not yet expanded).
-    stack = [(0, root, 0)]
-    while stack:
-        level, blk, a = stack.pop()
-        n = blk["n"]
-        last = blk["last"]
-        if a == 0:
-            hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
-            lo = np.maximum(last, 0)
-            mid = hi
-            if collapse:
-                # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
-                # whose square exceeds x // n, hence a leaf.
-                xn = (x // n).astype(np.int64, copy=False)
-                s = np.searchsorted(prime_sq, xn, side="right")
-                mid = np.minimum(np.maximum(s, last + 1), hi)
-                tally_leaves(level + 1, blk, mid, hi)
-            cnt = np.maximum(mid - lo, 0)
-            blk["lo"] = lo
-            blk["cnt"] = cnt
-            blk["cum"] = np.cumsum(cnt)
-        lo = blk["lo"]
-        cum = blk["cum"]
-        base = int(cum[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(cum, base + _CHUNK, side="right")))
-        if b < len(n):
-            stack.append((level, blk, b))
-        c = blk["cnt"][a:b]
-        tot = int(cum[b - 1]) - base
-        if tot == 0:
+
+def _tally_counts(
+    counts: list[int], live_qs: list[tuple[int, int]], primes, n, mid, hi
+) -> None:
+    """Add to counts[k], for each (k, q) in live_qs, the rows n and their
+    leaves n*primes[j], j in [mid, hi), that q divides."""
+    for k, q in live_qs:
+        counts[k] += len(n) if q == 1 else int(np.count_nonzero(n % q == 0))
+    rows = np.flatnonzero(hi > mid)
+    if len(rows) == 0:
+        return
+    n, mid, hi = n[rows], mid[rows], hi[rows]
+    leaves = hi - mid
+    for k, q in live_qs:
+        if q == 1:
+            counts[k] += int(leaves.sum())
             continue
-        par = np.repeat(np.arange(a, b), c)
-        offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
-        j = lo[par] + offs
-        p = primes[j]
-        child: dict[str, np.ndarray] = {"n": n[par] * p, "last": j}
-        same = j == last[par]
-        if practical:
-            sigma = blk["sigma"]
-            pp_par = blk["pp"][par]
-            new_pp = np.where(same, pp_par * p + 1, p + 1)
-            sig_base = np.where(same, sigma[par] // pp_par, sigma[par])
-            child["pp"] = new_pp
-            child["sigma"] = sig_base * new_pp
-        if want_moments:
-            e_par = blk["e"][par]
-            tau_par = blk["tau"][par]
-            child["e"] = np.where(same, e_par + 1, 1)
-            child["tau"] = np.where(
-                same, tau_par // (e_par + 1) * (e_par + 2), tau_par * 2
-            )
-            child["omega"] = blk["omega"][par] + ~same
-        tally_rows(level + 1, child)
-        stack.append((level + 1, child, 0))
-
-    if want_moments:
-        moments.histogram_omega = hist_omega.as_dict()
-        moments.histogram_big_omega = hist_big
-        moments.histogram_tau = hist_tau.as_dict()
-        return moments
-    return counts_out
+        # q | n*p  iff  r | p  with r = q / gcd(q, n): every leaf counts
+        # when r = 1, and only the leaf p = r when r is a prime in range.
+        r = q // np.gcd(n, q)
+        idx = np.searchsorted(primes, r)
+        hit = (idx >= mid) & (idx < hi)
+        counts[k] += int(leaves[r == 1].sum()) + int(
+            np.count_nonzero(primes[idx[hit]] == r[hit])
+        )
 
 
 # ---- public counting / moments API ----
 
 
-def _column_dtype(engine: str, family: ThetaFamily, x: int) -> type:
+def _column_dtype(
+    engine: str, family: ThetaFamily, x: int, sigma: bool = False
+) -> type:
     """dtype of the frontier's n/sigma/pp columns: int64 when every product
     fits there and the engine is not "python", Python ints otherwise."""
     if engine not in ("auto", "python", "numpy"):
         raise DomainError(f"unknown engine {engine!r}")
-    if engine != "python" and _numpy_safe(family, x):
+    if engine != "python" and _numpy_safe(family, x, sigma):
         return np.int64
     if engine == "numpy":
         raise DomainError("query exceeds the vector engine's int64 range")
@@ -464,8 +422,13 @@ def count_members_multi(
         raise DomainError(f"x must be >= 1, got {x}")
     if any(q < 1 for q in qs):
         raise DomainError("every divisor filter q must be >= 1")
-    dtype = _column_dtype(engine, family, x)
-    return _frontier_run(family, x, qs=qs, moments=None, dtype=dtype)
+    primes, blocks = _frontier(family, x, _column_dtype(engine, family, x))
+    # q > x divides no member; skipping it keeps every q in int64 range.
+    live_qs = [(k, q) for k, q in enumerate(qs) if q <= x]
+    counts = [0] * len(qs)
+    for _, blk, mid, hi in blocks:
+        _tally_counts(counts, live_qs, primes, blk["n"], mid, hi)
+    return counts
 
 
 def count_members(query: CountQuery, threads: int = 1, engine: str = "auto") -> int:
@@ -491,9 +454,71 @@ def collect_moments(
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    summary = MomentSummary(expected=expected, deviation_bound=deviation_bound(x, xi))
-    dtype = _column_dtype(engine, family, x)
-    return _frontier_run(family, x, qs=None, moments=summary, dtype=dtype)
+    _, blocks = _frontier(family, x, _column_dtype(engine, family, x), stats=True)
+    hist_omega = _Histogram()
+    hist_tau = _Histogram()
+    hist_big: dict[int, int] = {}
+    for level, blk, mid, hi in blocks:
+        omega, tau = blk["omega"], blk["tau"]
+        hist_omega.add(omega)
+        hist_tau.add(tau)
+        hist_big[level] = hist_big.get(level, 0) + len(omega)
+        # Each leaf adds a new prime: omega + 1, big omega + 1, tau * 2.
+        rows = np.flatnonzero(hi > mid)
+        if len(rows):
+            leaves = hi[rows] - mid[rows]
+            hist_omega.add(omega[rows] + 1, leaves)
+            hist_tau.add(tau[rows] * 2, leaves)
+            hist_big[level + 1] = hist_big.get(level + 1, 0) + int(leaves.sum())
+    return MomentSummary(
+        expected=expected,
+        deviation_bound=deviation_bound(x, xi),
+        histogram_omega=hist_omega.as_dict(),
+        histogram_big_omega=hist_big,
+        histogram_tau=hist_tau.as_dict(),
+    )
+
+
+MEMBER_COLUMNS = ("n", "omega", "big_omega", "tau", "sigma")
+
+
+def member_columns(
+    family: ThetaFamily,
+    x: int,
+    names: tuple[str, ...],
+    n_min: int = 0,
+    engine: str = "auto",
+) -> tuple[np.ndarray, ...]:
+    """Columns over the members with n_min < n <= x, ascending in n, one per
+    name in names, each drawn from MEMBER_COLUMNS.
+
+    Every column is int64, except sigma at x >= 2^50, which int64 cannot
+    hold and which stays Python ints.  engine is as in count_members_multi
+    and leaves the result unchanged.
+    """
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    if n_min < 0:
+        raise DomainError(f"n_min must be >= 0, got {n_min}")
+    want_sigma = "sigma" in names
+    dtype = _column_dtype(engine, family, x, want_sigma)
+    _, blocks = _frontier(
+        family, x, dtype, collapse=False, stats=True, sigma=want_sigma
+    )
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in ("n", *names)}
+    for level, blk, _, _ in blocks:
+        keep = blk["n"] > n_min
+        for name, part in parts.items():
+            col = np.full(len(keep), level) if name == "big_omega" else blk[name]
+            part.append(col[keep])
+    # Python-int n columns convert to int64 exactly (n <= x), and so do the
+    # sigma columns below 2^50: sigma(n) <= n*(1 + ln n).
+    cols = {name: np.concatenate(part) for name, part in parts.items()}
+    for name, col in cols.items():
+        if name != "sigma" or x < 2**50:
+            cols[name] = col.astype(np.int64, copy=False)
+    order = np.argsort(cols["n"], kind="stable")
+    return tuple(cols[name][order] for name in names)
 
 
 def collect_divisor_counts(
@@ -503,34 +528,6 @@ def collect_divisor_counts(
     threads: int = 1,
     engine: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """int64 (n, tau) arrays over members with n_min < n <= x, ascending in n.
-
-    The ascending sort makes the output a pure function of the query, bit
-    identical across engine and threads values.
-    """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if n_min < 0:
-        raise DomainError(f"n_min must be >= 0, got {n_min}")
-    dtype = _column_dtype(engine, family, x)
-    n_blocks = [np.empty(0, dtype=np.int64)]
-    tau_blocks = [np.empty(0, dtype=np.int64)]
-
-    def sink(blk: dict[str, np.ndarray]) -> None:
-        keep = blk["n"] > n_min
-        n_blocks.append(blk["n"][keep])
-        tau_blocks.append(blk["tau"][keep])
-
-    _frontier_run(
-        family,
-        x,
-        qs=None,
-        moments=MomentSummary(expected=0.0, deviation_bound=math.inf),
-        row_hook=sink,
-        collapse=False,
-        dtype=dtype,
-    )
-    # n <= x, so Python-int columns convert to int64 exactly.
-    n_all = np.concatenate(n_blocks).astype(np.int64, copy=False)
-    order = np.argsort(n_all, kind="stable")
-    return n_all[order], np.concatenate(tau_blocks)[order]
+    """int64 (n, tau) arrays over members with n_min < n <= x, ascending in n,
+    bit identical across engine and threads values."""
+    return member_columns(family, x, ("n", "tau"), n_min=n_min, engine=engine)

@@ -50,7 +50,13 @@ from .arith import (
 from .constants import EULER_GAMMA
 from .errors import ConfigurationError, DomainError, ResourceCapError
 from .families import ThetaFamily, is_member
-from .generate import _column_dtype, _frontier_run, _prime_limit, iter_members
+from .generate import (
+    _column_dtype,
+    _frontier,
+    _prime_limit,
+    _tally_counts,
+    iter_members,
+)
 
 __all__ = [
     "SeriesTerm",
@@ -134,22 +140,18 @@ def _member_arrays(
     """int64 (n, threshold_floor) arrays over members n <= limit, ascending
     in n, from one frontier walk that builds every member.  Each block's
     thresholds pass check_sieve_bound, so an over-scale walk stops early."""
+    # The walk sieves primes up to _prime_limit, below the threshold of the
+    # member 2^k <= limit near the cap: this refuses only what the loop would.
+    check_sieve_bound(_prime_limit(family, limit), None, "prime bound")
+    dtype = _column_dtype("auto", family, limit)
+    _, blocks = _frontier(family, limit, dtype, collapse=False)
     ns: list[np.ndarray] = []
     thrs: list[np.ndarray] = []
-
-    def hook(blk: dict[str, np.ndarray]) -> None:
+    for _, blk, _, _ in blocks:
         thr = family.threshold_floor(blk["n"], blk.get("sigma"))
         check_sieve_bound(int(thr.max()), table, "threshold")
         ns.append(blk["n"])
         thrs.append(thr)
-
-    # The walk sieves primes up to _prime_limit, below the threshold of the
-    # member 2^k <= limit near the cap: this refuses only what the hook would.
-    check_sieve_bound(_prime_limit(family, limit), None, "prime bound")
-    dtype = _column_dtype("auto", family, limit)
-    _frontier_run(
-        family, limit, qs=[1], moments=None, row_hook=hook, collapse=False, dtype=dtype
-    )
     # Python-int columns convert exactly: n <= limit, thresholds <= the bound.
     n_arr = np.concatenate(ns).astype(np.int64, copy=False)
     thr_arr = np.concatenate(thrs).astype(np.int64, copy=False)
@@ -206,12 +208,12 @@ def _rough_sum(
     ``iter_members``.  Without one (x <= 10^12, else ResourceCapError) it
     runs over the leaf-collapsed frontier.  A leaf n = m*p that the
     frontier tallies without building has p^2 > x // m, so
-    x // n < p <= theta(m) <= theta(n) and Phi = 1.  The walk's q-filtered
-    count therefore covers every unbuilt member at Phi = 1; the built rows
-    are filtered here, and those with theta(n) < x // n add Phi - 1.  Each
-    such x // n is a floor quotient of x, and it and theta(n) are at most x,
-    so int64 holds them whatever the column type; one rough_counts table
-    answers them all.
+    x // n < p <= theta(m) <= theta(n) and Phi = 1.  _tally_counts
+    therefore counts every member that q divides, built or not, at Phi = 1;
+    the built rows with theta(n) < theta_min are taken back, and those with
+    theta(n) < x // n add Phi - 1.  Each such x // n is a floor quotient of
+    x, and it and theta(n) are at most x, so int64 holds them whatever the
+    column type; one rough_counts table answers them all.
 
     The theta filter passes every unbuilt leaf when x >= theta_min^2: a
     member with theta(n) < theta_min has n < theta(n) < theta_min, and a
@@ -229,37 +231,27 @@ def _rough_sum(
             if rec.n % q == 0 and thr >= theta_min:
                 total += rough_count(x // rec.n, thr, table)
         return total
-    built = kept = 0
+    primes, blocks = _frontier(
+        family, x, _column_dtype("auto", family, x), collapse=x >= theta_min**2
+    )
+    total = [0]
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
-
-    def hook(blk: dict[str, np.ndarray]) -> None:
-        nonlocal built, kept
+    for _, blk, mid, hi in blocks:
         n = blk["n"]
         theta = family.threshold_floor(n, blk.get("sigma"))
+        _tally_counts(total, [(0, q)], primes, n, mid, hi)
         keep = n % q == 0
-        built += int(np.count_nonzero(keep))
+        total[0] -= int(np.count_nonzero(keep & (theta < theta_min)))
         keep &= theta >= theta_min
         quot = x // n[keep]
         theta = theta[keep]
-        kept += len(quot)
         low = theta < quot
         xs.append(quot[low].astype(np.int64, copy=False))
         ys.append(theta[low].astype(np.int64, copy=False))
-
-    count = _frontier_run(
-        family,
-        x,
-        qs=[q],
-        moments=None,
-        row_hook=hook,
-        collapse=x >= theta_min**2,
-        dtype=_column_dtype("auto", family, x),
-    )[0]
-    count += kept - built
     quot = np.concatenate(xs)
     theta = np.concatenate(ys)
-    return count + int(rough_counts(x, quot, theta).sum()) - len(quot)
+    return total[0] + int(rough_counts(x, quot, theta).sum()) - len(quot)
 
 
 def check_partition_identity(

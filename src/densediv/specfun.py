@@ -38,7 +38,6 @@ __all__ = [
     "SolverConfig",
     "tabulate_buchstab",
     "tabulate_density_kernel",
-    "density_kernel_reference",
     "mertens_product",
     "rough_count_approx",
 ]
@@ -244,13 +243,6 @@ def tabulate_density_kernel(
         tail_kind="decay",
         tail_value=DENSITY_SCALE,
     )
-
-
-def density_kernel_reference(v: float) -> float:
-    """First-order reference curve ``C / (v + 1)`` for the density kernel."""
-    if v < 0.0:
-        raise DomainError(f"v must be >= 0, got {v}")
-    return DENSITY_SCALE / (v + 1.0)
 
 
 def mertens_product(y: float, table: SpfTable | None = None) -> float:

@@ -2,6 +2,7 @@
 the rough-number counter, each checked against brute-force oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from densediv import (
     ResourceCapError,
     SieveRangeError,
     build_spf_table,
-    divisor_list,
     divisor_ratio_bound,
     factor_stats,
     factorize,
@@ -69,6 +69,18 @@ class TestSieve:
     def test_primes_up_to_small(self):
         assert primes_up_to(1).size == 0
         assert list(primes_up_to(2)) == [2]
+
+    def test_primes_up_to_keeps_one_copy(self):
+        # The 10 MB bool sieve plus one int64 array of the 664,579 primes
+        # (5.3 MB); a second copy of the primes would lift the peak to 20.6 MB.
+        tracemalloc.start()
+        try:
+            primes = primes_up_to(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(primes) == 664_579
+        assert peak < 18_000_000
 
 
 class TestIsPrime:
@@ -191,14 +203,3 @@ class TestRoughCounts:
             rough_counts(0, np.array([1]), np.array([0]))
         with pytest.raises(ResourceCapError):
             rough_counts(10**12 + 1, np.array([1]), np.array([0]))
-
-
-class TestDivisorList:
-    def test_matches_brute(self, table):
-        for n in range(1, 501):
-            assert divisor_list(factorize(n, table)) == brute_divisors(n), n
-
-    def test_cap(self, table):
-        f = factorize(720720, table)
-        with pytest.raises(ResourceCapError):
-            divisor_list(f, cap=10)

@@ -419,6 +419,23 @@ def test_weight_series_and_phi_scan_build_no_factor_table(capsys, monkeypatch):
         assert code == 0 and len(out) >= 2, argv
 
 
+def test_enumerate_needs_no_second_traversal(capsys, monkeypatch):
+    def refuse(family, x):
+        raise AssertionError(f"iter_members({family}, {x}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("densediv") and hasattr(module, "iter_members"):
+            monkeypatch.setattr(module, "iter_members", refuse)
+    for fam in (
+        ["--family", "dense", "--t", "2"],
+        ["--family", "practical"],
+        ["--family", "dense", "--t", "2.0000000000001"],  # int64-unsafe
+    ):
+        code, out, _ = run(capsys, ["enumerate", *fam, "--x", "3000"])
+        assert code == 0, fam
+        assert out[:2] == ["n,omega,big_omega,tau,sigma", "1,0,0,1,1"], fam
+
+
 def test_import_loads_no_process_pool():
     # Counting is serial; importing the package and its CLI must not pull
     # in the process-pool machinery (about 15-20 ms of every CLI start).

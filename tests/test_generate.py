@@ -25,6 +25,7 @@ from densediv import (
     is_member,
     is_prime,
     iter_members,
+    member_columns,
     multiple_vanishing_threshold,
 )
 
@@ -44,6 +45,8 @@ COLLAPSE_FAMILIES = [
     SHIFTED1,
     SHIFTED2,
 ]
+# x * t_num >= 2^62 for every x tested: the frontier runs on Python ints.
+INT64_UNSAFE = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
 
 
 def _family_id(f):
@@ -181,7 +184,7 @@ class TestCollapsedFrontier:
     def test_int64_unsafe_family(self, x):
         # x * t_num >= 2^62: auto falls back to Python-int columns, and the
         # int64-only engine refuses the query.
-        family = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
+        family = INT64_UNSAFE
         qs = _filter_qs(x)
         _assert_matches_reference(family, x, qs, xis=(1.0,), engines=("auto", "python"))
         _assert_divisor_counts_match(family, x, ("auto", "python"))
@@ -209,6 +212,36 @@ class TestCollapsedFrontier:
         x = 10**10
         assert count_members_multi(PRACTICAL, x, [1]) == [582798892]
         assert 582798892 * math.log(x) / x == pytest.approx(1.33607, rel=0.01)
+
+
+class TestMemberColumns:
+    """member_columns, on int64 and Python-int columns and in blocks of a
+    few rows, against the sorted reference records."""
+
+    @pytest.mark.parametrize("chunk", [5, generate._CHUNK])
+    @pytest.mark.parametrize("x", [1, 2, 97, 3000])
+    @pytest.mark.parametrize(
+        "family", [*COLLAPSE_FAMILIES, INT64_UNSAFE], ids=_family_id
+    )
+    def test_matches_sorted_records(self, monkeypatch, family, x, chunk):
+        monkeypatch.setattr(generate, "_CHUNK", chunk)
+        recs = sorted(iter_members(family, x), key=lambda r: r.n)
+        cols = member_columns(family, x, generate.MEMBER_COLUMNS)
+        assert all(col.dtype == np.int64 for col in cols)
+        assert [col.tolist() for col in cols] == [
+            [getattr(r, name) for r in recs] for name in generate.MEMBER_COLUMNS
+        ]
+
+    def test_sigma_column_type(self):
+        # sigma(n) <= n*(1 + ln n) leaves int64 at x = 2^50: Python ints.
+        assert generate._column_dtype("auto", DENSE2, 2**50) is np.int64
+        assert generate._column_dtype("auto", DENSE2, 2**50, sigma=True) is object
+        with pytest.raises(DomainError):
+            generate._column_dtype("numpy", DENSE2, 2**50, sigma=True)
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            member_columns(DENSE2, 0, ("n",))
 
 
 class TestVanishingThreshold:

@@ -16,7 +16,6 @@ from densediv import (
     SieveRangeError,
     SolverConfig,
     TabulatedFunction,
-    density_kernel_reference,
     mertens_product,
     rough_count,
     rough_count_approx,
@@ -158,9 +157,6 @@ class TestDensityKernel:
     def test_decay_tail(self, d_table):
         v = d_table.u_max + 10.0
         assert d_table(v) == DENSITY_SCALE / (v + 1.0)
-        assert density_kernel_reference(v) == d_table(v)
-        with pytest.raises(DomainError):
-            density_kernel_reference(-0.5)
 
     def test_self_convergence(self):
         w = tabulate_buchstab(SolverConfig(step=5e-4, max_abscissa=13.0))
