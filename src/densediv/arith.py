@@ -19,8 +19,9 @@ from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRang
 # memory (16 MB at the cap) and its sieve O(x^{3/4}) time.
 ROUGH_COUNTS_CAP = 10**12
 
-# Largest bound for a fresh prime sieve (sieve_primes with no table).  The
-# weight series at the cap (dense t=2, N = 1.5e8) peak near 1.1 GB RSS.
+# Largest bound for sieve_primes, the prime source of the weight series,
+# Mertens products and phi-scan.  The weight series at the cap (dense t=2,
+# N = 1.5e8) peak near 1.1 GB RSS.
 PRIME_SIEVE_CAP = 3 * 10**8
 
 # Largest limit of an int32 SpfTable, and largest prime bound of a frontier
@@ -81,24 +82,19 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
-def check_sieve_bound(bound, table: SpfTable | None, what: str) -> None:
-    """Refuse a prime bound past the table's limit (SieveRangeError) or, with
-    no table, past PRIME_SIEVE_CAP (ResourceCapError)."""
-    if table is not None and bound > table.limit:
-        raise SieveRangeError(f"{what}={bound} exceeds sieve limit {table.limit}")
-    if table is None and bound > PRIME_SIEVE_CAP:
+def check_sieve_bound(bound, what: str) -> None:
+    """Refuse a prime bound past PRIME_SIEVE_CAP (ResourceCapError)."""
+    if bound > PRIME_SIEVE_CAP:
         raise ResourceCapError(
             f"{what}={bound} exceeds the prime-sieve cap {PRIME_SIEVE_CAP}"
         )
 
 
-def sieve_primes(bound, table: SpfTable | None, what: str) -> np.ndarray:
-    """Ascending primes <= bound (a real number): read from the table when one
-    is given, sieved afresh otherwise; check_sieve_bound guards both."""
-    check_sieve_bound(bound, table, what)
-    if table is None:
-        return primes_up_to(math.floor(bound))
-    return table.primes[: np.searchsorted(table.primes, bound, side="right")]
+def sieve_primes(bound, what: str) -> np.ndarray:
+    """Ascending primes <= bound (a real number), sieved afresh once
+    check_sieve_bound passes."""
+    check_sieve_bound(bound, what)
+    return primes_up_to(math.floor(bound))
 
 
 def is_prime(n: int) -> bool:

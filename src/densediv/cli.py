@@ -15,10 +15,12 @@ a failed exact identity, or a failed experiment gate), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 from decimal import Decimal, InvalidOperation
+from typing import Iterable
 
 from . import __version__
 from .constants import (
@@ -67,6 +69,8 @@ _EXPERIMENTS = (
 
 _IDENTITY_CHECKS = ("phi0", "phik", "lambda0", "lambdak", "mu0", "muapprox")
 
+_ROW_BLOCK = 1 << 16  # enumerate rows formatted and written at a time
+
 
 def _parse_exact_int(text: str) -> int:
     """Exact integer from '20', '1e6', or '10000.0'; reject fractions."""
@@ -109,14 +113,14 @@ def _fmt(value: float | int) -> str:
     return f"{value:.12g}"
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    payload = "\n".join(lines) + "\n"
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write each line as it arrives, to stdout or to a temp file renamed to out."""
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         return
     tmp = f"{out}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(payload)
+        handle.writelines(f"{line}\n" for line in lines)
     os.replace(tmp, out)
 
 
@@ -159,12 +163,17 @@ def _check_common(args: argparse.Namespace) -> None:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     columns = member_columns(family, args.x, MEMBER_COLUMNS)
-    lines = [",".join(MEMBER_COLUMNS)]
-    lines.extend(
-        f"{n},{omega},{big_omega},{tau},{sigma}"
-        for n, omega, big_omega, tau, sigma in zip(*(c.tolist() for c in columns))
+    # One line per block of rows: only one block's text is held at a time.
+    blocks = (
+        "\n".join(
+            f"{n},{omega},{big_omega},{tau},{sigma}"
+            for n, omega, big_omega, tau, sigma in zip(
+                *(c[a : a + _ROW_BLOCK].tolist() for c in columns)
+            )
+        )
+        for a in range(0, len(columns[0]), _ROW_BLOCK)
     )
-    _emit(lines, args.out)
+    _emit(itertools.chain([",".join(MEMBER_COLUMNS)], blocks), args.out)
     return 0
 
 
@@ -258,7 +267,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_identity(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     check = args.check
-    if args.s < 1.0:
+    if not args.s >= 1.0:
         raise ConfigurationError(f"--s must be >= 1, got {args.s}")
     if check in ("phi0", "phik", "muapprox") and args.x is None:
         raise ConfigurationError(f"--x is required for {check}")

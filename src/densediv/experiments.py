@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import SpfTable, check_sieve_bound, rough_counts
+from .arith import check_sieve_bound, rough_counts
 from .constants import (
     DENSITY_SCALE,
     expected_distinct_factors,
@@ -297,7 +297,6 @@ def phi_approx_scan(
     x_grid: list[int],
     y_grid: list[float],
     w: TabulatedFunction | None = None,
-    table: SpfTable | None = None,
 ) -> ExperimentReport:
     """Exact rough-number counts vs. the main-term approximation on a grid.
 
@@ -313,7 +312,7 @@ def phi_approx_scan(
     _validate_grid(x_grid)
     if not y_grid or not all(y >= 2 for y in y_grid):
         raise DomainError(f"y grid values must be >= 2, got {y_grid}")
-    check_sieve_bound(max(y_grid), table, "y")
+    check_sieve_bound(max(y_grid), "y")
     if w is None:
         w = tabulate_buchstab(SolverConfig())
     rows: list[ReportRow] = []
@@ -322,7 +321,7 @@ def phi_approx_scan(
         ys = [math.floor(y) for y in y_grid]
         exact_row = rough_counts(x, [x] * len(ys), ys).tolist()
         for y, exact in zip(y_grid, exact_row):
-            approx = rough_count_approx(x, y, w, table)
+            approx = rough_count_approx(x, y, w)
             rel = _rel_err(exact, approx)
             u = math.log(max(1, x)) / math.log(y)
             scaled = abs(exact - approx) * math.log(y) / (x * math.exp(-u / 3.0))

@@ -51,6 +51,9 @@ from .families import ThetaFamily
 # fastest and smallest among 2^14..2^20 for counts and moments at 1e9-1e11.
 _CHUNK = 1 << 16
 
+# x below which sigma(n)*p <= x*(1 + ln x)*p, and so sigma, fit in int64.
+_SIGMA_INT64_X = 2**50
+
 
 @dataclass(frozen=True)
 class MemberRecord:
@@ -227,7 +230,7 @@ def multiple_vanishing_threshold(
 def _numpy_safe(family: ThetaFamily, x: int, sigma: bool = False) -> bool:
     """int64 headroom for every product the frontier engine forms, with the
     sigma column (always built for the practical family) if asked for."""
-    bounded = x < 2**50  # sigma(n)*p <= x*(1+ln x)*p stays below 2^62
+    bounded = x < _SIGMA_INT64_X
     if family.kind == "dense":
         return x * family.t_num < 2**62 and (bounded or not sigma)
     return bounded
@@ -267,7 +270,7 @@ class _Histogram:
 def _frontier(
     family: ThetaFamily,
     x: int,
-    dtype: type,
+    engine: str = "auto",
     collapse: bool = True,
     stats: bool = False,
     sigma: bool = False,
@@ -287,9 +290,11 @@ def _frontier(
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
     the practical family; "omega", "tau" and "e" (that prime's exponent)
-    with stats=True.  The n, sigma and pp columns have the given dtype
-    (int64 under the _numpy_safe guard, object otherwise), the rest int64.
+    with stats=True.  The n, sigma and pp columns have the dtype that
+    _column_dtype picks for the engine (int64 under the _numpy_safe guard,
+    object otherwise), the rest int64.
     """
+    dtype = _column_dtype(engine, family, x, sigma)
     bound = _prime_limit(family, x)
     if bound > SIEVE_LIMIT_CAP:
         raise ResourceCapError(f"prime bound {bound} exceeds the sieve cap 2^31")
@@ -422,7 +427,7 @@ def count_members_multi(
         raise DomainError(f"x must be >= 1, got {x}")
     if any(q < 1 for q in qs):
         raise DomainError("every divisor filter q must be >= 1")
-    primes, blocks = _frontier(family, x, _column_dtype(engine, family, x))
+    primes, blocks = _frontier(family, x, engine)
     # q > x divides no member; skipping it keeps every q in int64 range.
     live_qs = [(k, q) for k, q in enumerate(qs) if q <= x]
     counts = [0] * len(qs)
@@ -454,7 +459,7 @@ def collect_moments(
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    _, blocks = _frontier(family, x, _column_dtype(engine, family, x), stats=True)
+    _, blocks = _frontier(family, x, engine, stats=True)
     hist_omega = _Histogram()
     hist_tau = _Histogram()
     hist_big: dict[int, int] = {}
@@ -500,10 +505,8 @@ def member_columns(
         raise DomainError(f"x must be >= 1, got {x}")
     if n_min < 0:
         raise DomainError(f"n_min must be >= 0, got {n_min}")
-    want_sigma = "sigma" in names
-    dtype = _column_dtype(engine, family, x, want_sigma)
     _, blocks = _frontier(
-        family, x, dtype, collapse=False, stats=True, sigma=want_sigma
+        family, x, engine, collapse=False, stats=True, sigma="sigma" in names
     )
     parts: dict[str, list[np.ndarray]] = {name: [] for name in ("n", *names)}
     for level, blk, _, _ in blocks:
@@ -512,10 +515,10 @@ def member_columns(
             col = np.full(len(keep), level) if name == "big_omega" else blk[name]
             part.append(col[keep])
     # Python-int n columns convert to int64 exactly (n <= x), and so do the
-    # sigma columns below 2^50: sigma(n) <= n*(1 + ln n).
+    # sigma columns below _SIGMA_INT64_X.
     cols = {name: np.concatenate(part) for name, part in parts.items()}
     for name, col in cols.items():
-        if name != "sigma" or x < 2**50:
+        if name != "sigma" or x < _SIGMA_INT64_X:
             cols[name] = col.astype(np.int64, copy=False)
     order = np.argsort(cols["n"], kind="stable")
     return tuple(cols[name][order] for name in names)

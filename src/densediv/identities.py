@@ -24,8 +24,8 @@ for members n; the weights sum to 1 over the full (infinite) member set,
 the weight * log_moment series sums to 0, and the log moment approaches
 ``ln t - gamma`` for the fixed-ratio family.  Finite truncations of these
 series are checked as trends, not equalities.  Their members come from
-one frontier walk, and their primes from an optional SpfTable or a fresh
-sieve capped at PRIME_SIEVE_CAP.
+one frontier walk, and their primes from one sieve capped at
+PRIME_SIEVE_CAP.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ from .arith import (
     sieve_primes,
 )
 from .constants import EULER_GAMMA
-from .errors import ConfigurationError, DomainError, ResourceCapError
+from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRangeError
 from .families import ThetaFamily, is_member
 from .generate import (
-    _column_dtype,
     _frontier,
     _prime_limit,
     _tally_counts,
@@ -103,7 +102,7 @@ class CheckResult:
 
 
 def _validate_s(s: float, limit: int = 1) -> None:
-    if s < 1.0:
+    if not s >= 1.0:
         raise DomainError(f"series exponent s must be >= 1, got {s}")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
@@ -134,22 +133,19 @@ def _prime_weight_arrays(
     return prod_pad, mu_pad
 
 
-def _member_arrays(
-    family: ThetaFamily, limit: int, table: SpfTable | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 (n, threshold_floor) arrays over members n <= limit, ascending
     in n, from one frontier walk that builds every member.  Each block's
     thresholds pass check_sieve_bound, so an over-scale walk stops early."""
     # The walk sieves primes up to _prime_limit, below the threshold of the
     # member 2^k <= limit near the cap: this refuses only what the loop would.
-    check_sieve_bound(_prime_limit(family, limit), None, "prime bound")
-    dtype = _column_dtype("auto", family, limit)
-    _, blocks = _frontier(family, limit, dtype, collapse=False)
+    check_sieve_bound(_prime_limit(family, limit), "prime bound")
+    _, blocks = _frontier(family, limit, collapse=False)
     ns: list[np.ndarray] = []
     thrs: list[np.ndarray] = []
     for _, blk, _, _ in blocks:
         thr = family.threshold_floor(blk["n"], blk.get("sigma"))
-        check_sieve_bound(int(thr.max()), table, "threshold")
+        check_sieve_bound(int(thr.max()), "threshold")
         ns.append(blk["n"])
         thrs.append(thr)
     # Python-int columns convert exactly: n <= limit, thresholds <= the bound.
@@ -160,12 +156,12 @@ def _member_arrays(
 
 
 def _member_weights(
-    family: ThetaFamily, s: float, limit: int, table: SpfTable | None
+    family: ThetaFamily, s: float, limit: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(n, threshold_floor, weight, log_moment) over members n <= limit,
-    ascending in n; the primes come from the table or a fresh sieve."""
-    n_arr, thr_arr = _member_arrays(family, limit, table)
-    primes = sieve_primes(int(thr_arr.max()), table, "threshold")
+    ascending in n, with the primes sieved up to the largest threshold."""
+    n_arr, thr_arr = _member_arrays(family, limit)
+    primes = sieve_primes(int(thr_arr.max()), "threshold")
     prod_pad, mu_pad = _prime_weight_arrays(s, primes)
     idx = np.searchsorted(primes, thr_arr, side="right")
     n_float = n_arr.astype(np.float64)
@@ -176,7 +172,8 @@ def _member_weights(
 def series_term(
     n: int, family: ThetaFamily, s: float, table: SpfTable
 ) -> SeriesTerm:
-    """Weight and log moment of one integer n.
+    """Weight and log moment of one integer n, factored with the table and
+    weighted over the table's primes <= theta(n).
 
     Raises
     ------
@@ -190,7 +187,10 @@ def series_term(
         raise DomainError(f"n must be >= 1, got {n}")
     sigma = factor_stats(factorize(n, table)).sigma
     thr = family.threshold_floor(n, sigma)
-    prod_pad, mu_pad = _prime_weight_arrays(s, sieve_primes(thr, table, "threshold"))
+    if thr > table.limit:
+        raise SieveRangeError(f"threshold={thr} exceeds sieve limit {table.limit}")
+    primes = table.primes[: np.searchsorted(table.primes, thr, side="right")]
+    prod_pad, mu_pad = _prime_weight_arrays(s, primes)
     weight = float(n) ** (-s) * float(prod_pad[-1])
     if not is_member(n, family, table):
         weight = 0.0
@@ -231,9 +231,7 @@ def _rough_sum(
             if rec.n % q == 0 and thr >= theta_min:
                 total += rough_count(x // rec.n, thr, table)
         return total
-    primes, blocks = _frontier(
-        family, x, _column_dtype("auto", family, x), collapse=x >= theta_min**2
-    )
+    primes, blocks = _frontier(family, x, collapse=x >= theta_min**2)
     total = [0]
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
@@ -301,26 +299,20 @@ def check_shifted_partition_identity(
     return CheckResult("shifted_partition", lhs, rhs, abs(lhs - rhs), lhs == rhs)
 
 
-def weight_series_partial_sum(
-    family: ThetaFamily, s: float, limit: int, table: SpfTable | None = None
-) -> float:
+def weight_series_partial_sum(family: ThetaFamily, s: float, limit: int) -> float:
     """Partial sum of member weights up to the truncation limit.
 
     The full series sums to exactly 1; the partial sum is nondecreasing in
     the limit and approaches 1 from below (tail roughly proportional to
-    1/ln(limit) at s = 1).  Without a table the primes are sieved up to the
-    largest member threshold, at most PRIME_SIEVE_CAP (ResourceCapError).
+    1/ln(limit) at s = 1).  The primes are sieved up to the largest member
+    threshold, at most PRIME_SIEVE_CAP (ResourceCapError).
     """
     _validate_s(s, limit)
-    return float(np.sum(_member_weights(family, s, limit, table)[2]))
+    return float(np.sum(_member_weights(family, s, limit)[2]))
 
 
 def check_weight_shift(
-    family: ThetaFamily,
-    s: float,
-    limit: int,
-    qs: list[int],
-    table: SpfTable | None = None,
+    family: ThetaFamily, s: float, limit: int, qs: list[int]
 ) -> CheckResult:
     """Truncated check of the divisor-shift relation for the weight series.
 
@@ -328,46 +320,46 @@ def check_weight_shift(
     by q_1*...*q_k equals ``q_k^{-s}`` times the sum over members with
     theta(n) >= q_k divisible by q_1*...*q_{k-1}.  Both sides are truncated
     at the same limit here, so the result is a shrinking gap, not an exact
-    equality; ``passed`` is always True (report-only).
+    equality; ``passed`` is always True (report-only).  The primes are
+    sieved as in weight_series_partial_sum.
     """
     _validate_s(s, limit)
     _validate_qs(qs)
     q_all = math.prod(qs)
     q_last = qs[-1]
     q_rest = q_all // q_last
-    n_arr, thr_arr, w, _ = _member_weights(family, s, limit, table)
+    n_arr, thr_arr, w, _ = _member_weights(family, s, limit)
     lhs = float(np.sum(w[n_arr % q_all == 0]))
     keep = (thr_arr >= q_last) & (n_arr % q_rest == 0)
     rhs = float(q_last) ** (-s) * float(np.sum(w[keep]))
     return CheckResult("weight_shift", lhs, rhs, abs(lhs - rhs), True)
 
 
-def weighted_log_moment_sum(
-    family: ThetaFamily, s: float, limit: int, table: SpfTable | None = None
-) -> float:
+def weighted_log_moment_sum(family: ThetaFamily, s: float, limit: int) -> float:
     """Truncated sum of weight * log_moment over members up to the limit.
 
     The full series sums to exactly 0; the magnitude of the truncated sum
-    shrinks as the limit grows.
+    shrinks as the limit grows.  The primes are sieved as in
+    weight_series_partial_sum.
     """
     _validate_s(s, limit)
-    _, _, weights, moments = _member_weights(family, s, limit, table)
+    _, _, weights, moments = _member_weights(family, s, limit)
     return float(np.sum(weights * moments))
 
 
-def log_moment_gap(n: int, t: Fraction, table: SpfTable | None = None) -> float:
+def log_moment_gap(n: int, t: Fraction) -> float:
     """Distance of the fixed-ratio log moment from its limit ``ln t - gamma``.
 
     Evaluates ``|mu_n - (ln t - gamma)|`` at s = 1, where
     ``mu_n = sum_{p <= n t} ln p/(p - 1) - ln n``.  The gap shrinks roughly
     like ``exp(-sqrt(ln(n t)))`` as n grows.
 
+    The primes up to n*t are sieved afresh.
+
     Raises
     ------
-    SieveRangeError
-        If n*t exceeds the sieve limit of the given table.
     ResourceCapError
-        If n*t exceeds PRIME_SIEVE_CAP and no table is given.
+        If n*t exceeds PRIME_SIEVE_CAP.
     """
     t = Fraction(t)
     if n < 1:
@@ -375,7 +367,7 @@ def log_moment_gap(n: int, t: Fraction, table: SpfTable | None = None) -> float:
     if t < 2:
         raise DomainError(f"t must be >= 2, got {t}")
     thr = n * t.numerator // t.denominator
-    primes = sieve_primes(thr, table, "n*t").astype(np.float64)
+    primes = sieve_primes(thr, "n*t").astype(np.float64)
     mu = float(np.sum(np.log(primes) / (primes - 1.0))) - math.log(n)
     target = math.log(t.numerator / t.denominator) - EULER_GAMMA
     return abs(mu - target)

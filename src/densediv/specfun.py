@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfTable, sieve_primes
+from .arith import sieve_primes
 from .constants import DENSITY_SCALE, EULER_GAMMA
 from .errors import ConfigurationError, DomainError
 
@@ -245,27 +245,24 @@ def tabulate_density_kernel(
     )
 
 
-def mertens_product(y: float, table: SpfTable | None = None) -> float:
-    """Product of ``1 - 1/p`` over primes p <= y (read from the table, or
-    sieved afresh without one), multiplied left to right.
+def mertens_product(y: float) -> float:
+    """Product of ``1 - 1/p`` over the primes p <= y, sieved afresh and
+    multiplied left to right.
 
     Raises
     ------
     DomainError
-        If y < 2 (no primes -- the empty product is deliberately excluded).
-    SieveRangeError
-        If y exceeds the sieve limit of the given table.
+        If y < 2 or y is NaN (no primes -- the empty product is deliberately
+        excluded).
     ResourceCapError
-        If y exceeds PRIME_SIEVE_CAP and no table is given.
+        If y exceeds PRIME_SIEVE_CAP.
     """
-    if y < 2.0:
+    if not y >= 2.0:
         raise DomainError(f"y must be >= 2, got {y}")
-    return float(np.multiply.reduce(1.0 - 1.0 / sieve_primes(y, table, "y")))
+    return float(np.multiply.reduce(1.0 - 1.0 / sieve_primes(y, "y")))
 
 
-def rough_count_approx(
-    x: float, y: float, w: TabulatedFunction, table: SpfTable | None = None
-) -> float:
+def rough_count_approx(x: float, y: float, w: TabulatedFunction) -> float:
     """Main-term approximation to the rough-number count.
 
     Evaluates, with ``u = ln(max(1, x)) / ln y``,
@@ -276,11 +273,11 @@ def rough_count_approx(
     and clamps negative results (possible for x < 1 or tiny x/y, where the
     asymptotic is meaningless) to 0.
     """
-    if y < 2.0:
+    if not y >= 2.0:
         raise DomainError(f"y must be >= 2, got {y}")
     log_y = math.log(y)
     u = math.log(max(1.0, x)) / log_y
-    value = (1.0 if x >= 1.0 else 0.0) + x * mertens_product(y, table)
+    value = (1.0 if x >= 1.0 else 0.0) + x * mertens_product(y)
     correction = w(u) - BUCHSTAB_LIMIT - (y / x if x >= y else 0.0)
     value += (x / log_y) * correction
     return max(0.0, value)

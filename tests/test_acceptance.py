@@ -285,19 +285,19 @@ def test_criterion_7_margenstern_tables():
     )
 
 
-def test_criterion_8_series_convergence(table):
+def test_criterion_8_series_convergence():
     sums = [
-        weight_series_partial_sum(DENSE2, 1.0, n, table)
+        weight_series_partial_sum(DENSE2, 1.0, n)
         for n in (10**3, 10**4, 10**5, 10**6)
     ]
     lam_ok = sums == sorted(sums) and sums[-1] >= 0.93
-    mu_small = abs(weighted_log_moment_sum(DENSE2, 1.5, 10**3, table))
-    mu_large = abs(weighted_log_moment_sum(DENSE2, 1.5, 10**6, table))
+    mu_small = abs(weighted_log_moment_sum(DENSE2, 1.5, 10**3))
+    mu_large = abs(weighted_log_moment_sum(DENSE2, 1.5, 10**6))
     mu_ok = mu_large <= 0.05 and mu_large < mu_small
     gap_ok = True
     gap_text = []
     for t in (Fraction(2), Fraction(10)):
-        gaps = [log_moment_gap(n, t, table) for n in (10**2, 10**3, 10**4)]
+        gaps = [log_moment_gap(n, t) for n in (10**2, 10**3, 10**4)]
         gap_ok = gap_ok and gaps[0] > gaps[1] > gaps[2]
         gap_text.append(f"t={t}: {gaps[0]:.4f}>{gaps[1]:.4f}>{gaps[2]:.4f}")
     ok = lam_ok and mu_ok and gap_ok

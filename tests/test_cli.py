@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import densediv.arith
+import densediv.cli
 import densediv.generate
 from densediv.cli import main
 
@@ -34,6 +35,18 @@ class TestEnumerate:
         code, out, _ = run(capsys, ["enumerate", "--family", "shifted2", "--x", "3"])
         assert code == 0
         assert [line.split(",")[0] for line in out[1:]] == ["1", "2", "3"]
+
+    def test_rows_written_in_blocks(self, capsys, tmp_path, monkeypatch):
+        # Block boundaries leave the bytes unchanged, on stdout and in --out.
+        argv = ["enumerate", "--family", "practical", "--x", "3000"]
+        _, whole, _ = run(capsys, argv)
+        monkeypatch.setattr(densediv.cli, "_ROW_BLOCK", 7)
+        code, blocked, _ = run(capsys, argv)
+        assert code == 0 and blocked == whole and len(whole) > 100
+        target = tmp_path / "members.csv"
+        assert run(capsys, [*argv, "--out", str(target)])[:2] == (0, [])
+        assert target.read_text() == "\n".join(whole) + "\n"
+        assert os.listdir(tmp_path) == ["members.csv"]
 
 
 class TestCount:
@@ -200,6 +213,10 @@ class TestIdentity:
         assert run(capsys, base + ["--check", "phi0"])[0] == 2  # missing --x
         assert run(capsys, base + ["--check", "phik", "--x", "10"])[0] == 2
         assert run(capsys, base + ["--check", "phi0", "--x", "10", "--s", "0.5"])[0] == 2
+        for check in (["mu0", "--N", "100"], ["lambdak", "--N", "100", "--qs", "2"]):
+            code, out, err = run(capsys, base + ["--check", *check, "--s", "nan"])
+            assert (code, out) == (2, [])
+            assert err.startswith("error: --s") and err.count("\n") == 1
         code, _, err = run(
             capsys,
             ["identity", "--check", "muapprox", "--family", "practical", "--x", "10"],

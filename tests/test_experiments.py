@@ -15,7 +15,6 @@ from densediv import (
     DomainError,
     ExperimentReport,
     ResourceCapError,
-    SieveRangeError,
     SolverConfig,
     concentration_experiment,
     count_ratio_experiment,
@@ -24,6 +23,7 @@ from densediv import (
     mean_omega_experiment,
     phi_approx_scan,
     rough_count,
+    rough_count_approx,
     tabulate_buchstab,
     tau_normal_order_experiment,
 )
@@ -127,7 +127,7 @@ def w():
 
 class TestPhiScan:
     def test_exact_column_and_gating(self, table, w):
-        report = phi_approx_scan([10_000], [10.0], w=w, table=table)
+        report = phi_approx_scan([10_000], [10.0], w=w)
         assert report.verdict == "report-only"  # shallow regime only
         row = report.rows_for("rough_count")[0]
         assert row.measured == rough_count(10_000, 10.0, table)
@@ -135,26 +135,33 @@ class TestPhiScan:
         scaled = report.rows_for("scaled_residual")[0]
         assert scaled.measured >= 0.0
 
-    def test_deep_regime_gate(self, table, w):
-        report = phi_approx_scan([100_000], [100.0], w=w, table=table)
+    def test_deep_regime_gate(self, w):
+        report = phi_approx_scan([100_000], [100.0], w=w)
         assert report.verdict == "pass"
         assert report.rows_for("rough_count")[0].rel_err < 0.05
 
     def test_without_table(self, table, w):
+        # The exact column against the table's rough_count, the prediction
+        # against rough_count_approx (checked against the table's primes in
+        # test_specfun); only (1e5, 100) lies in the gated regime.
         xs, ys = [1000, 100_000], [2.0, 2.5, 100.0, 1000.7, 99_999.0]
-        assert phi_approx_scan(xs, ys, w=w) == phi_approx_scan(xs, ys, w=w, table=table)
+        report = phi_approx_scan(xs, ys, w=w)
+        rows = report.rows_for("rough_count")
+        assert [(row.x, row.t) for row in rows] == [(x, y) for x in xs for y in ys]
+        for row in rows:
+            assert row.measured == rough_count(row.x, row.t, table)
+            assert row.predicted == rough_count_approx(row.x, row.t, w)
+        assert report.verdict == "pass"
 
-    def test_validation(self, table, w):
+    def test_validation(self, w):
         with pytest.raises(DomainError):
-            phi_approx_scan([1000], [1.5], w=w, table=table)
+            phi_approx_scan([1000], [1.5], w=w)
         with pytest.raises(DomainError):
             phi_approx_scan([1000], [math.nan], w=w)
-        with pytest.raises(SieveRangeError):
-            phi_approx_scan([1000], [table.limit + 1.0], w=w, table=table)
         with pytest.raises(ResourceCapError):
             phi_approx_scan([1000], [math.inf], w=w)
         with pytest.raises(ConfigurationError):
-            phi_approx_scan([], [10.0], w=w, table=table)
+            phi_approx_scan([], [10.0], w=w)
 
 
 class TestMargenstern:

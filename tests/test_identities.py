@@ -52,6 +52,32 @@ SERIES_IDS = ["dense2", "dense5_2", "practical", "shifted1", "shifted2", "dense_
 SERIES_LIMITS = [1, 2, 97, 3000, 10**5]
 
 
+def table_primes(table, bound):
+    """The session table's primes <= bound, the reference prime source."""
+    return table.primes[: np.searchsorted(table.primes, bound, side="right")]
+
+
+def reference_weights(table, family, s, limit):
+    """(n, theta, weight, log_moment) over the members n <= limit, ascending
+    in n: the members from iter_members, the primes <= theta from the table,
+    and the weight and log moment of series_term, vectorised."""
+    n, thr = np.array(
+        sorted(
+            (rec.n, family.threshold_floor(rec.n, rec.sigma))
+            for rec in iter_members(family, limit)
+        ),
+        dtype=np.int64,
+    ).T
+    primes = table_primes(table, thr.max())
+    pf = primes.astype(np.float64)
+    ps = pf**s
+    prod = np.concatenate(([1.0], np.cumprod(1.0 - 1.0 / ps)))
+    mu = np.concatenate(([0.0], np.cumsum(np.log(pf) / (ps - 1.0))))
+    idx = np.searchsorted(primes, thr, side="right")
+    n_float = n.astype(np.float64)
+    return n, thr, n_float ** (-s) * prod[idx], mu[idx] - np.log(n_float)
+
+
 class TestPartitionIdentity:
     @pytest.mark.parametrize(
         "family", [DENSE2, DENSE52, PRACTICAL], ids=["dense2", "dense5_2", "practical"]
@@ -190,13 +216,13 @@ class TestWeightSeries:
         brute = sum(
             series_term(n, DENSE2, 1.0, table).weight for n in range(1, 201)
         )
-        assert weight_series_partial_sum(DENSE2, 1.0, 200, table) == pytest.approx(
+        assert weight_series_partial_sum(DENSE2, 1.0, 200) == pytest.approx(
             brute, rel=1e-12
         )
 
-    def test_nondecreasing_below_one(self, table):
+    def test_nondecreasing_below_one(self):
         sums = [
-            weight_series_partial_sum(DENSE2, 1.0, limit, table)
+            weight_series_partial_sum(DENSE2, 1.0, limit)
             for limit in (10, 100, 1000, 10_000)
         ]
         assert sums == sorted(sums)
@@ -204,11 +230,13 @@ class TestWeightSeries:
         assert sums[2] == pytest.approx(0.909572, abs=1e-6)
         assert sums[3] == pytest.approx(0.930375, abs=1e-6)
 
-    def test_validation(self, table):
+    def test_validation(self):
         with pytest.raises(DomainError):
-            weight_series_partial_sum(DENSE2, 0.5, 100, table)
+            weight_series_partial_sum(DENSE2, 0.5, 100)
         with pytest.raises(DomainError):
-            weight_series_partial_sum(DENSE2, 1.0, 0, table)
+            weight_series_partial_sum(DENSE2, 1.0, 0)
+        with pytest.raises(DomainError):
+            weight_series_partial_sum(DENSE2, math.nan, 100)
 
     @pytest.mark.parametrize("limit", SERIES_LIMITS)
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
@@ -225,32 +253,29 @@ class TestWeightSeries:
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
     def test_without_table(self, table, family, limit):
         for s in (1.0, 1.5):
-            assert weight_series_partial_sum(
-                family, s, limit
-            ) == weight_series_partial_sum(family, s, limit, table)
+            _, _, w, _ = reference_weights(table, family, s, limit)
+            assert weight_series_partial_sum(family, s, limit) == float(np.sum(w))
 
-    def test_sieve_bounds(self, table):
+    def test_sieve_bounds(self):
         # The walk stops at the first block whose thresholds pass the bound.
-        with pytest.raises(SieveRangeError):
-            weight_series_partial_sum(DENSE2, 1.0, 2 * 10**6, table)
         with pytest.raises(ResourceCapError):
             weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
 
 
 class TestWeightShift:
-    def test_gap_pinned_and_shrinking(self, table):
-        res = check_weight_shift(DENSE2, 1.0, 10_000, [2, 3], table)
+    def test_gap_pinned_and_shrinking(self):
+        res = check_weight_shift(DENSE2, 1.0, 10_000, [2, 3])
         assert res.passed  # report-only by design
         assert res.gap == pytest.approx(0.020555, abs=1e-6)
-        coarse = check_weight_shift(DENSE2, 1.5, 1000, [2], table).gap
-        fine = check_weight_shift(DENSE2, 1.5, 100_000, [2], table).gap
+        coarse = check_weight_shift(DENSE2, 1.5, 1000, [2]).gap
+        fine = check_weight_shift(DENSE2, 1.5, 100_000, [2]).gap
         assert coarse == pytest.approx(0.002060, abs=1e-6)
         assert fine == pytest.approx(0.000138, abs=1e-6)
         assert fine < coarse
 
     def test_matches_termwise_sums(self, table):
         limit, qs = 300, [2, 3]
-        res = check_weight_shift(DENSE2, 1.0, limit, qs, table)
+        res = check_weight_shift(DENSE2, 1.0, limit, qs)
         terms = [series_term(n, DENSE2, 1.0, table) for n in range(1, limit + 1)]
         lhs = sum(t.weight for t in terms if t.n % 6 == 0)
         assert res.lhs == pytest.approx(lhs, rel=1e-12)
@@ -259,21 +284,26 @@ class TestWeightShift:
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
     def test_without_table(self, table, family, limit):
         for s in (1.0, 1.5):
-            assert check_weight_shift(family, s, limit, [2, 3]) == check_weight_shift(
-                family, s, limit, [2, 3], table
+            n, thr, w, _ = reference_weights(table, family, s, limit)
+            lhs = float(np.sum(w[n % 6 == 0]))
+            rhs = 3.0 ** (-s) * float(np.sum(w[(thr >= 3) & (n % 2 == 0)]))
+            assert check_weight_shift(family, s, limit, [2, 3]) == CheckResult(
+                "weight_shift", lhs, rhs, abs(lhs - rhs), True
             )
 
-    def test_validation(self, table):
+    def test_validation(self):
         with pytest.raises(ConfigurationError):
-            check_weight_shift(DENSE2, 1.0, 100, [6], table)
+            check_weight_shift(DENSE2, 1.0, 100, [6])
         with pytest.raises(DomainError):
-            check_weight_shift(DENSE2, 0.9, 100, [2], table)
+            check_weight_shift(DENSE2, 0.9, 100, [2])
+        with pytest.raises(DomainError):
+            check_weight_shift(DENSE2, math.nan, 100, [2])
 
 
 class TestLogMomentSeries:
-    def test_truncation_shrinks(self, table):
-        coarse = weighted_log_moment_sum(DENSE2, 1.5, 1000, table)
-        fine = weighted_log_moment_sum(DENSE2, 1.5, 10_000, table)
+    def test_truncation_shrinks(self):
+        coarse = weighted_log_moment_sum(DENSE2, 1.5, 1000)
+        fine = weighted_log_moment_sum(DENSE2, 1.5, 10_000)
         assert coarse == pytest.approx(0.022671, abs=1e-6)
         assert fine == pytest.approx(0.007669, abs=1e-6)
         assert abs(fine) < abs(coarse)
@@ -283,7 +313,7 @@ class TestLogMomentSeries:
         for n in range(1, 201):
             term = series_term(n, DENSE2, 1.5, table)
             brute += term.weight * term.log_moment
-        assert weighted_log_moment_sum(DENSE2, 1.5, 200, table) == pytest.approx(
+        assert weighted_log_moment_sum(DENSE2, 1.5, 200) == pytest.approx(
             brute, rel=1e-12
         )
 
@@ -291,39 +321,41 @@ class TestLogMomentSeries:
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
     def test_without_table(self, table, family, limit):
         for s in (1.0, 1.5):
-            assert weighted_log_moment_sum(
-                family, s, limit
-            ) == weighted_log_moment_sum(family, s, limit, table)
+            _, _, w, mu = reference_weights(table, family, s, limit)
+            assert weighted_log_moment_sum(family, s, limit) == float(np.sum(w * mu))
 
-    def test_validation(self, table):
+    def test_validation(self):
         with pytest.raises(DomainError):
-            weighted_log_moment_sum(DENSE2, 0.9, 100, table)
+            weighted_log_moment_sum(DENSE2, 0.9, 100)
+        with pytest.raises(DomainError):
+            weighted_log_moment_sum(DENSE2, math.nan, 100)
 
 
 class TestLogMomentGap:
-    def test_exact_at_one(self, table):
+    def test_exact_at_one(self):
         # mu_1 = ln 2 and the target is ln 2 - gamma, so the gap is exactly
         # gamma with no rounding anywhere.
-        assert log_moment_gap(1, Fraction(2), table) == EULER_GAMMA
+        assert log_moment_gap(1, Fraction(2)) == EULER_GAMMA
 
-    def test_shrinks(self, table):
-        g100 = log_moment_gap(100, Fraction(2), table)
-        g10000 = log_moment_gap(10_000, Fraction(2), table)
+    def test_shrinks(self):
+        g100 = log_moment_gap(100, Fraction(2))
+        g10000 = log_moment_gap(10_000, Fraction(2))
         assert g100 == pytest.approx(0.121665, abs=1e-6)
         assert g10000 == pytest.approx(0.006540, abs=1e-6)
         assert g10000 < g100
 
-    def test_validation(self, table):
+    def test_validation(self):
         with pytest.raises(DomainError):
-            log_moment_gap(0, Fraction(2), table)
+            log_moment_gap(0, Fraction(2))
         with pytest.raises(DomainError):
-            log_moment_gap(10, Fraction(3, 2), table)
-        with pytest.raises(SieveRangeError):
-            log_moment_gap(1_500_000, Fraction(2), table)
+            log_moment_gap(10, Fraction(3, 2))
         with pytest.raises(ResourceCapError):
             log_moment_gap(PRIME_SIEVE_CAP // 2 + 1, Fraction(2))
 
     def test_without_table(self, table):
         for n in (1, 2, 97, 3000, 10**5):
             for t in (Fraction(2), Fraction(5, 2), Fraction(10)):
-                assert log_moment_gap(n, t) == log_moment_gap(n, t, table)
+                primes = table_primes(table, n * t).astype(np.float64)
+                mu = float(np.sum(np.log(primes) / (primes - 1.0))) - math.log(n)
+                target = math.log(t.numerator / t.denominator) - EULER_GAMMA
+                assert log_moment_gap(n, t) == abs(mu - target)

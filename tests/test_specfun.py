@@ -13,7 +13,6 @@ from densediv import (
     DomainError,
     EULER_GAMMA,
     ResourceCapError,
-    SieveRangeError,
     SolverConfig,
     TabulatedFunction,
     mertens_product,
@@ -171,55 +170,67 @@ class TestDensityKernel:
             tabulate_density_kernel(SolverConfig(step=1e-3, max_abscissa=16.0), w)
 
 
-class TestMertensProduct:
-    def test_small_values(self, table):
-        assert mertens_product(2, table) == 0.5
-        assert mertens_product(10, table) == pytest.approx(8 / 35, rel=1e-15)
-        # plateau between consecutive primes
-        assert mertens_product(10, table) == mertens_product(10.9, table)
+def table_mertens(table, y):
+    """The reference Mertens product over the session table's primes <= y."""
+    primes = table.primes[: np.searchsorted(table.primes, y, side="right")]
+    return float(np.multiply.reduce(1.0 - 1.0 / primes))
 
-    def test_matches_direct_loop(self, table):
+
+class TestMertensProduct:
+    def test_small_values(self):
+        assert mertens_product(2) == 0.5
+        assert mertens_product(10) == pytest.approx(8 / 35, rel=1e-15)
+        # plateau between consecutive primes
+        assert mertens_product(10) == mertens_product(10.9)
+
+    def test_matches_direct_loop(self):
         primes = [p for p in range(2, 1001) if all(p % q for q in range(2, p))]
         direct = 1.0
         for p in primes:
             direct *= 1.0 - 1.0 / p
-        assert mertens_product(1000, table) == pytest.approx(direct, rel=1e-12)
+        assert mertens_product(1000) == pytest.approx(direct, rel=1e-12)
 
-    def test_asymptotic_scale(self, table):
+    def test_asymptotic_scale(self):
         # product over p <= y decays like e^-gamma / ln y
-        value = mertens_product(1e6, table) * math.log(1e6)
+        value = mertens_product(1e6) * math.log(1e6)
         assert value == pytest.approx(math.exp(-EULER_GAMMA), rel=1e-3)
 
-    def test_domain_errors(self, table):
+    def test_domain_errors(self):
         with pytest.raises(DomainError):
-            mertens_product(1.5, table)
-        with pytest.raises(SieveRangeError):
-            mertens_product(table.limit + 1, table)
+            mertens_product(1.5)
+        with pytest.raises(DomainError):
+            mertens_product(math.nan)
         with pytest.raises(ResourceCapError):
             mertens_product(PRIME_SIEVE_CAP + 1)
 
     @pytest.mark.parametrize("y", [2, 2.5, 10, 10.9, 97, 1000.7, 99_999, 1e6])
     def test_without_table(self, table, y):
-        assert mertens_product(y) == mertens_product(y, table)
+        assert mertens_product(y) == table_mertens(table, y)
 
 
 class TestRoughCountApprox:
     def test_tracks_exact_count(self, table, w_table):
         exact = rough_count(100_000, 10, table)
-        approx = rough_count_approx(100_000, 10, w_table, table)
+        approx = rough_count_approx(100_000, 10, w_table)
         assert abs(approx - exact) / exact < 1e-3
         exact = rough_count(100_000, 100, table)
-        approx = rough_count_approx(100_000, 100, w_table, table)
+        approx = rough_count_approx(100_000, 100, w_table)
         assert abs(approx - exact) / exact < 0.05
 
     @pytest.mark.parametrize("y", [2, 10, 100, 1000.7])
     def test_without_table(self, table, w_table, y):
+        # The main term restated over the table's Mertens product.
+        log_y = math.log(y)
         for x in (0.5, 1, 97, 3000, 100_000):
-            assert rough_count_approx(x, y, w_table) == rough_count_approx(
-                x, y, w_table, table
-            )
+            u = math.log(max(1.0, x)) / log_y
+            tail = w_table(u) - BUCHSTAB_LIMIT - (y / x if x >= y else 0.0)
+            value = (1.0 if x >= 1.0 else 0.0) + x * table_mertens(table, y)
+            value += (x / log_y) * tail
+            assert rough_count_approx(x, y, w_table) == max(0.0, value)
 
-    def test_nonnegative_and_validated(self, table, w_table):
-        assert rough_count_approx(0.5, 10, w_table, table) >= 0.0
+    def test_nonnegative_and_validated(self, w_table):
+        assert rough_count_approx(0.5, 10, w_table) >= 0.0
         with pytest.raises(DomainError):
-            rough_count_approx(100.0, 1.5, w_table, table)
+            rough_count_approx(100.0, 1.5, w_table)
+        with pytest.raises(DomainError):
+            rough_count_approx(100.0, math.nan, w_table)
