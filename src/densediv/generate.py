@@ -241,7 +241,9 @@ def _admissible_hi(
 ) -> np.ndarray:
     """Per-node number of primes admissible as the next (>= last) factor."""
     b = np.minimum(family.threshold_floor(n, sigma), x // n)
-    return np.searchsorted(primes, b, side="right")
+    # b <= x < 2^62 (the sieve cap): an int64 query keeps searchsorted from
+    # converting the whole prime array to Python ints for object columns.
+    return np.searchsorted(primes, b.astype(np.int64, copy=False), side="right")
 
 
 class _Histogram:
@@ -514,14 +516,19 @@ def member_columns(
         for name, part in parts.items():
             col = np.full(len(keep), level) if name == "big_omega" else blk[name]
             part.append(col[keep])
-    # Python-int n columns convert to int64 exactly (n <= x), and so do the
-    # sigma columns below _SIGMA_INT64_X.
-    cols = {name: np.concatenate(part) for name, part in parts.items()}
-    for name, col in cols.items():
+    # One column at a time, releasing its block list and then its unsorted
+    # copy, so at most one column is held twice.  Python-int n columns
+    # convert to int64 exactly (n <= x), and so do the sigma columns below
+    # _SIGMA_INT64_X.
+    cols = {}
+    for name in list(parts):
+        col = np.concatenate(parts.pop(name))
         if name != "sigma" or x < _SIGMA_INT64_X:
-            cols[name] = col.astype(np.int64, copy=False)
+            col = col.astype(np.int64, copy=False)
+        cols[name] = col
     order = np.argsort(cols["n"], kind="stable")
-    return tuple(cols[name][order] for name in names)
+    ordered = {name: cols.pop(name)[order] for name in dict.fromkeys(names)}
+    return tuple(ordered[name] for name in names)
 
 
 def collect_divisor_counts(

@@ -189,6 +189,14 @@ def tabulate_density_kernel(
     argument equals 1 exactly at the endpoint, the jump of w resolved from
     the right.  d values at midpoints interpolate linearly.
 
+    Each row evaluates w at ``pos = ((v+1)/(u_k+1) - 2) / h_w`` for its cells
+    k, in preallocated buffers.  Rounding is monotone, so pos never
+    increases with k: only pos[0] can pass the last w grid point and only
+    the last pos can fall below 0 (its exact value is >= 0), so the clamps
+    run only when an end is out of range.  Since pos >= 0 after the clamp,
+    floor equals truncation and the cell index and fraction are the same
+    floats as a per-cell truncate-and-clip would give.
+
     Parameters
     ----------
     cfg : SolverConfig
@@ -209,20 +217,40 @@ def tabulate_density_kernel(
     inv_up1 = 1.0 / (grid_u + 1.0)
     scaled = np.ones(n_pts)  # scaled[i] = d[i] / (u_i + 1)
     scaled[: m + 1] = inv_up1[: m + 1]
-    # manual linear interpolation into the (uniform, u_min = 1) w table
+    # manual linear interpolation into the (uniform, u_min = 1) w table;
+    # dw[j] is the same float as wv[j + 1] - wv[j] read per cell
     wv = w.values
+    dw = wv[1:] - wv[:-1]
     inv_hw = 1.0 / w.step
     top = float(len(wv) - 1)
+    last = len(wv) - 2
+    # row work buffers, written through prefix views: no allocation per row
+    size = (n_pts - m) // 2 + 1
+    pos_buf = np.empty(size)
+    floor_buf = np.empty(size)
+    idx_buf = np.empty(size, dtype=np.int64)
+    f_buf = np.empty(size)
     for i in range(m + 1, n_pts):
         v = i * g
         half_cells = i - m  # integral limit U = (v-1)/2 in half-step units
         full, odd = divmod(half_cells, 2)
-        pos = ((v + 1.0) * inv_up1[: full + 1] - 2.0) * inv_hw
-        np.clip(pos, 0.0, top, out=pos)
-        idx = np.minimum(pos.astype(np.int64), len(wv) - 2)
-        frac = pos - idx
-        wlo = wv[idx]
-        f = scaled[: full + 1] * (wlo + frac * (wv[idx + 1] - wlo))
+        c = full + 1  # cells 0..full
+        pos, flo, idx, f = pos_buf[:c], floor_buf[:c], idx_buf[:c], f_buf[:c]
+        np.multiply(inv_up1[:c], v + 1.0, out=pos)
+        np.subtract(pos, 2.0, out=pos)
+        np.multiply(pos, inv_hw, out=pos)
+        if pos[0] > top or pos[full] < 0.0:  # pos is nonincreasing
+            np.clip(pos, 0.0, top, out=pos)
+        np.floor(pos, out=flo)
+        if flo[0] > last:
+            np.minimum(flo, last, out=flo)
+        np.copyto(idx, flo, casting="unsafe")
+        frac = np.subtract(pos, flo, out=pos)
+        # idx is in [0, last] already; mode="clip" only skips the bounds check
+        np.take(dw, idx, out=f, mode="clip")
+        np.multiply(f, frac, out=f)
+        np.add(f, np.take(wv, idx, out=flo, mode="clip"), out=f)
+        np.multiply(f, scaled[:c], out=f)
         if full > 0:
             acc = g * (f.sum() - 0.5 * (f[0] + f[full]))
         else:
@@ -275,6 +303,8 @@ def rough_count_approx(x: float, y: float, w: TabulatedFunction) -> float:
     """
     if not y >= 2.0:
         raise DomainError(f"y must be >= 2, got {y}")
+    if math.isnan(x):
+        raise DomainError("x must be a number, got nan")
     log_y = math.log(y)
     u = math.log(max(1.0, x)) / log_y
     value = (1.0 if x >= 1.0 else 0.0) + x * mertens_product(y)

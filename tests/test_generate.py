@@ -4,6 +4,7 @@ engine/threads invariance, and moment summaries."""
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from densediv import (
     member_columns,
     multiple_vanishing_threshold,
 )
+from densediv.arith import primes_up_to
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
@@ -201,6 +203,25 @@ class TestCollapsedFrontier:
         assert count_members_multi(family, 10**5, [1, 7]) == [100000, 14285]
         assert collect_moments(family, 10**5, 1.0, 2.0).count == 100000
 
+    def test_object_columns_search_int64_primes(self):
+        # On Python-int columns the admissible bound is cast to int64 before
+        # the search; an object query would turn the 78,498 primes below
+        # 10^6 into Python ints (about 2.8 MB) on every block.
+        family = ThetaFamily.dense(10**12)
+        primes = primes_up_to(10**6)
+        n = np.array([1, 2, 6, 1000, 999_983], dtype=object)
+        tracemalloc.start()
+        try:
+            hi = generate._admissible_hi(family, 10**6, primes, n, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hi.dtype == np.intp
+        assert hi.tolist() == [78498, 41538, 15225, 168, 0]
+        assert peak < 500_000
+        # t >= x: every n <= x is a member, on either column type.
+        assert count_members_multi(family, 10**5, [1], engine="python") == [100000]
+
     def test_pinned_large_counts(self):
         assert count_members_multi(DENSE2, 10**9, [1]) == [60447501]
         assert count_members_multi(DENSE52, 3 * 10**8, [3]) == [13120582]
@@ -231,6 +252,19 @@ class TestMemberColumns:
         assert [col.tolist() for col in cols] == [
             [getattr(r, name) for r in recs] for name in generate.MEMBER_COLUMNS
         ]
+
+    def test_peak_holds_one_column_twice(self):
+        # The block lists, the concatenated columns and their sorted copies
+        # are released one column at a time: the peak stays near the five
+        # sorted int64 columns plus one more (3.2x them when all were held).
+        tracemalloc.start()
+        try:
+            cols = member_columns(DENSE2, 10**6, generate.MEMBER_COLUMNS)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cols[0]) == 91472
+        assert peak < 2.5 * held
 
     def test_sigma_column_type(self):
         # sigma(n) <= n*(1 + ln n) leaves int64 at x = 2^50: Python ints.

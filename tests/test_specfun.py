@@ -131,7 +131,69 @@ class TestBuchstab:
         assert max(gaps) < 5e-6
 
 
+def reference_density_kernel(cfg, w):
+    """The density-kernel march written plainly, one fresh array per
+    operation: the reference the buffered march must match bit for bit."""
+    m = max(2, round(1.0 / cfg.step))
+    g = 1.0 / m
+    n_pts = math.ceil(round(cfg.max_abscissa * m, 6)) + 1
+    d = np.ones(n_pts)
+    inv_up1 = 1.0 / (g * np.arange(n_pts) + 1.0)
+    scaled = np.ones(n_pts)
+    scaled[: m + 1] = inv_up1[: m + 1]
+    wv = w.values
+    inv_hw = 1.0 / w.step
+    top = float(len(wv) - 1)
+    for i in range(m + 1, n_pts):
+        v = i * g
+        full, odd = divmod(i - m, 2)
+        pos = ((v + 1.0) * inv_up1[: full + 1] - 2.0) * inv_hw
+        np.clip(pos, 0.0, top, out=pos)
+        idx = np.minimum(pos.astype(np.int64), len(wv) - 2)
+        frac = pos - idx
+        wlo = wv[idx]
+        f = scaled[: full + 1] * (wlo + frac * (wv[idx + 1] - wlo))
+        acc = g * (f.sum() - 0.5 * (f[0] + f[full])) if full > 0 else 0.0
+        if odd:
+            d_mid = 0.5 * (d[full] + d[full + 1])
+            acc += 0.25 * g * (f[full] + d_mid / (0.5 * (v - 1.0) + 1.0))
+        d[i] = 1.0 - acc
+        scaled[i] = d[i] * inv_up1[i]
+    return d
+
+
 class TestDensityKernel:
+    @pytest.mark.parametrize(
+        "w_step, w_max, d_step, d_max",
+        [
+            (1e-3, 8.0, 1e-3, 8.0),  # v_max = u_max: the index clamp runs
+            (5e-4, 26.0, 1e-3, 25.0),
+            (5e-4, 13.0, 5e-4, 12.0),
+            (1 / 333, 10.0, 1 / 333, 10.0),
+            (1e-2, 9.0, 1e-2, 9.0),
+            (1e-3, 64.0, 1e-3, 64.0),
+        ],
+    )
+    def test_bit_identical_to_reference(self, w_step, w_max, d_step, d_max):
+        w = tabulate_buchstab(SolverConfig(step=w_step, max_abscissa=w_max))
+        cfg = SolverConfig(step=d_step, max_abscissa=d_max)
+        new = tabulate_density_kernel(cfg, w).values
+        ref = reference_density_kernel(cfg, w)
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+    def test_index_clamp_matches_reference(self):
+        # The last row reads w at its last grid point through the clamped
+        # cell index, as wlo + 1.0 * (w_last - wlo).  With w_last < wlo / 2
+        # that is not w_last itself, and with a large wlo the difference
+        # reaches the last d value, so an unclamped read would show.
+        values = np.full(801, 0.5)
+        values[-2:] = [1e4 / 3, 1e3 / 7]
+        w = TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
+        cfg = SolverConfig(step=0.01, max_abscissa=9.0)
+        new = tabulate_density_kernel(cfg, w).values
+        ref = reference_density_kernel(cfg, w)
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
     def test_one_on_unit_interval(self, d_table):
         m = round(1.0 / d_table.step)
         assert np.all(d_table.values[: m + 1] == 1.0)
@@ -234,3 +296,5 @@ class TestRoughCountApprox:
             rough_count_approx(100.0, 1.5, w_table)
         with pytest.raises(DomainError):
             rough_count_approx(100.0, math.nan, w_table)
+        with pytest.raises(DomainError):
+            rough_count_approx(math.nan, 10.0, w_table)
