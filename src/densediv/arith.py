@@ -71,15 +71,25 @@ def build_spf_table(limit: int) -> SpfTable:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending array (int64) of all primes <= limit; empty for limit < 2."""
+    """Ascending array (int64) of all primes <= limit; empty for limit < 2.
+
+    Raises ResourceCapError if the sieve (limit + 1 bytes) or the primes
+    cannot be allocated.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    try:
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    except MemoryError:
+        raise ResourceCapError(
+            f"out of memory sieving the primes up to {limit} "
+            f"(the sieve alone asks for {limit + 1} bytes)"
+        ) from None
 
 
 def check_sieve_bound(bound, what: str) -> None:

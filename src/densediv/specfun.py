@@ -24,16 +24,19 @@ approximation to the rough-number count built from both.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import sieve_primes
 from .constants import DENSITY_SCALE, EULER_GAMMA
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, ResourceCapError
 
 __all__ = [
     "BUCHSTAB_LIMIT",
+    "GRID_POINTS_CAP",
     "TabulatedFunction",
     "SolverConfig",
     "tabulate_buchstab",
@@ -44,6 +47,20 @@ __all__ = [
 
 #: Limit of Buchstab's function: e^{-gamma}.
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
+
+#: Most grid points a tabulator builds.  The density march is O(N^2): at
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 23 s end to end on
+#: 2 CPUs.
+GRID_POINTS_CAP = 2**17
+
+# Smallest wave (in quadrature cells) the density march splits over
+# processes.  A fork and reap costs about 4 ms; on 2 CPUs a wave of 79,401
+# cells (398 rows) took 10.9 ms serial and 11.4 ms split, one of 110,888
+# cells (665 rows) 17.6 and 17.2 ms, one of 396,408 cells 23.4 and 20.2 ms.
+_PARALLEL_MIN_CELLS = 2**17
+
+# Most processes one density-kernel wave is split over.
+_MAX_WORKERS = 8
 
 _TAIL_KINDS = ("constant", "decay")
 _QUADRATURES = ("trapezoid", "simpson")
@@ -125,9 +142,9 @@ class SolverConfig:
             raise ConfigurationError(
                 f"step must be in (0, 0.01], got {self.step}"
             )
-        if self.max_abscissa < 3.0:
+        if not 3.0 <= self.max_abscissa < math.inf:
             raise ConfigurationError(
-                f"max_abscissa must be >= 3, got {self.max_abscissa}"
+                f"max_abscissa must be finite and >= 3, got {self.max_abscissa}"
             )
         if self.quadrature not in _QUADRATURES:
             raise ConfigurationError(
@@ -150,7 +167,7 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
     reciprocals.
     """
     m, h = _snap(cfg.step)
-    n_pts = math.ceil(round((cfg.max_abscissa - 1.0) * m, 6)) + 1
+    n_pts = _grid_points(cfg.max_abscissa - 1.0, m)
     u = 1.0 + h * np.arange(n_pts)
     w = np.empty(n_pts)
     w[: m + 1] = 1.0 / u[: m + 1]
@@ -177,46 +194,28 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
     )
 
 
-def tabulate_density_kernel(
-    cfg: SolverConfig, w: TabulatedFunction
-) -> TabulatedFunction:
-    """Tabulate the density kernel d on [0, max_abscissa] by forward marching.
-
-    With step 1/m the integral limit ``(v - 1)/2`` lands on a grid point or
-    an exact half-grid midpoint.  Full cells use composite trapezoid; the
-    half cell (when present) uses a trapezoid with the analytically known
-    endpoint value ``d(U)/(U+1) * w(1)`` where ``w(1) = 1`` -- the kernel
-    argument equals 1 exactly at the endpoint, the jump of w resolved from
-    the right.  d values at midpoints interpolate linearly.
-
-    Each row evaluates w at ``pos = ((v+1)/(u_k+1) - 2) / h_w`` for its cells
-    k, in preallocated buffers.  Rounding is monotone, so pos never
-    increases with k: only pos[0] can pass the last w grid point and only
-    the last pos can fall below 0 (its exact value is >= 0), so the clamps
-    run only when an end is out of range.  Since pos >= 0 after the clamp,
-    floor equals truncation and the cell index and fraction are the same
-    floats as a per-cell truncate-and-clip would give.
-
-    Parameters
-    ----------
-    cfg : SolverConfig
-        Grid configuration; ``cfg.quadrature`` is ignored here (see class
-        docstring).
-    w : TabulatedFunction
-        A Buchstab table covering at least [1, max_abscissa].
-    """
-    m, g = _snap(cfg.step)
-    n_pts = math.ceil(round(cfg.max_abscissa * m, 6)) + 1
-    v_max = (n_pts - 1) * g
-    if w.u_max < v_max - 1e-9:
-        raise ConfigurationError(
-            f"Buchstab table reaches {w.u_max}, need {v_max}"
+def _grid_points(span: float, m: int) -> int:
+    """Grid points covering [0, span] at step 1/m, refused past
+    GRID_POINTS_CAP before anything is allocated."""
+    n_pts = math.ceil(round(span * m, 6)) + 1
+    if n_pts > GRID_POINTS_CAP:
+        raise ResourceCapError(
+            f"a grid of {n_pts} points exceeds the grid-point cap {GRID_POINTS_CAP}"
         )
-    d = np.ones(n_pts)
-    grid_u = g * np.arange(n_pts)
-    inv_up1 = 1.0 / (grid_u + 1.0)
-    scaled = np.ones(n_pts)  # scaled[i] = d[i] / (u_i + 1)
-    scaled[: m + 1] = inv_up1[: m + 1]
+    return n_pts
+
+
+def _march_workers() -> int:
+    """Processes a density-kernel wave is split over: the usable CPUs,
+    capped at _MAX_WORKERS, or 1 where affinity or fork is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+
+
+def _march_rows(rows, d, scaled, inv_up1, w, m, g) -> None:
+    """March the density-kernel rows ``rows`` (ascending), writing d[i] and
+    scaled[i]; every row must read only finished entries of d and scaled."""
     # manual linear interpolation into the (uniform, u_min = 1) w table;
     # dw[j] is the same float as wv[j + 1] - wv[j] read per cell
     wv = w.values
@@ -225,12 +224,12 @@ def tabulate_density_kernel(
     top = float(len(wv) - 1)
     last = len(wv) - 2
     # row work buffers, written through prefix views: no allocation per row
-    size = (n_pts - m) // 2 + 1
+    size = (rows[-1] - m) // 2 + 1
     pos_buf = np.empty(size)
     floor_buf = np.empty(size)
     idx_buf = np.empty(size, dtype=np.int64)
     f_buf = np.empty(size)
-    for i in range(m + 1, n_pts):
+    for i in rows:
         v = i * g
         half_cells = i - m  # integral limit U = (v-1)/2 in half-step units
         full, odd = divmod(half_cells, 2)
@@ -262,10 +261,125 @@ def tabulate_density_kernel(
             acc += 0.25 * g * (f[full] + f_end)
         d[i] = 1.0 - acc
         scaled[i] = d[i] * inv_up1[i]
+
+
+def _march_wave(rows, workers: int, args: tuple) -> None:
+    """March ``rows`` (mutually independent) split over ``workers``
+    processes: child j forks and marches rows[j::workers] into the shared
+    d and scaled, the parent marches rows[0::workers] and reaps them all.
+    A share whose fork fails is marched by the parent.
+
+    A child runs only numpy ufuncs, ``take`` and ``sum`` (no BLAS, no lock
+    another thread of the parent could hold), so forking a threaded parent
+    is safe, and leaves through ``os._exit``: no atexit handler, no stdio
+    flush.  A child that fails or is killed raises ResourceCapError here,
+    so rows it did not write are never returned as 1.0.
+    """
+    workers = min(workers, len(rows))
+    own = [rows[0::workers]]
+    pids = []
+    try:
+        for j in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:
+                own.append(rows[j::workers])
+                continue
+            if pid == 0:  # child: leave only through os._exit
+                status = 1
+                try:
+                    _march_rows(rows[j::workers], *args)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        for share in own:
+            _march_rows(share, *args)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status in zip(pids, statuses):
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise ResourceCapError(
+                f"density-kernel worker process {pid} ended with {how}"
+            )
+
+
+def tabulate_density_kernel(
+    cfg: SolverConfig, w: TabulatedFunction
+) -> TabulatedFunction:
+    """Tabulate the density kernel d on [0, max_abscissa] by forward marching.
+
+    With step 1/m the integral limit ``(v - 1)/2`` lands on a grid point or
+    an exact half-grid midpoint.  Full cells use composite trapezoid; the
+    half cell (when present) uses a trapezoid with the analytically known
+    endpoint value ``d(U)/(U+1) * w(1)`` where ``w(1) = 1`` -- the kernel
+    argument equals 1 exactly at the endpoint, the jump of w resolved from
+    the right.  d values at midpoints interpolate linearly.
+
+    Each row evaluates w at ``pos = ((v+1)/(u_k+1) - 2) / h_w`` for its cells
+    k, in preallocated buffers.  Rounding is monotone, so pos never
+    increases with k: only pos[0] can pass the last w grid point and only
+    the last pos can fall below 0 (its exact value is >= 0), so the clamps
+    run only when an end is out of range.  Since pos >= 0 after the clamp,
+    floor equals truncation and the cell index and fraction are the same
+    floats as a per-cell truncate-and-clip would give.
+
+    Row i reads d and scaled only at indices <= (i - m)//2 + 1 (the method
+    of steps for a delay equation), so once d[:k] is final every row in
+    [k, 2k + m - 2) can be marched independently.  The march runs in such
+    waves; each wave of at least _PARALLEL_MIN_CELLS cells is split over
+    the usable CPUs by forked processes writing one shared anonymous
+    mapping.  Every row does the same float operations in the same order
+    whichever process runs it, so the values are bit-identical to a serial
+    march.
+
+    Parameters
+    ----------
+    cfg : SolverConfig
+        Grid configuration; ``cfg.quadrature`` is ignored here (see class
+        docstring).
+    w : TabulatedFunction
+        A Buchstab table covering at least [1, max_abscissa].
+
+    Raises
+    ------
+    ResourceCapError
+        If the grid exceeds GRID_POINTS_CAP, or a worker process fails.
+    """
+    m, g = _snap(cfg.step)
+    n_pts = _grid_points(cfg.max_abscissa, m)
+    v_max = (n_pts - 1) * g
+    if w.u_max < v_max - 1e-9:
+        raise ConfigurationError(
+            f"Buchstab table reaches {w.u_max}, need {v_max}"
+        )
+    # d and scaled (scaled[i] = d[i] / (u_i + 1)) live in one shared
+    # anonymous mapping, so forked workers write their rows in place
+    shared = mmap.mmap(-1, 2 * n_pts * 8)
+    d = np.frombuffer(shared, count=n_pts)
+    scaled = np.frombuffer(shared, count=n_pts, offset=n_pts * 8)
+    d.fill(1.0)
+    scaled.fill(1.0)
+    grid_u = g * np.arange(n_pts)
+    inv_up1 = 1.0 / (grid_u + 1.0)
+    scaled[: m + 1] = inv_up1[: m + 1]
+    args = (d, scaled, inv_up1, w, m, g)
+    workers = _march_workers()
+    lo = m + 1
+    while lo < n_pts:
+        hi = min(2 * lo + m - 2, n_pts)
+        # row i has (i - m)//2 + 1 cells
+        cells = (hi - lo) * (lo + hi - 2 * m) // 4
+        _march_wave(
+            range(lo, hi), workers if cells >= _PARALLEL_MIN_CELLS else 1, args
+        )
+        lo = hi
     return TabulatedFunction(
         u_min=0.0,
         step=g,
-        values=d,
+        values=d.copy(),
         name="density_kernel",
         below_value=0.0,
         tail_kind="decay",

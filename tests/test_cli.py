@@ -1,6 +1,7 @@
 """Command-line interface tests: output fixtures, exit codes, atomic file
 output, and worker-count invariance, all via in-process main() calls."""
 
+import hashlib
 import json
 import math
 import os
@@ -118,6 +119,14 @@ class TestTabulators:
     def test_bad_step_rejected(self, capsys):
         code, _, err = run(capsys, ["wfun", "--step", "0.5"])
         assert code == 2 and "error:" in err
+
+    def test_dfun_bytes_pinned(self, capped_cli):
+        # The benchmark's dfun op, run as a process whose march forks its
+        # workers: a worker that flushed a copy of stdout would show here.
+        out = capped_cli(["dfun", "--vmax", "32", "--step", "1e-3"], 0)
+        assert hashlib.sha256(out).hexdigest() == (
+            "b98a0403e33ad49d7e118444b60c3412e41ed5f34ec7ff5c56bc6795d7265f41"
+        )
 
 
 class TestConstants:
@@ -391,6 +400,22 @@ class TestExitCodes:
         assert (code, out) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1
         assert "prime-sieve cap" in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # the prime bound 2.1e9 passes the 2^31 cap, but its 2.1 GB
+            # sieve does not fit under the 2 GiB address-space limit
+            (["count", "--family", "dense", "--t", "1000000000000",
+              "--x", "2100000000"], 1),
+            (["dfun", "--vmax", "nan"], 2),
+            (["dfun", "--vmax", "inf"], 2),
+            (["dfun", "--vmax", "1e9"], 1),  # past the grid-point cap
+        ],
+        ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9"],
+    )
+    def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
+        capped_cli(argv, code)
 
     def test_verbose_banner(self, capsys):
         code, _, err = run(

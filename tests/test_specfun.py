@@ -1,7 +1,9 @@
 """Tabulator tests: exact closed forms on the first intervals, grid
 self-convergence, tail rules, and the sieve-product/rough-count helpers."""
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from densediv import (
     BUCHSTAB_LIMIT,
     ConfigurationError,
     DENSITY_SCALE,
+    DensedivError,
     DomainError,
     EULER_GAMMA,
     ResourceCapError,
@@ -21,6 +24,7 @@ from densediv import (
     tabulate_buchstab,
     tabulate_density_kernel,
 )
+from densediv import specfun
 from densediv.arith import PRIME_SIEVE_CAP
 
 
@@ -96,6 +100,27 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             SolverConfig(quadrature="midpoint")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_abscissa_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            SolverConfig(max_abscissa=bad)
+
+    def test_grid_point_cap(self):
+        # Refused before any allocation: 10^12 points would need terabytes.
+        cfg = SolverConfig(step=1e-3, max_abscissa=1e9)
+        with pytest.raises(ResourceCapError):
+            tabulate_buchstab(cfg)
+        w = TabulatedFunction(
+            u_min=1.0, step=1.0, values=np.ones(2), name="w"
+        )
+        with pytest.raises(ResourceCapError):
+            tabulate_density_kernel(cfg, w)
+        n_max = specfun.GRID_POINTS_CAP
+        assert n_max >= 64_001
+        assert specfun._grid_points((n_max - 1) / 1000, 1000) == n_max
+        with pytest.raises(ResourceCapError):
+            specfun._grid_points(n_max / 1000, 1000)
+
 
 class TestBuchstab:
     def test_exact_on_first_interval(self, w_table):
@@ -162,6 +187,29 @@ def reference_density_kernel(cfg, w):
     return d
 
 
+# sha256 of reference_density_kernel(...).view(np.int64).tobytes(), keyed
+# by (w_step, w_max, d_step, d_max), where the plain O(N^2) loop is too slow
+# to rerun (about 25 s at vmax 64); recorded from that loop.
+REFERENCE_DIGESTS = {
+    (1e-3, 64.0, 1e-3, 64.0): (
+        "c79040a4774e41f980e77be30e3709938ec19f4badd0fab7f5e7c957e1aa9cef"
+    ),
+}
+
+
+def clamp_table():
+    """A w table whose last cell makes the index clamp show.
+
+    The last row reads w at its last grid point through the clamped cell
+    index, as wlo + 1.0 * (w_last - wlo).  With w_last < wlo / 2 that is
+    not w_last itself, and with a large wlo the difference reaches the last
+    d value, so an unclamped read would show.
+    """
+    values = np.full(801, 0.5)
+    values[-2:] = [1e4 / 3, 1e3 / 7]
+    return TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
+
+
 class TestDensityKernel:
     @pytest.mark.parametrize(
         "w_step, w_max, d_step, d_max",
@@ -171,24 +219,23 @@ class TestDensityKernel:
             (5e-4, 13.0, 5e-4, 12.0),
             (1 / 333, 10.0, 1 / 333, 10.0),
             (1e-2, 9.0, 1e-2, 9.0),
-            (1e-3, 64.0, 1e-3, 64.0),
+            (1e-3, 64.0, 1e-3, 64.0),  # checked against a recorded digest
         ],
     )
     def test_bit_identical_to_reference(self, w_step, w_max, d_step, d_max):
         w = tabulate_buchstab(SolverConfig(step=w_step, max_abscissa=w_max))
         cfg = SolverConfig(step=d_step, max_abscissa=d_max)
         new = tabulate_density_kernel(cfg, w).values
+        digest = REFERENCE_DIGESTS.get((w_step, w_max, d_step, d_max))
+        if digest is not None:
+            found = hashlib.sha256(new.view(np.int64).tobytes()).hexdigest()
+            assert found == digest
+            return
         ref = reference_density_kernel(cfg, w)
         assert np.array_equal(new.view(np.int64), ref.view(np.int64))
 
     def test_index_clamp_matches_reference(self):
-        # The last row reads w at its last grid point through the clamped
-        # cell index, as wlo + 1.0 * (w_last - wlo).  With w_last < wlo / 2
-        # that is not w_last itself, and with a large wlo the difference
-        # reaches the last d value, so an unclamped read would show.
-        values = np.full(801, 0.5)
-        values[-2:] = [1e4 / 3, 1e3 / 7]
-        w = TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
+        w = clamp_table()
         cfg = SolverConfig(step=0.01, max_abscissa=9.0)
         new = tabulate_density_kernel(cfg, w).values
         ref = reference_density_kernel(cfg, w)
@@ -225,6 +272,69 @@ class TestDensityKernel:
         fine = tabulate_density_kernel(SolverConfig(step=5e-4, max_abscissa=12.0), w)
         gaps = [abs(coarse(v) - fine(v)) for v in np.linspace(0.0, 12.0, 500)]
         assert max(gaps) < 5e-6
+
+    @pytest.mark.parametrize(
+        "cpus, min_cells",
+        [({0}, None), ({0, 1, 2}, None), ({0, 1, 2}, 0)],
+        ids=["serial", "split", "split-every-wave"],
+    )
+    @pytest.mark.parametrize(
+        "step, d_max",
+        [
+            (1e-2, 30.0),  # m = 100: the first two waves are under the
+            # serial threshold, the later ones are split
+            (1 / 333, 10.0),  # odd m
+            (1e-3, 5.0),  # ends inside the wave [3000, 6998)
+            (None, 9.0),  # the index-clamp table
+        ],
+    )
+    def test_waves_match_reference(
+        self, monkeypatch, cpus, min_cells, step, d_max
+    ):
+        # {0} forces the serial march; three CPUs split waves three ways
+        # whatever this machine has.
+        if step is None:
+            w, step = clamp_table(), 0.01
+        else:
+            w = tabulate_buchstab(SolverConfig(step=step, max_abscissa=d_max))
+        cfg = SolverConfig(step=step, max_abscissa=d_max)
+        ref = reference_density_kernel(cfg, w)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if min_cells is not None:
+            monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", min_cells)
+        new = tabulate_density_kernel(cfg, w).values
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+    def test_failed_worker_raises_and_is_reaped(self, monkeypatch):
+        parent = os.getpid()
+        march = specfun._march_rows
+
+        def failing_in_child(rows, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            march(rows, *args)
+
+        monkeypatch.setattr(specfun, "_march_rows", failing_in_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        w = tabulate_buchstab(SolverConfig(step=1e-3, max_abscissa=5.0))
+        with pytest.raises(DensedivError, match="worker process"):
+            tabulate_density_kernel(
+                SolverConfig(step=1e-3, max_abscissa=5.0), w
+            )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_marches_in_parent(self, monkeypatch):
+        def no_fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        w = tabulate_buchstab(SolverConfig(step=1 / 333, max_abscissa=10.0))
+        cfg = SolverConfig(step=1 / 333, max_abscissa=10.0)
+        new = tabulate_density_kernel(cfg, w).values
+        ref = reference_density_kernel(cfg, w)
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
 
     def test_short_w_table_rejected(self):
         w = tabulate_buchstab(SolverConfig(step=1e-3, max_abscissa=8.0))
