@@ -417,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--x", type=_parse_exact_int, required=True)
     p_count.add_argument("--q", type=_parse_exact_int, default=1)
     p_count.add_argument(
-        "--engine", choices=["auto", "python", "numpy"], default="auto"
+        "--engine", choices=["auto", "python", "numpy"], default="auto",
+        help="accepted; it has no effect",
     )
     p_count.set_defaults(handler=_cmd_count)
 
@@ -427,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--x", type=_parse_exact_int, required=True)
     p_stats.add_argument("--xi", type=float, default=4.0)
     p_stats.add_argument(
-        "--engine", choices=["auto", "python", "numpy"], default="auto"
+        "--engine", choices=["auto", "python", "numpy"], default="auto",
+        help="accepted; it has no effect",
     )
     p_stats.set_defaults(handler=_cmd_stats)
 

@@ -101,9 +101,9 @@ class ThetaFamily:
     def threshold_floor(self, n: int, sigma_n: int) -> int:
         """floor(theta(n)); a prime p is allowed iff p <= this value.
 
-        Also applies elementwise to int64 or object (Python int) arrays n
-        and sigma_n (sigma_n is read only by the practical rule and may be
-        None otherwise).
+        Also applies elementwise to arrays n and sigma_n (sigma_n is read
+        only by the practical rule and may be None otherwise): int64 ones
+        where n*t_num fits in int64, object (Python int) ones otherwise.
         """
         if self.kind == "dense":
             return n * self.t_num // self.t_den

@@ -15,16 +15,17 @@ One production traversal and one reference:
   childless leaves n*p (a new prime p > sqrt(x/n)), which the caller
   tallies in bulk instead of building them: counts, moment histograms,
   sorted member columns and the identity sums are each a loop over the
-  blocks.  Its n and sigma columns are int64 when every product it forms
-  fits there, and Python ints (object dtype) otherwise or for
-  engine="python"; both give identical results.
+  blocks.  Its columns are int64 for every accepted query (the sieve cap
+  keeps x below 2^62, and sigma columns stop at x < 2^60); a dense
+  threshold n*t_num past int64 is formed in Python ints for the few rows
+  that need it.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
 
-The column type is a deterministic function of the query and the engine
-argument; ``threads`` is accepted and has no effect.  A query whose prime
-bound exceeds 2^31 is refused (ResourceCapError) before any sieving.
+``engine`` is validated and, like ``threads``, has no effect.  A query
+whose prime bound exceeds 2^31, or that asks for sigma columns at
+x >= 2^60, is refused (ResourceCapError) before any sieving.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from .families import ThetaFamily
 # fastest and smallest among 2^14..2^20 for counts and moments at 1e9-1e11.
 _CHUNK = 1 << 16
 
-# x below which sigma(n)*p <= x*(1 + ln x)*p, and so sigma, fit in int64.
-_SIGMA_INT64_X = 2**50
+# Robin's unconditional bound sigma(n) < e^gamma n ln ln n + 0.6483 n / ln ln n
+# keeps sigma(n) + 1 below 2^63 for n < 2^60: sigma columns stop there.
+_SIGMA_X_CAP = 2**60
 
 
 @dataclass(frozen=True)
@@ -227,23 +229,26 @@ def multiple_vanishing_threshold(
 # ---- frontier engine ----
 
 
-def _numpy_safe(family: ThetaFamily, x: int, sigma: bool = False) -> bool:
-    """int64 headroom for every product the frontier engine forms, with the
-    sigma column (always built for the practical family) if asked for."""
-    bounded = x < _SIGMA_INT64_X
-    if family.kind == "dense":
-        return x * family.t_num < 2**62 and (bounded or not sigma)
-    return bounded
+def _theta_at_most(family: ThetaFamily, n: np.ndarray, sigma, cap) -> np.ndarray:
+    """min(threshold_floor(n, sigma), cap) elementwise and exact, as int64,
+    for nonempty int64 rows n and a cap (array or scalar) below 2^63."""
+    if int(n.max()) * family.t_num < 2**63:
+        return np.minimum(family.threshold_floor(n, sigma), cap)
+    # Only a dense t gets here.  theta(n) >= n*a > cap once n > cap // a, so
+    # only the rows n <= cap // a form theta, in Python ints.
+    a = family.t_num // family.t_den
+    out = np.array(np.broadcast_to(cap, n.shape), dtype=np.int64)
+    rows = np.flatnonzero(n <= out // a)
+    theta = family.threshold_floor(n[rows].astype(object), None)
+    out[rows] = np.minimum(theta, out[rows])
+    return out
 
 
 def _admissible_hi(
     family: ThetaFamily, x: int, primes: np.ndarray, n: np.ndarray, sigma
 ) -> np.ndarray:
     """Per-node number of primes admissible as the next (>= last) factor."""
-    b = np.minimum(family.threshold_floor(n, sigma), x // n)
-    # b <= x < 2^62 (the sieve cap): an int64 query keeps searchsorted from
-    # converting the whole prime array to Python ints for object columns.
-    return np.searchsorted(primes, b.astype(np.int64, copy=False), side="right")
+    return np.searchsorted(primes, _theta_at_most(family, n, sigma, x // n), "right")
 
 
 class _Histogram:
@@ -292,16 +297,18 @@ def _frontier(
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
     the practical family; "omega", "tau" and "e" (that prime's exponent)
-    with stats=True.  The n, sigma and pp columns have the dtype that
-    _column_dtype picks for the engine (int64 under the _numpy_safe guard,
-    object otherwise), the rest int64.
+    with stats=True.  Every column is int64.  Sigma columns at x >= 2^60
+    are refused before any sieving; engine is validated and has no effect.
     """
-    dtype = _column_dtype(engine, family, x, sigma)
+    if engine not in ("auto", "python", "numpy"):
+        raise DomainError(f"unknown engine {engine!r}")
     bound = _prime_limit(family, x)
     if bound > SIEVE_LIMIT_CAP:
         raise ResourceCapError(f"prime bound {bound} exceeds the sieve cap 2^31")
-    primes = primes_up_to(bound)
     sigma = sigma or family.kind == "practical"
+    if sigma and x >= _SIGMA_X_CAP:
+        raise ResourceCapError(f"x={x} exceeds the sigma-column cap 2^60")
+    primes = primes_up_to(bound)
     # The cap bounds x below 2^62, so x // n and the squares of the primes
     # <= sqrt(x) (the only ones with p^2 <= x // n) fit in int64.
     prime_sq = primes[: np.searchsorted(primes, math.isqrt(x), side="right")] ** 2
@@ -309,7 +316,7 @@ def _frontier(
     def blocks() -> Iterator[tuple]:
         # Root n = 1: last = -1 marks "no prime used yet".  No column is
         # ever written in place, so the root's may share arrays.
-        one = np.array([1], dtype=dtype)
+        one = np.array([1], dtype=np.int64)
         root = {"n": one, "last": np.array([-1], dtype=np.int64)}
         if sigma:
             root.update(sigma=one, pp=one)
@@ -329,8 +336,7 @@ def _frontier(
                 if collapse:
                     # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
                     # whose square exceeds x // n, hence a leaf.
-                    xn = (x // n).astype(np.int64, copy=False)
-                    s = np.searchsorted(prime_sq, xn, side="right")
+                    s = np.searchsorted(prime_sq, x // n, side="right")
                     mid = np.minimum(np.maximum(s, last + 1), hi)
                 yield level, blk, mid, hi
                 lo = np.maximum(last, 0)
@@ -399,20 +405,6 @@ def _tally_counts(
 # ---- public counting / moments API ----
 
 
-def _column_dtype(
-    engine: str, family: ThetaFamily, x: int, sigma: bool = False
-) -> type:
-    """dtype of the frontier's n/sigma/pp columns: int64 when every product
-    fits there and the engine is not "python", Python ints otherwise."""
-    if engine not in ("auto", "python", "numpy"):
-        raise DomainError(f"unknown engine {engine!r}")
-    if engine != "python" and _numpy_safe(family, x, sigma):
-        return np.int64
-    if engine == "numpy":
-        raise DomainError("query exceeds the vector engine's int64 range")
-    return object
-
-
 def count_members_multi(
     family: ThetaFamily,
     x: int,
@@ -422,8 +414,8 @@ def count_members_multi(
 ) -> list[int]:
     """Counts of members n <= x with q | n, for each q in qs, in one pass.
 
-    engine picks the frontier's column type (see _column_dtype); threads is
-    accepted and has no effect.  Neither changes the result.
+    engine is validated and, like threads, has no effect on the walk or the
+    result.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -499,9 +491,8 @@ def member_columns(
     """Columns over the members with n_min < n <= x, ascending in n, one per
     name in names, each drawn from MEMBER_COLUMNS.
 
-    Every column is int64, except sigma at x >= 2^50, which int64 cannot
-    hold and which stays Python ints.  engine is as in count_members_multi
-    and leaves the result unchanged.
+    Every column is int64; sigma is refused at x >= 2^60 (ResourceCapError),
+    before any sieving.  engine is as in count_members_multi.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -517,15 +508,8 @@ def member_columns(
             col = np.full(len(keep), level) if name == "big_omega" else blk[name]
             part.append(col[keep])
     # One column at a time, releasing its block list and then its unsorted
-    # copy, so at most one column is held twice.  Python-int n columns
-    # convert to int64 exactly (n <= x), and so do the sigma columns below
-    # _SIGMA_INT64_X.
-    cols = {}
-    for name in list(parts):
-        col = np.concatenate(parts.pop(name))
-        if name != "sigma" or x < _SIGMA_INT64_X:
-            col = col.astype(np.int64, copy=False)
-        cols[name] = col
+    # copy, so at most one column is held twice.
+    cols = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
     order = np.argsort(cols["n"], kind="stable")
     ordered = {name: cols.pop(name)[order] for name in dict.fromkeys(names)}
     return tuple(ordered[name] for name in names)

@@ -10,10 +10,9 @@ uniquely as (member) * (rough part).  A shifted variant equates divisor-
 filtered sums on both sides.  Both are exact integer equalities at every
 finite x, so they validate the enumerator, the threshold arithmetic, and
 the rough-count sieve against each other with zero tolerance.  Without a
-table both sums run over the leaf-collapsed frontier (on Python-int
-columns when int64 cannot hold its products) and one floor-quotient prime
-count table; with one they run the reference loop of rough_count over
-iter_members.
+table both sums run over the leaf-collapsed frontier and one
+floor-quotient prime count table; with one they run the reference loop of
+rough_count over iter_members.
 
 The weighted analogues replace counting with Dirichlet-type weights
 
@@ -54,6 +53,7 @@ from .generate import (
     _frontier,
     _prime_limit,
     _tally_counts,
+    _theta_at_most,
     iter_members,
 )
 
@@ -144,13 +144,17 @@ def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndar
     ns: list[np.ndarray] = []
     thrs: list[np.ndarray] = []
     for _, blk, _, _ in blocks:
-        thr = family.threshold_floor(blk["n"], blk.get("sigma"))
-        check_sieve_bound(int(thr.max()), "threshold")
-        ns.append(blk["n"])
-        thrs.append(thr)
-    # Python-int columns convert exactly: n <= limit, thresholds <= the bound.
-    n_arr = np.concatenate(ns).astype(np.int64, copy=False)
-    thr_arr = np.concatenate(thrs).astype(np.int64, copy=False)
+        n, sigma = blk["n"], blk.get("sigma")
+        # threshold_floor is nondecreasing in n and in sigma, so this is the
+        # block's largest threshold, exact in Python ints.
+        top = family.threshold_floor(
+            int(n.max()), None if sigma is None else int(sigma.max())
+        )
+        check_sieve_bound(top, "threshold")
+        ns.append(n)
+        thrs.append(_theta_at_most(family, n, sigma, top))
+    n_arr = np.concatenate(ns)
+    thr_arr = np.concatenate(thrs)
     order = np.argsort(n_arr, kind="stable")
     return n_arr[order], thr_arr[order]
 
@@ -212,8 +216,9 @@ def _rough_sum(
     therefore counts every member that q divides, built or not, at Phi = 1;
     the built rows with theta(n) < theta_min are taken back, and those with
     theta(n) < x // n add Phi - 1.  Each such x // n is a floor quotient of
-    x, and it and theta(n) are at most x, so int64 holds them whatever the
-    column type; one rough_counts table answers them all.
+    x, and one rough_counts table answers them all.  Theta is taken at most
+    max(x // n, theta_min) (_theta_at_most), which keeps it in int64 and
+    leaves both comparisons exact.
 
     The theta filter passes every unbuilt leaf when x >= theta_min^2: a
     member with theta(n) < theta_min has n < theta(n) < theta_min, and a
@@ -237,16 +242,16 @@ def _rough_sum(
     ys: list[np.ndarray] = []
     for _, blk, mid, hi in blocks:
         n = blk["n"]
-        theta = family.threshold_floor(n, blk.get("sigma"))
         _tally_counts(total, [(0, q)], primes, n, mid, hi)
+        quot = x // n
+        theta = _theta_at_most(
+            family, n, blk.get("sigma"), np.maximum(quot, theta_min)
+        )
         keep = n % q == 0
         total[0] -= int(np.count_nonzero(keep & (theta < theta_min)))
-        keep &= theta >= theta_min
-        quot = x // n[keep]
-        theta = theta[keep]
-        low = theta < quot
-        xs.append(quot[low].astype(np.int64, copy=False))
-        ys.append(theta[low].astype(np.int64, copy=False))
+        low = keep & (theta >= theta_min) & (theta < quot)
+        xs.append(quot[low])
+        ys.append(theta[low])
     quot = np.concatenate(xs)
     theta = np.concatenate(ys)
     return total[0] + int(rough_counts(x, quot, theta).sum()) - len(quot)
@@ -262,9 +267,8 @@ def check_partition_identity(
     enumerator, the thresholds, or the sieve.
 
     Without a table (x <= 10^12) the sum runs over the leaf-collapsed
-    frontier with floor-quotient prime counts and no size-x sieve, on
-    Python-int columns when int64 cannot hold its products; a prime bound
-    past 2^31 is refused (ResourceCapError) before any sieving.  With a
+    frontier with floor-quotient prime counts and no size-x sieve; a prime
+    bound past 2^31 is refused (ResourceCapError) before any sieving.  With a
     table it is the reference loop of ``rough_count`` over ``iter_members``.
     """
     if x < 1:

@@ -171,7 +171,8 @@ class TestIdentity:
         [(["phi0"], "300000,300000,0,true"), (["phik", "--qs", "2,3"], "50000,50000,0,true")],
     )
     def test_int64_overflowing_t_takes_reference_loop(self, capsys, check, expect):
-        # x * t_num is about 6e18 > 2^62: the frontier would leave int64.
+        # x * t_num is about 6e18 > 2^62: theta needs Python ints for the
+        # small rows.
         code, out, _ = run(
             capsys,
             ["identity", "--check", *check, "--family", "dense",
@@ -366,6 +367,21 @@ class TestExitCodes:
         assert (code, out) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_sigma_beyond_cap_starts_no_work(self, capsys, monkeypatch):
+        # The prime bound 2e9 passes the 2^31 cap, but enumerate's sigma
+        # column at x >= 2^60 is refused before the sieve.
+        def refuse(limit):
+            raise AssertionError("sieve started")
+
+        monkeypatch.setattr(densediv.generate, "primes_up_to", refuse)
+        code, out, err = run(
+            capsys,
+            ["enumerate", "--family", "dense", "--t", "2",
+             "--x", "2000000000000000000"],
+        )
+        assert (code, out) == (1, [])
+        assert err == "error: x=2000000000000000000 exceeds the sigma-column cap 2^60\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -411,8 +427,12 @@ class TestExitCodes:
             (["dfun", "--vmax", "nan"], 2),
             (["dfun", "--vmax", "inf"], 2),
             (["dfun", "--vmax", "1e9"], 1),  # past the grid-point cap
+            # sigma columns at x >= 2^60, refused before the 2e9 sieve
+            (["enumerate", "--family", "dense", "--t", "2",
+              "--x", "2000000000000000000"], 1),
         ],
-        ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9"],
+        ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
+             "enumerate-sigma-2e18"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         capped_cli(argv, code)
@@ -423,6 +443,57 @@ class TestExitCodes:
             ["--verbose", "count", "--family", "dense", "--t", "2", "--x", "20"],
         )
         assert code == 0 and err.startswith("densediv ")
+
+
+NEAR2 = ["--family", "dense", "--t", "2.0000000000001"]
+UNSAFE = ["--family", "dense", "--t", "4611686018427387905/2305843009213693952"]
+T1E12 = ["--family", "dense", "--t", "1000000000000"]
+
+# sha256 of stdout for dense t whose products n*t_num leave int64, as
+# printed when the frontier still ran such t on Python-int columns.
+INT64_UNSAFE_STDOUT_SHA256 = {
+    ("count", *NEAR2, "--x", "300000"):
+        "e50875340cafdbdeea12226f20b30b7a42349fbddb5656f1da2505ef40ce32d2",
+    ("stats", *NEAR2, "--x", "300000"):
+        "d266f1598efb0c818f48e372bf0ecae0f90dbc1bf8c6c5baef266652c0305425",
+    ("enumerate", *NEAR2, "--x", "300000"):
+        "ceccc881d6064259007b21ad0a9a5f795b7326d5b85c1d718903d8c81acdb476",
+    ("count", *UNSAFE, "--x", "300000"):
+        "e50875340cafdbdeea12226f20b30b7a42349fbddb5656f1da2505ef40ce32d2",
+    ("stats", *UNSAFE, "--x", "300000"):
+        "d266f1598efb0c818f48e372bf0ecae0f90dbc1bf8c6c5baef266652c0305425",
+    ("enumerate", *UNSAFE, "--x", "300000"):
+        "ceccc881d6064259007b21ad0a9a5f795b7326d5b85c1d718903d8c81acdb476",
+    ("identity", "--check", "phi0", *T1E12, "--x", "300000"):
+        "fe6e23a3fcb014f4f0ed13585dfce50daeb25bb9754224a3a0f270d5acb079fe",
+    ("identity", "--check", "phik", *T1E12, "--x", "300000", "--qs", "2,3"):
+        "28f779d27d58894825ba1ae08e252de938679decc504f6c4611ed1dc27290245",
+    ("identity", "--check", "lambda0", *NEAR2, "--N", "100000"):
+        "efd2a7e80edae9cb73c67632296d6a1abdcd77a1bd696343bd80afd059ffa3e9",
+}
+
+
+class TestInt64UnsafeBytes:
+    @pytest.mark.parametrize(
+        "argv", list(INT64_UNSAFE_STDOUT_SHA256), ids=lambda a: " ".join(a[:3])
+    )
+    def test_stdout_pinned(self, capsys, argv):
+        code = main(list(argv))
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == INT64_UNSAFE_STDOUT_SHA256[argv]
+
+    def test_refusal_names_exact_threshold(self, capsys):
+        # The largest threshold, 99991 * 10^6 of the prime 99991, is named
+        # exactly, not as a value clipped at the cap.
+        argv = ["identity", "--check", "lambda0", "--family", "dense",
+                "--t", "1000000", "--N", "100000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: threshold=99991000000 exceeds the prime-sieve cap 300000000\n"
+        )
 
 
 class TestThreadInvariance:

@@ -1,6 +1,6 @@
 """Enumeration/counting engine tests: DFS vs brute-force filtration, the
-frontier on int64 and Python-int columns against the DFS reference,
-engine/threads invariance, and moment summaries."""
+int64 frontier (including dense t whose n*t_num leaves int64) against the
+DFS reference, engine/threads invariance, and moment summaries."""
 
 import itertools
 import math
@@ -15,6 +15,7 @@ import densediv.generate as generate
 from densediv import (
     CountQuery,
     DomainError,
+    ResourceCapError,
     ThetaFamily,
     collect_divisor_counts,
     collect_moments,
@@ -47,7 +48,7 @@ COLLAPSE_FAMILIES = [
     SHIFTED1,
     SHIFTED2,
 ]
-# x * t_num >= 2^62 for every x tested: the frontier runs on Python ints.
+# x * t_num >= 2^63 for every x >= 2 tested: theta needs Python ints.
 INT64_UNSAFE = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
 
 
@@ -64,8 +65,8 @@ def _filter_qs(x):
 def _assert_matches_reference(
     family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0, engines=("numpy", "python")
 ):
-    """Frontier counts and moments, for each engine (int64 or Python-int
-    columns), equal plain iter_members tallies."""
+    """Frontier counts and moments, for each engine value, equal plain
+    iter_members tallies."""
     recs = list(iter_members(family, x))
     for engine in engines:
         got = count_members_multi(family, x, qs, engine=engine)
@@ -165,8 +166,8 @@ class TestCounts:
 
 
 class TestCollapsedFrontier:
-    """The leaf-collapsing frontier, on int64 and on Python-int columns,
-    against the reference generator."""
+    """The leaf-collapsing frontier against the reference generator, also
+    for a dense t whose thresholds leave int64."""
 
     @pytest.mark.parametrize("x", [1, 2, 3, 4, 6, 97, 3000, 200_000])
     @pytest.mark.parametrize("family", COLLAPSE_FAMILIES, ids=_family_id)
@@ -184,18 +185,13 @@ class TestCollapsedFrontier:
 
     @pytest.mark.parametrize("x", [97, 3000, 200_000])
     def test_int64_unsafe_family(self, x):
-        # x * t_num >= 2^62: auto falls back to Python-int columns, and the
-        # int64-only engine refuses the query.
+        # n * t_num >= 2^63: the thresholds of the rows n <= x // n are taken
+        # in Python ints, on every engine value, numpy included.
         family = INT64_UNSAFE
         qs = _filter_qs(x)
-        _assert_matches_reference(family, x, qs, xis=(1.0,), engines=("auto", "python"))
-        _assert_divisor_counts_match(family, x, ("auto", "python"))
-        with pytest.raises(DomainError):
-            count_members_multi(family, x, qs, engine="numpy")
-        with pytest.raises(DomainError):
-            collect_moments(family, x, 1.0, 2.0, engine="numpy")
-        with pytest.raises(DomainError):
-            collect_divisor_counts(family, x, engine="numpy")
+        engines = ("auto", "python", "numpy")
+        _assert_matches_reference(family, x, qs, xis=(1.0,), engines=engines)
+        _assert_divisor_counts_match(family, x, engines)
 
     def test_ratio_bound_above_x(self):
         # t >= x admits every n <= x; the prime sieve stops at x, not sqrt(x t).
@@ -203,24 +199,29 @@ class TestCollapsedFrontier:
         assert count_members_multi(family, 10**5, [1, 7]) == [100000, 14285]
         assert collect_moments(family, 10**5, 1.0, 2.0).count == 100000
 
-    def test_object_columns_search_int64_primes(self):
-        # On Python-int columns the admissible bound is cast to int64 before
-        # the search; an object query would turn the 78,498 primes below
-        # 10^6 into Python ints (about 2.8 MB) on every block.
+    def test_theta_at_most(self):
+        # min(theta(n), cap) equals the Python-int value on both sides of the
+        # cut n = cap // A (A = floor t), for caps up to 2^61, given as a
+        # scalar or as an array.
+        for t in (2, Fraction(5, 2), Fraction("2.0000000000001"), INT64_UNSAFE.t, 10**12):
+            family = ThetaFamily.dense(t)
+            a = family.t_num // family.t_den
+            for cap in (0, 1, 5, 10**6, 3 * 10**8 + 1, 10**12, 2**61):
+                ns = {1, 2, 3, 1000, cap // a, cap // a + 1, 2**61 // a, 2**61}
+                ns = sorted(v for v in ns if v >= 1)
+                n = np.array(ns, dtype=np.int64)
+                want = [min(family.threshold_floor(v, None), cap) for v in ns]
+                for c in (cap, np.full(len(n), cap, dtype=np.int64)):
+                    got = generate._theta_at_most(family, n, None, c)
+                    assert got.dtype == np.int64, (t, cap)
+                    assert got.tolist() == want, (t, cap)
+        # The admissible bound min(theta(n), x // n) of the frontier.
         family = ThetaFamily.dense(10**12)
-        primes = primes_up_to(10**6)
-        n = np.array([1, 2, 6, 1000, 999_983], dtype=object)
-        tracemalloc.start()
-        try:
-            hi = generate._admissible_hi(family, 10**6, primes, n, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert hi.dtype == np.intp
+        n = np.array([1, 2, 6, 1000, 999_983], dtype=np.int64)
+        hi = generate._admissible_hi(family, 10**6, primes_up_to(10**6), n, None)
         assert hi.tolist() == [78498, 41538, 15225, 168, 0]
-        assert peak < 500_000
-        # t >= x: every n <= x is a member, on either column type.
-        assert count_members_multi(family, 10**5, [1], engine="python") == [100000]
+        # t >= x: every n <= x is a member.
+        assert count_members_multi(family, 10**5, [1]) == [100000]
 
     def test_pinned_large_counts(self):
         assert count_members_multi(DENSE2, 10**9, [1]) == [60447501]
@@ -236,8 +237,8 @@ class TestCollapsedFrontier:
 
 
 class TestMemberColumns:
-    """member_columns, on int64 and Python-int columns and in blocks of a
-    few rows, against the sorted reference records."""
+    """member_columns, also for a dense t whose thresholds leave int64 and
+    in blocks of a few rows, against the sorted reference records."""
 
     @pytest.mark.parametrize("chunk", [5, generate._CHUNK])
     @pytest.mark.parametrize("x", [1, 2, 97, 3000])
@@ -266,12 +267,17 @@ class TestMemberColumns:
         assert len(cols[0]) == 91472
         assert peak < 2.5 * held
 
-    def test_sigma_column_type(self):
-        # sigma(n) <= n*(1 + ln n) leaves int64 at x = 2^50: Python ints.
-        assert generate._column_dtype("auto", DENSE2, 2**50) is np.int64
-        assert generate._column_dtype("auto", DENSE2, 2**50, sigma=True) is object
-        with pytest.raises(DomainError):
-            generate._column_dtype("numpy", DENSE2, 2**50, sigma=True)
+    def test_sigma_columns_refused_at_2_60(self, monkeypatch):
+        # Robin's bound keeps sigma(n) in int64 only for n < 2^60: a sigma
+        # column past it is refused before any sieving.
+        def refuse(limit):
+            raise AssertionError(f"primes_up_to({limit}) called")
+
+        monkeypatch.setattr(generate, "primes_up_to", refuse)
+        with pytest.raises(ResourceCapError, match="sigma"):
+            member_columns(DENSE2, 2**60, ("n", "sigma"))
+        with pytest.raises(AssertionError, match="primes_up_to"):
+            member_columns(DENSE2, 2**60 - 1, ("n", "sigma"))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

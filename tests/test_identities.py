@@ -39,7 +39,7 @@ DENSE52 = ThetaFamily.dense(Fraction(5, 2))
 PRACTICAL = ThetaFamily.practical()
 
 # Families of the table-free parity checks: the four kinds, plus a dense t
-# whose frontier needs Python-int columns (x * t_num >= 2^62).
+# whose thresholds need Python ints (n * t_num >= 2^63 for n >= 2).
 SERIES_FAMILIES = [
     DENSE2,
     DENSE52,
@@ -175,9 +175,9 @@ class TestFloorQuotientPath:
             check_partition_identity(DENSE2, 10**12 + 1)
 
     def test_int64_overflowing_t_takes_reference_loop(self, table):
-        # x * t_num >= 2^62: the frontier runs on Python-int columns and
-        # must match the table reference loop.  At t = 10^12 every n is a
-        # member.
+        # n * t_num leaves int64: the frontier takes the thresholds of its
+        # small rows in Python ints and must match the table reference loop.
+        # At t = 10^12 every n is a member.
         overflowing = ThetaFamily.dense(Fraction(2**62 + 1, 2**61))
         for family in (overflowing, ThetaFamily.dense(10**12)):
             for x in (1, 97, 3000, 10**5):

@@ -1,7 +1,8 @@
 """Property tests over random families, divisor filters and bounds.
 
-The frontier's counts and moments (int64 and Python-int columns) equal the
-tallies of the iter_members reference, whose members are exactly the ones
+The frontier's counts and moments equal the tallies of the iter_members
+reference (also for dense t = A + r/d with d up to 2^61, whose products
+n*t_num leave int64), whose members are exactly the ones
 the is_member brute-force filter keeps; and the partition identities give
 the same exact CheckResult on the floor-quotient path as on the table
 reference loop.  Hypothesis runs derandomized, so every run draws the same
@@ -9,6 +10,7 @@ examples.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +29,16 @@ PROPERTY_SETTINGS = settings(
     derandomize=True, deadline=None, database=None, max_examples=40
 )
 
+# t = A + r/d with 2^55 <= d <= 2^61: x * t_num >= 2^63 once x >= 128.
+INT64_UNSAFE_T = st.builds(
+    lambda a, d, r: Fraction(a * d + r, d),
+    st.integers(min_value=2, max_value=50),
+    st.integers(min_value=2**55, max_value=2**61),
+    st.integers(min_value=1, max_value=2**55 - 1),
+)
 FAMILIES = st.one_of(
     st.fractions(min_value=2, max_value=50, max_denominator=100).map(ThetaFamily.dense),
+    INT64_UNSAFE_T.map(ThetaFamily.dense),
     st.sampled_from(
         [ThetaFamily.practical(), ThetaFamily.shifted_one(), ThetaFamily.shifted_two()]
     ),
