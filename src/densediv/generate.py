@@ -235,8 +235,9 @@ def _theta_at_most(family: ThetaFamily, n: np.ndarray, sigma, cap) -> np.ndarray
     if int(n.max()) * family.t_num < 2**63:
         return np.minimum(family.threshold_floor(n, sigma), cap)
     # Only a dense t gets here.  theta(n) >= n*a > cap once n > cap // a, so
-    # only the rows n <= cap // a form theta, in Python ints.
-    a = family.t_num // family.t_den
+    # only the rows n <= cap // a form theta, in Python ints.  Clamping a to
+    # int64 keeps that exact, as every cap is below 2^63.
+    a = min(family.t_num // family.t_den, 2**63 - 1)
     out = np.array(np.broadcast_to(cap, n.shape), dtype=np.int64)
     rows = np.flatnonzero(n <= out // a)
     theta = family.threshold_floor(n[rows].astype(object), None)

@@ -483,6 +483,13 @@ class TestInt64UnsafeBytes:
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == INT64_UNSAFE_STDOUT_SHA256[argv]
 
+    def test_ratio_bound_past_int64(self, capsys):
+        # floor(t) >= 2^63 admits every n <= x.
+        argv = ["count", "--family", "dense", "--t", "10000000000000000000",
+                "--x", "1000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1000\n"
+
     def test_refusal_names_exact_threshold(self, capsys):
         # The largest threshold, 99991 * 10^6 of the prime 99991, is named
         # exactly, not as a value clipped at the cap.

@@ -202,8 +202,10 @@ class TestCollapsedFrontier:
     def test_theta_at_most(self):
         # min(theta(n), cap) equals the Python-int value on both sides of the
         # cut n = cap // A (A = floor t), for caps up to 2^61, given as a
-        # scalar or as an array.
-        for t in (2, Fraction(5, 2), Fraction("2.0000000000001"), INT64_UNSAFE.t, 10**12):
+        # scalar or as an array.  The last two t have A >= 2^63.
+        ts = (2, Fraction(5, 2), Fraction("2.0000000000001"), INT64_UNSAFE.t, 10**12,
+              10**19, Fraction(2**64 + 1, 2))
+        for t in ts:
             family = ThetaFamily.dense(t)
             a = family.t_num // family.t_den
             for cap in (0, 1, 5, 10**6, 3 * 10**8 + 1, 10**12, 2**61):
