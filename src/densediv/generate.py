@@ -12,7 +12,8 @@ One production traversal and one reference:
   primes with repeats" representation (valid because every supported
   threshold rule is nondecreasing along divisibility chains) in blocks
   popped depth first.  It yields each block with the range of its
-  childless leaves n*p (a new prime p > sqrt(x/n)), which the caller
+  childless leaves n*p (a new prime p > sqrt(x/n), or the repeat of the
+  largest prime p of a terminal n, one with p^2 > x // n), which the caller
   tallies in bulk instead of building them: counts, moment histograms,
   sorted member columns and the identity sums are each a loop over the
   blocks.  Its columns are int64 for every accepted query (the sieve cap
@@ -292,8 +293,12 @@ def _frontier(
     one level deeper.  A child n*p whose prime p is new and exceeds
     sqrt(x/n) is such a leaf (n*p*p' > x for every p' >= p); the other
     children are built in blocks of about _CHUNK rows popped LIFO, which
-    keeps the live rows near depth * _CHUNK.  With collapse off every
-    member is built and mid == hi.
+    keeps the live rows near depth * _CHUNK.  A built child n = m*p with
+    p^2 > x // n is terminal: its new primes are leaves, and so is its
+    repeat n*p, as x // (n*p) < p.  Such a block is yielded as soon as it
+    is built, with mid = min(last, hi), and never expanded; its leaf at
+    j == last is the repeat.  Every other leaf has a new prime.  With
+    collapse off every member is built and mid == hi.
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
@@ -372,6 +377,18 @@ def _frontier(
                     same, tau_par // (e_par + 1) * (e_par + 2), tau_par * 2
                 )
                 child["omega"] = blk["omega"][par] + ~same
+            if collapse:
+                # A terminal child (p^2 > x // n) has only leaves, its repeat
+                # n*p included: yield it now and never push it.
+                term = p * p > x // child["n"]
+                if term.any():
+                    tblk = {k: v[term] for k, v in child.items()}
+                    tn = tblk["n"]
+                    thi = _admissible_hi(family, x, primes, tn, tblk.get("sigma"))
+                    yield level + 1, tblk, np.minimum(tblk["last"], thi), thi
+                    if term.all():
+                        continue
+                    child = {k: v[~term] for k, v in child.items()}
             stack.append((level + 1, child, 0, None))
 
     return primes, blocks()
@@ -382,23 +399,18 @@ def _tally_counts(
 ) -> None:
     """Add to counts[k], for each (k, q) in live_qs, the rows n and their
     leaves n*primes[j], j in [mid, hi), that q divides."""
-    for k, q in live_qs:
-        counts[k] += len(n) if q == 1 else int(np.count_nonzero(n % q == 0))
-    rows = np.flatnonzero(hi > mid)
-    if len(rows) == 0:
-        return
-    n, mid, hi = n[rows], mid[rows], hi[rows]
     leaves = hi - mid
     for k, q in live_qs:
         if q == 1:
-            counts[k] += int(leaves.sum())
+            counts[k] += len(n) + int(leaves.sum())
             continue
-        # q | n*p  iff  r | p  with r = q / gcd(q, n): every leaf counts
-        # when r = 1, and only the leaf p = r when r is a prime in range.
+        # q | n*p  iff  r | p  with r = q / gcd(q, n): a row and all its
+        # leaves count when r = 1, and only the leaf p = r when r is a prime
+        # in range.
         r = q // np.gcd(n, q)
         idx = np.searchsorted(primes, r)
         hit = (idx >= mid) & (idx < hi)
-        counts[k] += int(leaves[r == 1].sum()) + int(
+        counts[k] += int((leaves[r == 1] + 1).sum()) + int(
             np.count_nonzero(primes[idx[hit]] == r[hit])
         )
 
@@ -451,6 +463,10 @@ def collect_moments(
     expected and xi define the exceedance rule |omega - expected| >
     xi*sqrt(max(ln ln x, 0)); both are supplied by the caller.  engine and
     threads are as in count_members_multi.
+
+    A leaf of a row n adds big omega + 1.  A new-prime leaf adds omega + 1
+    and doubles tau; the repeat leaf n*p of a terminal row (j == last) keeps
+    omega and has tau * (e + 2) / (e + 1), with e the exponent of p in n.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -463,13 +479,18 @@ def collect_moments(
         hist_omega.add(omega)
         hist_tau.add(tau)
         hist_big[level] = hist_big.get(level, 0) + len(omega)
-        # Each leaf adds a new prime: omega + 1, big omega + 1, tau * 2.
+        # New-prime leaves, then the repeat leaves (j == last).
         rows = np.flatnonzero(hi > mid)
         if len(rows):
             leaves = hi[rows] - mid[rows]
-            hist_omega.add(omega[rows] + 1, leaves)
-            hist_tau.add(tau[rows] * 2, leaves)
             hist_big[level + 1] = hist_big.get(level + 1, 0) + int(leaves.sum())
+            is_rep = mid[rows] == blk["last"][rows]
+            hist_omega.add(omega[rows] + 1, leaves - is_rep)
+            hist_tau.add(tau[rows] * 2, leaves - is_rep)
+            rep = rows[is_rep]
+            e = blk["e"][rep]
+            hist_omega.add(omega[rep])
+            hist_tau.add(tau[rep] // (e + 1) * (e + 2))
     return MomentSummary(
         expected=expected,
         deviation_bound=deviation_bound(x, xi),
@@ -509,10 +530,12 @@ def member_columns(
             col = np.full(len(keep), level) if name == "big_omega" else blk[name]
             part.append(col[keep])
     # One column at a time, releasing its block list and then its unsorted
-    # copy, so at most one column is held twice.
+    # copy, so at most one column is held twice; n itself sorts in place.
     cols = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    order = np.argsort(cols["n"], kind="stable")
-    ordered = {name: cols.pop(name)[order] for name in dict.fromkeys(names)}
+    order = np.argsort(cols["n"])
+    cols["n"].sort()
+    ordered = {"n": cols.pop("n")}
+    ordered.update((name, cols.pop(name)[order]) for name in list(cols))
     return tuple(ordered[name] for name in names)
 
 

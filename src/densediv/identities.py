@@ -155,7 +155,7 @@ def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndar
         thrs.append(_theta_at_most(family, n, sigma, top))
     n_arr = np.concatenate(ns)
     thr_arr = np.concatenate(thrs)
-    order = np.argsort(n_arr, kind="stable")
+    order = np.argsort(n_arr)
     return n_arr[order], thr_arr[order]
 
 
@@ -210,20 +210,23 @@ def _rough_sum(
 
     With a table this is the reference loop of ``rough_count`` over
     ``iter_members``.  Without one (x <= 10^12, else ResourceCapError) it
-    runs over the leaf-collapsed frontier.  A leaf n = m*p that the
-    frontier tallies without building has p^2 > x // m, so
-    x // n < p <= theta(m) <= theta(n) and Phi = 1.  _tally_counts
-    therefore counts every member that q divides, built or not, at Phi = 1;
-    the built rows with theta(n) < theta_min are taken back, and those with
-    theta(n) < x // n add Phi - 1.  Each such x // n is a floor quotient of
-    x, and one rough_counts table answers them all.  Theta is taken at most
-    max(x // n, theta_min) (_theta_at_most), which keeps it in int64 and
-    leaves both comparisons exact.
+    runs over the leaf-collapsed frontier, whose unbuilt leaves all have
+    Phi = 1.  A new-prime leaf n = m*p has p^2 > x // m, so
+    x // n < p <= theta(m) <= theta(n).  The repeat leaf N = n*p of a
+    terminal row n (p^2 > x // n) has N*p > x, so theta(N) >= N >= p >
+    x // N.  _tally_counts therefore counts every member that q divides,
+    built or not, at Phi = 1; the built rows with theta(n) < theta_min are
+    taken back, and those with theta(n) < x // n add Phi - 1.  Each such
+    x // n is a floor quotient of x, and one rough_counts table answers
+    them all.  Theta is taken at most max(x // n, theta_min)
+    (_theta_at_most), which keeps it in int64 and leaves both comparisons
+    exact.
 
     The theta filter passes every unbuilt leaf when x >= theta_min^2: a
-    member with theta(n) < theta_min has n < theta(n) < theta_min, and a
-    leaf that small has x < m*p^2 = n*p < theta_min^2.  Below that the
-    leaf tally is turned off and every member is built and filtered.
+    member with theta(n) < theta_min has n < theta(n) < theta_min, while
+    an unbuilt leaf L whose last factor is the prime p <= L has L*p > x,
+    so L > sqrt(x) >= theta_min.  Below that the leaf tally is turned off
+    and every member is built and filtered.
     """
     if table is None and x > ROUGH_COUNTS_CAP:
         raise ResourceCapError(f"x={x} exceeds the identity cap {ROUGH_COUNTS_CAP}")

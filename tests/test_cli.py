@@ -503,6 +503,31 @@ class TestInt64UnsafeBytes:
         )
 
 
+class TestAtScale:
+    """Counts and moments at x = 10^10 through the CLI, under the 2 GiB
+    limit; the stats sha256 was recorded before terminal children of the
+    frontier were tallied without being expanded."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--family", "dense", "--t", "2"], 541495106),
+            (["--family", "practical"], 582798892),
+            (["--family", "shifted1", "--q", "6"], 263506862),
+        ],
+        ids=["dense2", "practical", "shifted1_q6"],
+    )
+    def test_count_pinned(self, capped_cli, argv, want):
+        out = capped_cli(["count", *argv, "--x", "10000000000"], 0)
+        assert out == f"{want}\n".encode()
+
+    def test_stats_bytes_pinned(self, capped_cli):
+        out = capped_cli(["stats", "--family", "practical", "--x", "10000000000"], 0)
+        assert hashlib.sha256(out).hexdigest() == (
+            "fa6ecb8cd5421c4dfc5559b0ed64c097767a6dc2dc3921ddb86ba3fc6a9ec66b"
+        )
+
+
 class TestThreadInvariance:
     def test_count_and_stats(self, capsys):
         base = ["count", "--family", "practical", "--x", "50000"]

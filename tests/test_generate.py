@@ -89,6 +89,25 @@ def _assert_matches_reference(
         )
 
 
+def _members_from_blocks(family, x):
+    """Multiset of (n, omega, big omega, tau) over every row the collapsed
+    frontier yields and every leaf n*primes[j], j in [mid, hi), that it
+    tallies; the leaf at j == last is the repeat of the row's largest prime."""
+    primes, blocks = generate._frontier(family, x, stats=True)
+    out = Counter()
+    for level, blk, mid, hi in blocks:
+        cols = [blk[k].tolist() for k in ("n", "omega", "tau", "e", "last")]
+        for n, om, tau, e, last, lo, up in zip(*cols, mid.tolist(), hi.tolist()):
+            out[n, om, level, tau] += 1
+            for j in range(lo, up):
+                leaf = n * int(primes[j])
+                if j == last:
+                    out[leaf, om, level + 1, tau // (e + 1) * (e + 2)] += 1
+                else:
+                    out[leaf, om + 1, level + 1, 2 * tau] += 1
+    return out
+
+
 def _assert_divisor_counts_match(family, x, engines):
     """collect_divisor_counts gives int64 arrays equal to the sorted
     iter_members records, for each engine."""
@@ -193,6 +212,31 @@ class TestCollapsedFrontier:
         _assert_matches_reference(family, x, qs, xis=(1.0,), engines=engines)
         _assert_divisor_counts_match(family, x, engines)
 
+    @pytest.mark.parametrize("chunk", [5, generate._CHUNK])
+    @pytest.mark.parametrize(
+        "x", [7, 8, 9, 26, 27, 28, 53, 54, 55, 124, 125, 126, 10**5]
+    )
+    @pytest.mark.parametrize(
+        "family", [*COLLAPSE_FAMILIES, INT64_UNSAFE], ids=_family_id
+    )
+    def test_blocks_rebuild_members(self, monkeypatch, family, x, chunk):
+        # Rows, new-prime leaves and repeat leaves together are the member
+        # set, each member once, on both sides of cube boundaries, where a
+        # child n = m*p turns terminal (p^2 > x // n).
+        monkeypatch.setattr(generate, "_CHUNK", chunk)
+        recs = iter_members(family, x)
+        want = Counter((r.n, r.omega, r.big_omega, r.tau) for r in recs)
+        assert _members_from_blocks(family, x) == want
+
+    @pytest.mark.parametrize("family", [DENSE2, PRACTICAL], ids=_family_id)
+    def test_rows_built(self, family):
+        # Rows yielded at x = 10^7 (members 776087 / 829157): 16226 for
+        # dense t=2 and 16598 for practical with terminal children m*p
+        # (p^2 > x // (m*p)) left unexpanded, their repeats m*p^2 tallied as
+        # leaves; 30204 and 30922 when every such child is expanded.
+        _, blocks = generate._frontier(family, 10**7)
+        assert sum(len(blk["n"]) for _, blk, _, _ in blocks) <= 17_000
+
     def test_ratio_bound_above_x(self):
         # t >= x admits every n <= x; the prime sieve stops at x, not sqrt(x t).
         family = ThetaFamily.dense(10**12)
@@ -252,6 +296,7 @@ class TestMemberColumns:
         recs = sorted(iter_members(family, x), key=lambda r: r.n)
         cols = member_columns(family, x, generate.MEMBER_COLUMNS)
         assert all(col.dtype == np.int64 for col in cols)
+        assert np.all(np.diff(cols[0]) > 0)
         assert [col.tolist() for col in cols] == [
             [getattr(r, name) for r in recs] for name in generate.MEMBER_COLUMNS
         ]

@@ -247,6 +247,7 @@ class TestWeightSeries:
         )
         n_arr, thr_arr = _member_arrays(family, limit)
         assert n_arr.dtype == thr_arr.dtype == np.int64
+        assert np.all(np.diff(n_arr) > 0)
         assert list(zip(n_arr.tolist(), thr_arr.tolist())) == pairs
 
     @pytest.mark.parametrize("limit", SERIES_LIMITS)
