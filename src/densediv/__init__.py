@@ -6,164 +6,81 @@ part already assembled).  It provides exact membership tests, enumeration
 and counting engines, solvers for the associated delay differential
 equation and density kernel, closed-form constants, exact partition
 identities, and a reproduction harness for desk-scale experiments.
+
+Public names resolve on first access (PEP 562): ``import densediv`` loads
+no submodule, and ``densediv.X`` imports only the submodule defining X.
 """
 
-from .arith import (
-    FactorStats,
-    PrimePowerFactorization,
-    SpfTable,
-    build_spf_table,
-    divisor_ratio_bound,
-    factor_stats,
-    factorize,
-    is_prime,
-    primes_up_to,
-    rough_count,
-    rough_counts,
-)
-from .constants import (
-    DENSITY_SCALE,
-    EULER_GAMMA,
-    ConstantsBundle,
-    constants_bundle,
-    expected_distinct_factors,
-    leading_coeff_asymptotic,
-    prime_multiple_coeff,
-    semiprime_multiple_coeff,
-)
-from .errors import (
-    ConfigurationError,
-    DensedivError,
-    DomainError,
-    EstimateUndefinedError,
-    ResourceCapError,
-    SieveRangeError,
-)
-from .experiments import (
-    CoeffEstimate,
-    ExperimentReport,
-    ReportRow,
-    concentration_experiment,
-    count_ratio_experiment,
-    cq_structure_experiment,
-    empirical_coeff,
-    margenstern_tables,
-    mean_omega_experiment,
-    phi_approx_scan,
-    tau_normal_order_experiment,
-)
-from .families import (
-    FAMILY_KINDS,
-    ThetaFamily,
-    is_dense_by_divisor_scan,
-    is_dense_by_ratio_bound,
-    is_member,
-    is_practical_by_subset_sums,
-    parse_t,
-)
-from .generate import (
-    CountQuery,
-    MemberRecord,
-    MomentSummary,
-    collect_divisor_counts,
-    collect_moments,
-    count_members,
-    count_members_multi,
-    deviation_bound,
-    iter_members,
-    member_columns,
-    multiple_vanishing_threshold,
-)
-from .identities import (
-    CheckResult,
-    SeriesTerm,
-    check_partition_identity,
-    check_shifted_partition_identity,
-    check_weight_shift,
-    log_moment_gap,
-    series_term,
-    weight_series_partial_sum,
-    weighted_log_moment_sum,
-)
-from .specfun import (
-    BUCHSTAB_LIMIT,
-    SolverConfig,
-    TabulatedFunction,
-    mertens_product,
-    rough_count_approx,
-    tabulate_buchstab,
-    tabulate_density_kernel,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUCHSTAB_LIMIT",
-    "CheckResult",
-    "CoeffEstimate",
-    "ConfigurationError",
-    "ConstantsBundle",
-    "CountQuery",
-    "DENSITY_SCALE",
-    "DensedivError",
-    "DomainError",
-    "EstimateUndefinedError",
-    "EULER_GAMMA",
-    "ExperimentReport",
-    "FAMILY_KINDS",
-    "MemberRecord",
-    "MomentSummary",
-    "ReportRow",
-    "ResourceCapError",
-    "SeriesTerm",
-    "SieveRangeError",
-    "SolverConfig",
-    "SpfTable",
-    "TabulatedFunction",
-    "ThetaFamily",
-    "FactorStats",
-    "PrimePowerFactorization",
-    "build_spf_table",
-    "check_partition_identity",
-    "check_shifted_partition_identity",
-    "check_weight_shift",
-    "collect_divisor_counts",
-    "collect_moments",
-    "concentration_experiment",
-    "constants_bundle",
-    "count_members",
-    "count_members_multi",
-    "count_ratio_experiment",
-    "cq_structure_experiment",
-    "deviation_bound",
-    "divisor_ratio_bound",
-    "empirical_coeff",
-    "expected_distinct_factors",
-    "factor_stats",
-    "factorize",
-    "is_dense_by_divisor_scan",
-    "is_dense_by_ratio_bound",
-    "is_member",
-    "is_practical_by_subset_sums",
-    "is_prime",
-    "iter_members",
-    "leading_coeff_asymptotic",
-    "log_moment_gap",
-    "margenstern_tables",
-    "mean_omega_experiment",
-    "member_columns",
-    "mertens_product",
-    "multiple_vanishing_threshold",
-    "parse_t",
-    "phi_approx_scan",
-    "prime_multiple_coeff",
-    "primes_up_to",
-    "rough_count",
-    "rough_counts",
-    "rough_count_approx",
-    "semiprime_multiple_coeff",
-    "series_term",
-    "tabulate_buchstab",
-    "tabulate_density_kernel",
-    "tau_normal_order_experiment",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("arith", (
+            "FactorStats", "PrimePowerFactorization", "SpfTable",
+            "build_spf_table", "divisor_ratio_bound", "factor_stats",
+            "factorize", "is_prime", "primes_up_to", "rough_count",
+            "rough_counts",
+        )),
+        ("constants", (
+            "DENSITY_SCALE", "EULER_GAMMA", "ConstantsBundle",
+            "constants_bundle", "expected_distinct_factors",
+            "leading_coeff_asymptotic", "prime_multiple_coeff",
+            "semiprime_multiple_coeff",
+        )),
+        ("errors", (
+            "ConfigurationError", "DensedivError", "DomainError",
+            "EstimateUndefinedError", "ResourceCapError", "SieveRangeError",
+        )),
+        ("experiments", (
+            "CoeffEstimate", "ExperimentReport", "ReportRow",
+            "concentration_experiment", "count_ratio_experiment",
+            "cq_structure_experiment", "empirical_coeff",
+            "margenstern_tables", "mean_omega_experiment", "phi_approx_scan",
+            "tau_normal_order_experiment",
+        )),
+        ("families", (
+            "FAMILY_KINDS", "ThetaFamily", "is_dense_by_divisor_scan",
+            "is_dense_by_ratio_bound", "is_member",
+            "is_practical_by_subset_sums", "parse_t",
+        )),
+        ("generate", (
+            "CountQuery", "MemberRecord", "MomentSummary",
+            "collect_divisor_counts", "collect_moments", "count_members",
+            "count_members_multi", "deviation_bound", "iter_members",
+            "member_columns", "multiple_vanishing_threshold",
+        )),
+        ("identities", (
+            "CheckResult", "SeriesTerm", "check_partition_identity",
+            "check_shifted_partition_identity", "check_weight_shift",
+            "log_moment_gap", "series_term", "weight_series_partial_sum",
+            "weighted_log_moment_sum",
+        )),
+        ("specfun", (
+            "BUCHSTAB_LIMIT", "SolverConfig", "TabulatedFunction",
+            "mertens_product", "rough_count_approx", "tabulate_buchstab",
+            "tabulate_density_kernel",
+        )),
+    )
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

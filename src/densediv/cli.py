@@ -15,12 +15,15 @@ a failed exact identity, or a failed experiment gate), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from . import __version__
 from .constants import (
@@ -29,16 +32,6 @@ from .constants import (
     expected_distinct_factors,
 )
 from .errors import ConfigurationError, DensedivError
-from .experiments import (
-    ExperimentReport,
-    concentration_experiment,
-    count_ratio_experiment,
-    cq_structure_experiment,
-    margenstern_tables,
-    mean_omega_experiment,
-    phi_approx_scan,
-    tau_normal_order_experiment,
-)
 from .families import FAMILY_KINDS, ThetaFamily, parse_t
 from .generate import (
     MEMBER_COLUMNS,
@@ -46,16 +39,12 @@ from .generate import (
     count_members_multi,
     member_columns,
 )
-from .identities import (
-    CheckResult,
-    check_partition_identity,
-    check_shifted_partition_identity,
-    check_weight_shift,
-    log_moment_gap,
-    weight_series_partial_sum,
-    weighted_log_moment_sum,
-)
-from .specfun import SolverConfig, tabulate_buchstab, tabulate_density_kernel
+
+# Run as a script, the CLI imports experiments, identities and specfun only
+# in the handlers that run them, so count, stats and enumerate never load
+# them (imported as a module it loads them all; see the end of this file).
+if TYPE_CHECKING:
+    from .experiments import ExperimentReport
 
 _EXPERIMENTS = (
     "mean-omega",
@@ -69,7 +58,7 @@ _EXPERIMENTS = (
 
 _IDENTITY_CHECKS = ("phi0", "phik", "lambda0", "lambdak", "mu0", "muapprox")
 
-_ROW_BLOCK = 1 << 16  # enumerate rows formatted and written at a time
+_ROW_BLOCK = 1 << 16  # CSV rows formatted and written at a time
 
 
 def _parse_exact_int(text: str) -> int:
@@ -124,6 +113,15 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     os.replace(tmp, out)
 
 
+def _csv_blocks(row: str, columns) -> Iterator[str]:
+    """The rows of equal-length columns, each formatted by the %-template
+    row, as one newline-joined string per _ROW_BLOCK rows: one interpolation
+    per block, and only one block's text held at a time."""
+    for a in range(0, len(columns[0]), _ROW_BLOCK):
+        cells = np.column_stack([c[a : a + _ROW_BLOCK] for c in columns])
+        yield "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+
+
 def _family_from_args(args: argparse.Namespace) -> ThetaFamily:
     kind = args.family
     if kind == "dense":
@@ -163,16 +161,7 @@ def _check_common(args: argparse.Namespace) -> None:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     columns = member_columns(family, args.x, MEMBER_COLUMNS)
-    # One line per block of rows: only one block's text is held at a time.
-    blocks = (
-        "\n".join(
-            f"{n},{omega},{big_omega},{tau},{sigma}"
-            for n, omega, big_omega, tau, sigma in zip(
-                *(c[a : a + _ROW_BLOCK].tolist() for c in columns)
-            )
-        )
-        for a in range(0, len(columns[0]), _ROW_BLOCK)
-    )
+    blocks = _csv_blocks(",".join(["%d"] * len(columns)), columns)
     _emit(itertools.chain([",".join(MEMBER_COLUMNS)], blocks), args.out)
     return 0
 
@@ -216,16 +205,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_lines(table) -> list[str]:
-    lines = ["abscissa,value"]
-    lines.extend(
-        f"{_fmt(float(u))},{_fmt(float(v))}"
-        for u, v in zip(table.grid, table.values)
-    )
-    return lines
+def _table_lines(table) -> Iterator[str]:
+    """The table as CSV, reals at 12 significant digits as _fmt prints them."""
+    yield "abscissa,value"
+    yield from _csv_blocks("%.12g,%.12g", (table.grid, table.values))
 
 
 def _cmd_wfun(args: argparse.Namespace) -> int:
+    from .specfun import SolverConfig, tabulate_buchstab
+
     cfg = SolverConfig(
         step=args.step, max_abscissa=args.umax, quadrature=args.quadrature
     )
@@ -234,6 +222,8 @@ def _cmd_wfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfun(args: argparse.Namespace) -> int:
+    from .specfun import SolverConfig, tabulate_buchstab, tabulate_density_kernel
+
     cfg = SolverConfig(step=args.step, max_abscissa=args.vmax)
     w = tabulate_buchstab(cfg)
     _emit(_table_lines(tabulate_density_kernel(cfg, w)), args.out)
@@ -265,6 +255,16 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
+    from .identities import (
+        CheckResult,
+        check_partition_identity,
+        check_shifted_partition_identity,
+        check_weight_shift,
+        log_moment_gap,
+        weight_series_partial_sum,
+        weighted_log_moment_sum,
+    )
+
     family = _family_from_args(args)
     check = args.check
     if not args.s >= 1.0:
@@ -330,6 +330,17 @@ def _report_json(report: ExperimentReport) -> list[str]:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import (
+        ExperimentReport,
+        concentration_experiment,
+        count_ratio_experiment,
+        cq_structure_experiment,
+        margenstern_tables,
+        mean_omega_experiment,
+        phi_approx_scan,
+        tau_normal_order_experiment,
+    )
+
     name = args.name
     threads = args.threads
     if name == "mean-omega":
@@ -499,5 +510,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry point (``python -m densediv.cli`` and the ``densediv``
+    console script): main() with the import-time heap frozen and a stdout
+    closed by its reader handled; returns the exit status."""
+    # Objects made by the imports live until exit, so neither the run's
+    # collections nor the ones at shutdown need to scan them.
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (say `| head`): point stdout at devnull so the
+        # flush at exit finds no closed pipe, and report failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
+else:
+    # Imported as a module, the CLI keeps every layer loaded, so callers
+    # that patch layer functions through sys.modules (the test sweeps,
+    # perfbench/traced_cli.py) find them all before the first handler runs.
+    from . import experiments, identities, specfun  # noqa: E402,F401

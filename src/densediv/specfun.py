@@ -165,24 +165,37 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
     grid point; marching then reads ``w[j] = (1 + I[j-m]) / u[j]`` where I
     is the cumulative integral of w from 1.  Values on [1, 2] are the exact
     reciprocals.
+
+    Row j reads w only below j - m + 1, so the march takes m rows at a time:
+    a block's quadrature terms form one array and a cumsum chains them onto
+    the integral before the block (Simpson runs one chain for even and one
+    for odd k).  Each value is the same float sum, in the same order, as a
+    row-by-row march gives.
     """
     m, h = _snap(cfg.step)
     n_pts = _grid_points(cfg.max_abscissa - 1.0, m)
     u = 1.0 + h * np.arange(n_pts)
     w = np.empty(n_pts)
     w[: m + 1] = 1.0 / u[: m + 1]
-    # integral[k] = cumulative quadrature of w over [1, u_k]
-    integral = np.zeros(max(n_pts - m, 1))
+    # integral[k] = cumulative quadrature of w over [1, u_k]; k = 1 is one
+    # trapezoid cell under either rule
+    integral = np.zeros(n_pts - m)
+    integral[1] = h * 0.5 * (w[0] + w[1])
+    w[m + 1] = (1.0 + integral[1]) / u[m + 1]
     simpson = cfg.quadrature == "simpson"
-    for j in range(m + 1, n_pts):
-        k = j - m
-        if simpson and k >= 2:
-            integral[k] = integral[k - 2] + h / 3.0 * (
-                w[k - 2] + 4.0 * w[k - 1] + w[k]
+    for lo in range(m + 2, n_pts, m):
+        hi = min(lo + m, n_pts)
+        a, b = lo - m, hi - m  # the rows' integral indices k
+        if simpson:
+            integral[a:b] = h / 3.0 * (
+                w[a - 2 : b - 2] + 4.0 * w[a - 1 : b - 1] + w[a:b]
             )
+            for chain in (integral[a - 2 : b : 2], integral[a - 1 : b : 2]):
+                np.cumsum(chain, out=chain)
         else:
-            integral[k] = integral[k - 1] + h * 0.5 * (w[k - 1] + w[k])
-        w[j] = (1.0 + integral[k]) / u[j]
+            integral[a:b] = h * 0.5 * (w[a - 1 : b - 1] + w[a:b])
+            np.cumsum(integral[a - 1 : b], out=integral[a - 1 : b])
+        w[lo:hi] = (1.0 + integral[a:b]) / u[lo:hi]
     return TabulatedFunction(
         u_min=1.0,
         step=h,

@@ -1,5 +1,6 @@
 """Command-line interface tests: output fixtures, exit codes, atomic file
-output, and worker-count invariance, all via in-process main() calls."""
+output, and worker-count invariance via in-process main() calls, plus
+subprocess checks of the process entry point (imports, flush, closed pipe)."""
 
 import hashlib
 import json
@@ -7,13 +8,24 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+# A CLI process loads experiments, identities and specfun only in the
+# handlers that run them; the sys.modules sweeps below patch every loaded
+# densediv module, so all of them are imported here.
+import densediv
 import densediv.arith
 import densediv.cli
+import densediv.experiments  # noqa: F401
 import densediv.generate
+import densediv.identities  # noqa: F401
+import densediv.specfun  # noqa: F401
 from densediv.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run(capsys, argv):
@@ -593,3 +605,100 @@ def test_import_loads_no_process_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _python(*args):
+    """Run python with src on the path; returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_count_imports_only_what_it_runs():
+    proc = _python(
+        "-X", "importtime", "-m", "densediv.cli",
+        "count", "--family", "dense", "--t", "2", "--x", "1000",
+    )
+    assert proc.returncode == 0 and proc.stdout == b"193\n"
+    loaded = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"densediv.generate", "densediv.families"} <= loaded
+    assert not loaded & {
+        "densediv.experiments", "densediv.identities", "densediv.specfun"
+    }
+
+
+def test_import_package_loads_no_submodule():
+    proc = _python(
+        "-c",
+        "import sys, densediv; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('numpy', 'densediv')))",
+    )
+    assert proc.stdout.decode().strip() == "['densediv']"
+
+
+def test_public_names_resolve():
+    exports = densediv._EXPORTS
+    assert densediv.__all__ == sorted(exports)
+    for name, module in exports.items():
+        defining = sys.modules[f"densediv.{module}"]
+        assert getattr(densediv, name) is getattr(defining, name), name
+    namespace = {}
+    exec("from densediv import *", namespace)
+    assert set(densediv.__all__) <= set(namespace)
+    assert set(densediv.__all__) <= set(dir(densediv))
+    with pytest.raises(AttributeError):
+        densediv.no_such_name
+
+
+def test_process_entry_flushes_and_renames(capsys, capped_cli, tmp_path):
+    # The entry point freezes the heap and flushes stdout itself; its bytes,
+    # on stdout and through --out, equal an in-process main() run.
+    argv = ["enumerate", "--family", "dense", "--t", "2", "--x", "300000"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert capped_cli(argv, 0) == want and want.count(b"\n") > 20_000
+    target = tmp_path / "members.csv"
+    assert capped_cli([*argv, "--out", str(target)], 0) == b""
+    assert target.read_bytes() == want
+    assert os.listdir(tmp_path) == ["members.csv"]
+
+
+CONSOLE_SCRIPT = "import sys; from densediv.cli import run; sys.exit(run())"
+
+
+def test_console_script_is_the_process_entry():
+    project = (ROOT / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\ndensediv = "densediv.cli:run"\n' in project
+
+
+@pytest.mark.parametrize("entry", [["-m", "densediv.cli"], ["-c", CONSOLE_SCRIPT]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--family", "dense", "--t", "2", "--x", "3000000"],
+        ["wfun"],  # the table writer of wfun and dfun, about 1.4 MB
+    ],
+)
+def test_closed_stdout_ends_quietly(entry, argv):
+    # Like `densediv ... | head -1`: the reader leaves after one line.
+    proc = subprocess.Popen(
+        [sys.executable, *entry, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert first.startswith((b"n,omega", b"abscissa"))
+    assert code == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1

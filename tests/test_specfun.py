@@ -156,6 +156,48 @@ class TestBuchstab:
         assert max(gaps) < 5e-6
 
 
+def reference_buchstab(cfg):
+    """The Buchstab march written row by row: the reference the block
+    march must match bit for bit."""
+    m = max(2, round(1.0 / cfg.step))
+    h = 1.0 / m
+    n_pts = math.ceil(round((cfg.max_abscissa - 1.0) * m, 6)) + 1
+    u = 1.0 + h * np.arange(n_pts)
+    w = np.empty(n_pts)
+    w[: m + 1] = 1.0 / u[: m + 1]
+    integral = np.zeros(max(n_pts - m, 1))
+    simpson = cfg.quadrature == "simpson"
+    for j in range(m + 1, n_pts):
+        k = j - m
+        if simpson and k >= 2:
+            integral[k] = integral[k - 2] + h / 3.0 * (
+                w[k - 2] + 4.0 * w[k - 1] + w[k]
+            )
+        else:
+            integral[k] = integral[k - 1] + h * 0.5 * (w[k - 1] + w[k])
+        w[j] = (1.0 + integral[k]) / u[j]
+    return w
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize(
+    "step, u_max",
+    [
+        (1e-3, 3.0),  # the smallest table: two delay intervals
+        (1e-3, 64.0),
+        (5e-4, 26.0),
+        (1 / 333, 10.0),  # odd m
+        (1e-2, 9.0),
+        (1e-3, 5.0),
+    ],
+)
+def test_buchstab_bit_identical_to_reference(step, u_max, quadrature):
+    cfg = SolverConfig(step=step, max_abscissa=u_max, quadrature=quadrature)
+    new = tabulate_buchstab(cfg).values
+    ref = reference_buchstab(cfg)
+    assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+
 def reference_density_kernel(cfg, w):
     """The density-kernel march written plainly, one fresh array per
     operation: the reference the buffered march must match bit for bit."""
