@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DomainError, EstimateUndefinedError
 from .families import ThetaFamily
 from .generate import (
     CountQuery,
-    collect_divisor_counts,
+    _member_chunks,
     collect_moments,
     count_members_multi,
 )
@@ -403,14 +403,16 @@ def tau_normal_order_experiment(x: int, threads: int = 1) -> ExperimentReport:
         raise DomainError(f"x must be >= 10^4, got {x}")
     if x > _MAX_X:
         raise DomainError(f"x exceeds the {_MAX_X} ceiling")
-    family = ThetaFamily.practical()
-    n_arr, tau_arr = collect_divisor_counts(
-        family, x, n_min=x // 2, threads=threads
-    )
-    ratios = np.log(tau_arr.astype(np.float64)) / np.log(
-        np.log(n_arr.astype(np.float64))
-    )
-    measured = float(np.median(ratios))
+    # The median needs no sorted members: the ratios are formed chunk by
+    # chunk over the leaf-collapsed walk, in its order.
+    ratios = np.concatenate([
+        np.log(cols["tau"].astype(np.float64))
+        / np.log(np.log(cols["n"].astype(np.float64)))
+        for _, cols in _member_chunks(
+            ThetaFamily.practical(), x, n_min=x // 2, stats=True
+        )
+    ])
+    measured = float(np.median(ratios, overwrite_input=True))
     predicted = DENSITY_SCALE * math.log(2.0)
     row = ReportRow(
         x, 0.0, 0, measured, predicted, _rel_err(measured, predicted),

@@ -13,13 +13,14 @@ One production traversal and one reference:
   threshold rule is nondecreasing along divisibility chains) in blocks
   popped depth first.  It yields each block with the range of its
   childless leaves n*p (a new prime p > sqrt(x/n), or the repeat of the
-  largest prime p of a terminal n, one with p^2 > x // n), which the caller
-  tallies in bulk instead of building them: counts, moment histograms,
-  sorted member columns and the identity sums are each a loop over the
-  blocks.  Its columns are int64 for every accepted query (the sieve cap
-  keeps x below 2^62, and sigma columns stop at x < 2^60); a dense
-  threshold n*t_num past int64 is formed in Python ints for the few rows
-  that need it.
+  largest prime p of a terminal n, one with p^2 > x // n), which it never
+  builds as rows.  Counts, moment histograms and the identity sums tally
+  those ranges in bulk; member columns, the tau-order experiment and the
+  weight series read ``_member_chunks``, which expands them in chunks by
+  the walk's own child rule.  Its columns are int64 for every accepted
+  query (the sieve cap keeps x below 2^62, and sigma columns stop at
+  x < 2^60); a dense threshold n*t_num past int64 is formed in Python ints
+  for the few rows that need it.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
@@ -48,14 +49,21 @@ from .arith import (
 from .errors import DomainError, ResourceCapError
 from .families import ThetaFamily
 
-# Target child rows per expansion block in the frontier engine.  Blocks are
-# expanded depth first, so live rows stay near depth * _CHUNK; 2^16 was
-# fastest and smallest among 2^14..2^20 for counts and moments at 1e9-1e11.
+# Target child rows per expansion block in the frontier engine, and leaves
+# per chunk where they are built.  Blocks are expanded depth first, so live
+# rows stay near depth * _CHUNK; 2^16 was fastest and smallest among
+# 2^14..2^20 for counts and moments at 1e9-1e11.
 _CHUNK = 1 << 16
 
 # Robin's unconditional bound sigma(n) < e^gamma n ln ln n + 0.6483 n / ln ln n
 # keeps sigma(n) + 1 below 2^63 for n < 2^60: sigma columns stop there.
 _SIGMA_X_CAP = 2**60
+
+# int64 cells member_columns may hold, counting its sort order and one
+# reordered column as two more columns, before it refuses (ResourceCapError).
+# enumerate's 7 cells a member reach it at 19.2M members; under a 2 GiB
+# address limit it peaked at 1.4 GB for 25.3M (dense t = 2, x = 4e8).
+_COLUMN_CELL_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,40 @@ class _Histogram:
         return {int(k): int(self.counts[k]) for k in np.flatnonzero(self.counts)}
 
 
+def _child_columns(
+    blk: dict[str, np.ndarray], par: np.ndarray, j: np.ndarray, primes: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Columns of the children n[par] * primes[j] of the rows par of blk,
+    with j >= last[par]: the same columns as blk.  The child at
+    j == last[par] repeats the largest prime of its parent."""
+    p = primes[j]
+    child = {"n": blk["n"][par] * p, "last": j}
+    if "sigma" not in blk and "tau" not in blk:
+        return child
+    # Few children repeat a prime, so the divisions run on those alone.
+    rep = np.flatnonzero(j == blk["last"][par])
+    prep = par[rep]
+    if "sigma" in blk:
+        pp = p + 1
+        sigma = blk["sigma"][par] * pp
+        pp[rep] = blk["pp"][prep] * p[rep] + 1
+        sigma[rep] = blk["sigma"][prep] // blk["pp"][prep] * pp[rep]
+        child["pp"] = pp
+        child["sigma"] = sigma
+    if "tau" in blk:
+        e = np.ones(len(j), dtype=np.int64)
+        tau = blk["tau"][par] * 2
+        omega = blk["omega"][par] + 1
+        e_rep = blk["e"][prep]
+        e[rep] = e_rep + 1
+        tau[rep] = blk["tau"][prep] // (e_rep + 1) * (e_rep + 2)
+        omega[rep] -= 1
+        child["e"] = e
+        child["tau"] = tau
+        child["omega"] = omega
+    return child
+
+
 def _frontier(
     family: ThetaFamily,
     x: int,
@@ -297,8 +339,10 @@ def _frontier(
     p^2 > x // n is terminal: its new primes are leaves, and so is its
     repeat n*p, as x // (n*p) < p.  Such a block is yielded as soon as it
     is built, with mid = min(last, hi), and never expanded; its leaf at
-    j == last is the repeat.  Every other leaf has a new prime.  With
-    collapse off every member is built and mid == hi.
+    j == last is the repeat.  Every other leaf has a new prime.  A caller
+    that needs the leaves themselves builds them with _child_columns
+    (_member_chunks).  With collapse off every member is built and
+    mid == hi; only _rough_sum's walk below theta_min^2 asks for that.
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
@@ -360,26 +404,11 @@ def _frontier(
             par = np.repeat(np.arange(a, b), c)
             offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
             j = lo[par] + offs
-            p = primes[j]
-            child: dict[str, np.ndarray] = {"n": n[par] * p, "last": j}
-            same = j == last[par]
-            if sigma:
-                sig_par = blk["sigma"][par]
-                pp_par = blk["pp"][par]
-                new_pp = np.where(same, pp_par * p + 1, p + 1)
-                child["pp"] = new_pp
-                child["sigma"] = np.where(same, sig_par // pp_par, sig_par) * new_pp
-            if stats:
-                e_par = blk["e"][par]
-                tau_par = blk["tau"][par]
-                child["e"] = np.where(same, e_par + 1, 1)
-                child["tau"] = np.where(
-                    same, tau_par // (e_par + 1) * (e_par + 2), tau_par * 2
-                )
-                child["omega"] = blk["omega"][par] + ~same
+            child = _child_columns(blk, par, j, primes)
             if collapse:
                 # A terminal child (p^2 > x // n) has only leaves, its repeat
                 # n*p included: yield it now and never push it.
+                p = primes[j]
                 term = p * p > x // child["n"]
                 if term.any():
                     tblk = {k: v[term] for k, v in child.items()}
@@ -392,6 +421,63 @@ def _frontier(
             stack.append((level + 1, child, 0, None))
 
     return primes, blocks()
+
+
+def _leaves_above(
+    primes: np.ndarray, n_min: int, n: np.ndarray, mid: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, cnt): the leaves n*primes[j] > n_min of a block's rows are those
+    with j in [lo, lo + cnt), as p > n_min // n."""
+    lo = mid
+    if n_min:
+        lo = np.maximum(mid, np.searchsorted(primes, n_min // n, "right"))
+    return lo, np.maximum(hi - lo, 0)
+
+
+def _member_chunks(
+    family: ThetaFamily,
+    x: int,
+    n_min: int = 0,
+    stats: bool = False,
+    sigma: bool = False,
+) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """(level, cols) over the members n_min < n <= x, in unsorted chunks:
+    every member once, with big omega level.  cols holds "n" and "last",
+    "sigma" and "pp" with sigma=True, and "e", "tau" and "omega" with
+    stats=True, as in _frontier's blocks.
+
+    Each block of the collapsed walk gives its rows with n > n_min, then
+    its unbuilt leaves in chunks of at most _CHUNK, built by the same child
+    rule as the walk.  The leaves of row i start at j = max(mid[i],
+    pi(n_min // n[i])), so no leaf n*p <= n_min is formed.
+    """
+    primes, blocks = _frontier(family, x, stats=stats, sigma=sigma)
+    # The practical walk carries sigma for its thresholds; the chunks carry
+    # only the columns asked for, and their leaves derive no others.
+    keys = ["n", "last", *(("sigma", "pp") if sigma else ())]
+    keys += ("e", "tau", "omega") if stats else ()
+    for level, blk, mid, hi in blocks:
+        cols = {k: blk[k] for k in keys}
+        n = cols["n"]
+        keep = n > n_min
+        if keep.all():
+            yield level, cols
+        elif keep.any():
+            yield level, {k: v[keep] for k, v in cols.items()}
+        lo, cnt = _leaves_above(primes, n_min, n, mid, hi)
+        # Leaf k of the block (in row order) is leaf k - first[i] of row i.
+        cum = np.cumsum(cnt)
+        first = cum - cnt
+        tot = int(cum[-1])
+        for s in range(0, tot, _CHUNK):
+            e = min(s + _CHUNK, tot)
+            a = int(np.searchsorted(cum, s, "right"))
+            b = int(np.searchsorted(cum, e - 1, "right")) + 1
+            # Rows a..b-1 hold leaves s..e-1, the end rows only in part.
+            c = np.minimum(cum[a:b], e) - np.maximum(first[a:b], s)
+            par = np.repeat(np.arange(a, b), c)
+            j = lo[par] + (np.arange(s, e) - first[par])
+            yield level + 1, _child_columns(cols, par, j, primes)
 
 
 def _tally_counts(
@@ -514,24 +600,39 @@ def member_columns(
     name in names, each drawn from MEMBER_COLUMNS.
 
     Every column is int64; sigma is refused at x >= 2^60 (ResourceCapError),
-    before any sieving.  engine is as in count_members_multi.
+    before any sieving.  Columns past _COLUMN_CELL_CAP cells are refused
+    (ResourceCapError) by the counting walk, before any leaf is built.
+    engine is as in count_members_multi.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     if n_min < 0:
         raise DomainError(f"n_min must be >= 0, got {n_min}")
-    _, blocks = _frontier(
-        family, x, engine, collapse=False, stats=True, sigma="sigma" in names
-    )
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in ("n", *names)}
-    for level, blk, _, _ in blocks:
-        keep = blk["n"] > n_min
-        for name, part in parts.items():
-            col = np.full(len(keep), level) if name == "big_omega" else blk[name]
-            part.append(col[keep])
-    # One column at a time, releasing its block list and then its unsorted
-    # copy, so at most one column is held twice; n itself sorts in place.
-    cols = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
+    # A counting walk sizes the columns first, so they are filled in place
+    # and no chunk outlives its copy; it refuses past the cap before any
+    # leaf is built.
+    width = len({"n", *names}) + 2
+    sigma = "sigma" in names
+    primes, blocks = _frontier(family, x, engine, sigma=sigma)
+    size = 0
+    for _, blk, mid, hi in blocks:
+        n = blk["n"]
+        size += int(np.count_nonzero(n > n_min))
+        size += int(_leaves_above(primes, n_min, n, mid, hi)[1].sum())
+        if size * width > _COLUMN_CELL_CAP:
+            raise ResourceCapError(
+                f"more than {_COLUMN_CELL_CAP // width} members in ({n_min}, {x}]:"
+                f" their columns and sort pass the cap of {_COLUMN_CELL_CAP} cells"
+            )
+    cols = {name: np.empty(size, dtype=np.int64) for name in ("n", *names)}
+    at = 0
+    for level, chunk in _member_chunks(family, x, n_min, stats=True, sigma=sigma):
+        end = at + len(chunk["n"])
+        for name, col in cols.items():
+            col[at:end] = level if name == "big_omega" else chunk[name]
+        at = end
+    # n sorts in place; each other column is reordered and its unsorted
+    # copy released before the next, so at most one column is held twice.
     order = np.argsort(cols["n"])
     cols["n"].sort()
     ordered = {"n": cols.pop("n")}

@@ -51,6 +51,7 @@ from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRang
 from .families import ThetaFamily, is_member
 from .generate import (
     _frontier,
+    _member_chunks,
     _prime_limit,
     _tally_counts,
     _theta_at_most,
@@ -135,18 +136,20 @@ def _prime_weight_arrays(
 
 def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 (n, threshold_floor) arrays over members n <= limit, ascending
-    in n, from one frontier walk that builds every member.  Each block's
-    thresholds pass check_sieve_bound, so an over-scale walk stops early."""
+    in n, from the chunks of one leaf-collapsed walk.  Each chunk's
+    thresholds pass check_sieve_bound before they are formed, so an
+    over-scale walk stops early."""
     # The walk sieves primes up to _prime_limit, below the threshold of the
     # member 2^k <= limit near the cap: this refuses only what the loop would.
     check_sieve_bound(_prime_limit(family, limit), "prime bound")
-    _, blocks = _frontier(family, limit, collapse=False)
     ns: list[np.ndarray] = []
     thrs: list[np.ndarray] = []
-    for _, blk, _, _ in blocks:
-        n, sigma = blk["n"], blk.get("sigma")
+    # The practical threshold reads sigma, of the leaves too.
+    chunks = _member_chunks(family, limit, sigma=family.kind == "practical")
+    for _, chunk in chunks:
+        n, sigma = chunk["n"], chunk.get("sigma")
         # threshold_floor is nondecreasing in n and in sigma, so this is the
-        # block's largest threshold, exact in Python ints.
+        # chunk's largest threshold, exact in Python ints.
         top = family.threshold_floor(
             int(n.max()), None if sigma is None else int(sigma.max())
         )

@@ -34,13 +34,13 @@ def _limit_address_space():
     )
 
 
-def run_capped_cli(argv, code, timeout=120):
+def run_capped_cli(argv, code, timeout=120, stderr_lines=()):
     """Run ``python -m densediv.cli *argv`` under RLIMIT_AS = 2 GiB and a
     timeout, assert its exit status, and return its stdout (bytes).
 
     A failing run (code != 0) must print nothing on stdout and exactly one
-    stderr line, starting with ``error:``; a successful one nothing on
-    stderr.
+    stderr line, starting with ``error:``; a successful one exactly
+    stderr_lines on stderr (an experiment's verdict line), by default none.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -59,7 +59,7 @@ def run_capped_cli(argv, code, timeout=120):
         assert proc.stdout == b""
         assert len(stderr) == 1 and stderr[0].startswith("error: "), stderr
     else:
-        assert stderr == []
+        assert stderr == list(stderr_lines)
     return proc.stdout
 
 

@@ -442,9 +442,13 @@ class TestExitCodes:
             # sigma columns at x >= 2^60, refused before the 2e9 sieve
             (["enumerate", "--family", "dense", "--t", "2",
               "--x", "2000000000000000000"], 1),
+            # past the column-cell cap, refused by the sizing walk before
+            # any column is built
+            (["enumerate", "--family", "dense", "--t", "2", "--x", "1e12",
+              "--out", os.devnull], 1),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
-             "enumerate-sigma-2e18"],
+             "enumerate-sigma-2e18", "enumerate-cells-1e12"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         capped_cli(argv, code)
@@ -516,9 +520,10 @@ class TestInt64UnsafeBytes:
 
 
 class TestAtScale:
-    """Counts and moments at x = 10^10 through the CLI, under the 2 GiB
-    limit; the stats sha256 was recorded before terminal children of the
-    frontier were tallied without being expanded."""
+    """Counts and moments at x = 10^10 and tau-order at 10^9 through the
+    CLI, under the 2 GiB limit; the stats sha256 was recorded before
+    terminal children of the frontier were tallied without being
+    expanded."""
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -537,6 +542,16 @@ class TestAtScale:
         out = capped_cli(["stats", "--family", "practical", "--x", "10000000000"], 0)
         assert hashlib.sha256(out).hexdigest() == (
             "fa6ecb8cd5421c4dfc5559b0ed64c097767a6dc2dc3921ddb86ba3fc6a9ec66b"
+        )
+
+    def test_tau_order_bytes_pinned(self, capped_cli):
+        # Recorded when the walk still built every member (1.7 GB peak).
+        out = capped_cli(
+            ["experiment", "tau-order", "--x", "1000000000"], 0,
+            stderr_lines=["experiment tau-order: pass"],
+        )
+        assert hashlib.sha256(out).hexdigest() == (
+            "0a760df9daea36bc207811853055806577097738061752d3cc579a30f0b92771"
         )
 
 

@@ -194,6 +194,12 @@ class TestTauOrder:
         assert row.measured == pytest.approx(1.461968, abs=1e-5)
         assert row.predicted == pytest.approx(DENSITY_SCALE * math.log(2), rel=1e-12)
 
+    def test_median_pinned(self):
+        # Recorded from the sorted (n, tau) columns of every member; the
+        # median of the unsorted ratios is the same float.
+        assert tau_normal_order_experiment(10**6).rows[0].measured == 1.4807661739846987
+        assert tau_normal_order_experiment(10**7).rows[0].measured == 1.4761278731585004
+
     def test_validation(self):
         with pytest.raises(DomainError):
             tau_normal_order_experiment(9_999)

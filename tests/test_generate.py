@@ -302,9 +302,9 @@ class TestMemberColumns:
         ]
 
     def test_peak_holds_one_column_twice(self):
-        # The block lists, the concatenated columns and their sorted copies
-        # are released one column at a time: the peak stays near the five
-        # sorted int64 columns plus one more (3.2x them when all were held).
+        # The columns are filled in place and reordered one at a time: the
+        # peak stays near the five sorted int64 columns plus the sort order
+        # and one more column (3.2x them when all were held).
         tracemalloc.start()
         try:
             cols = member_columns(DENSE2, 10**6, generate.MEMBER_COLUMNS)
@@ -329,6 +329,70 @@ class TestMemberColumns:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             member_columns(DENSE2, 0, ("n",))
+
+
+class TestMemberChunks:
+    """The rows of the collapsed walk and their expanded leaves, cut at
+    n_min, against the reference records; the cell cap of member_columns."""
+
+    @pytest.mark.parametrize("chunk", [5, generate._CHUNK])
+    @pytest.mark.parametrize("x", [1330, 1331, 2196, 2197])  # 11^3, 13^3
+    @pytest.mark.parametrize(
+        "family", [*COLLAPSE_FAMILIES, INT64_UNSAFE], ids=_family_id
+    )
+    def test_multiset_matches_reference(self, monkeypatch, family, x, chunk):
+        monkeypatch.setattr(generate, "_CHUNK", chunk)
+        recs = list(iter_members(family, x))
+        for n_min in (0, 1, x // 2, x - 1):
+            want = Counter(
+                (r.n, r.omega, r.big_omega, r.tau, r.sigma) for r in recs if r.n > n_min
+            )
+            got = Counter()
+            for level, cols in generate._member_chunks(
+                family, x, n_min, stats=True, sigma=True
+            ):
+                got.update(
+                    (n, om, level, tau, sig)
+                    for n, om, tau, sig in zip(
+                        *(cols[k].tolist() for k in ("n", "omega", "tau", "sigma"))
+                    )
+                )
+            assert got == want, n_min
+
+    def test_member_columns_walks_collapsed(self, monkeypatch):
+        # 16,598 rows for the practical family at 1e7 in each walk (one
+        # sizes the columns, one fills them), against 829,157 when every
+        # member is built.
+        rows = []
+        frontier = generate._frontier
+
+        def counted(*args, **kwargs):
+            primes, blocks = frontier(*args, **kwargs)
+            rows.append(0)
+
+            def counting():
+                for block in blocks:
+                    rows[-1] += len(block[1]["n"])
+                    yield block
+
+            return primes, counting()
+
+        monkeypatch.setattr(generate, "_frontier", counted)
+        (ns,) = member_columns(PRACTICAL, 10**7, ("n",))
+        assert len(ns) == 829_157
+        assert len(rows) == 2 and max(rows) <= 17_000
+
+    def test_cell_cap(self, monkeypatch):
+        # 91,472 members <= 10^6 fill five columns, their sort order and one
+        # reordered column to exactly the cap; one cell less refuses them,
+        # but not the 91,471 members above 1.
+        names = generate.MEMBER_COLUMNS
+        monkeypatch.setattr(generate, "_COLUMN_CELL_CAP", 7 * 91_472)
+        assert len(member_columns(DENSE2, 10**6, names)[0]) == 91_472
+        monkeypatch.setattr(generate, "_COLUMN_CELL_CAP", 7 * 91_472 - 1)
+        with pytest.raises(ResourceCapError, match="cap"):
+            member_columns(DENSE2, 10**6, names)
+        assert len(member_columns(DENSE2, 10**6, names, n_min=1)[0]) == 91_471
 
 
 class TestVanishingThreshold:

@@ -30,6 +30,7 @@ from densediv import (
     weight_series_partial_sum,
     weighted_log_moment_sum,
 )
+import densediv.identities as identities
 from densediv.arith import PRIME_SIEVE_CAP
 from densediv.identities import _member_arrays
 
@@ -261,6 +262,22 @@ class TestWeightSeries:
         # The walk stops at the first block whose thresholds pass the bound.
         with pytest.raises(ResourceCapError):
             weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
+
+    def test_over_scale_walk_stops_early(self, monkeypatch):
+        # The chunk holding a threshold past the cap is refused before the
+        # walk goes on: 113,073 of the 19,271,927 members <= 3e8 are formed.
+        formed = [0]
+        chunks = identities._member_chunks
+
+        def counted(*args, **kwargs):
+            for level, cols in chunks(*args, **kwargs):
+                formed[0] += len(cols["n"])
+                yield level, cols
+
+        monkeypatch.setattr(identities, "_member_chunks", counted)
+        with pytest.raises(ResourceCapError, match="threshold="):
+            _member_arrays(DENSE2, PRIME_SIEVE_CAP)
+        assert 0 < formed[0] < 200_000
 
 
 class TestWeightShift:
