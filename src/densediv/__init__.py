@@ -50,10 +50,9 @@ _EXPORTS = {
             "is_practical_by_subset_sums", "parse_t",
         )),
         ("generate", (
-            "CountQuery", "MemberRecord", "MomentSummary",
-            "collect_divisor_counts", "collect_moments", "count_members",
-            "count_members_multi", "deviation_bound", "iter_members",
-            "member_columns", "multiple_vanishing_threshold",
+            "CountQuery", "MemberRecord", "MomentSummary", "collect_moments",
+            "count_members", "count_members_multi", "deviation_bound",
+            "iter_members", "member_columns", "multiple_vanishing_threshold",
         )),
         ("identities", (
             "CheckResult", "SeriesTerm", "check_partition_identity",

@@ -168,9 +168,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
-    count = count_members_multi(
-        family, args.x, [args.q], threads=args.threads, engine=args.engine
-    )[0]
+    count = count_members_multi(family, args.x, [args.q], threads=args.threads)[0]
     _emit([str(count)], args.out)
     return 0
 
@@ -179,8 +177,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     expected = _expected_omega(family, args.x)
     summary = collect_moments(
-        family, args.x, xi=args.xi, expected=expected,
-        threads=args.threads, engine=args.engine,
+        family, args.x, xi=args.xi, expected=expected, threads=args.threads
     )
     t_float = family.t_num / family.t_den if family.kind == "dense" else 0.0
     header = (

@@ -17,17 +17,18 @@ One production traversal and one reference:
   builds as rows.  Counts, moment histograms and the identity sums tally
   those ranges in bulk; member columns, the tau-order experiment and the
   weight series read ``_member_chunks``, which expands them in chunks by
-  the walk's own child rule.  Its columns are int64 for every accepted
-  query (the sieve cap keeps x below 2^62, and sigma columns stop at
-  x < 2^60); a dense threshold n*t_num past int64 is formed in Python ints
-  for the few rows that need it.
+  the walk's own child rule; ``_gather_sorted`` sorts them for the first
+  and last.  The walk's columns are int64 for every accepted query (the
+  sieve cap keeps x below 2^62, and sigma columns stop at x < 2^60); a
+  dense threshold n*t_num past int64 is formed in Python ints for the few
+  rows that need it.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
 
-``engine`` is validated and, like ``threads``, has no effect.  A query
-whose prime bound exceeds 2^31, or that asks for sigma columns at
-x >= 2^60, is refused (ResourceCapError) before any sieving.
+``threads`` has no effect.  A query whose prime bound exceeds 2^31, or
+that asks for sigma columns at x >= 2^60, is refused (ResourceCapError)
+before any sieving.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ _CHUNK = 1 << 16
 # keeps sigma(n) + 1 below 2^63 for n < 2^60: sigma columns stop there.
 _SIGMA_X_CAP = 2**60
 
-# int64 cells member_columns may hold, counting its sort order and one
+# int64 cells _gather_sorted may hold, counting its sort order and one
 # reordered column as two more columns, before it refuses (ResourceCapError).
 # enumerate's 7 cells a member reach it at 19.2M members; under a 2 GiB
 # address limit it peaked at 1.4 GB for 25.3M (dense t = 2, x = 4e8).
@@ -319,12 +320,7 @@ def _child_columns(
 
 
 def _frontier(
-    family: ThetaFamily,
-    x: int,
-    engine: str = "auto",
-    collapse: bool = True,
-    stats: bool = False,
-    sigma: bool = False,
+    family: ThetaFamily, x: int, stats: bool = False, sigma: bool = False
 ) -> tuple[np.ndarray, Iterator[tuple]]:
     """(primes, blocks) for a walk over the members n <= x.  The primes are
     sieved here, and a prime bound past SIEVE_LIMIT_CAP is refused first.
@@ -341,17 +337,14 @@ def _frontier(
     is built, with mid = min(last, hi), and never expanded; its leaf at
     j == last is the repeat.  Every other leaf has a new prime.  A caller
     that needs the leaves themselves builds them with _child_columns
-    (_member_chunks).  With collapse off every member is built and
-    mid == hi; only _rough_sum's walk below theta_min^2 asks for that.
+    (_member_chunks).
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
     the practical family; "omega", "tau" and "e" (that prime's exponent)
     with stats=True.  Every column is int64.  Sigma columns at x >= 2^60
-    are refused before any sieving; engine is validated and has no effect.
+    are refused before any sieving.
     """
-    if engine not in ("auto", "python", "numpy"):
-        raise DomainError(f"unknown engine {engine!r}")
     bound = _prime_limit(family, x)
     if bound > SIEVE_LIMIT_CAP:
         raise ResourceCapError(f"prime bound {bound} exceeds the sieve cap 2^31")
@@ -382,12 +375,10 @@ def _frontier(
             last = blk["last"]
             if plan is None:
                 hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
-                mid = hi
-                if collapse:
-                    # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
-                    # whose square exceeds x // n, hence a leaf.
-                    s = np.searchsorted(prime_sq, x // n, side="right")
-                    mid = np.minimum(np.maximum(s, last + 1), hi)
+                # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
+                # whose square exceeds x // n, hence a leaf.
+                s = np.searchsorted(prime_sq, x // n, side="right")
+                mid = np.minimum(np.maximum(s, last + 1), hi)
                 yield level, blk, mid, hi
                 lo = np.maximum(last, 0)
                 cnt = np.maximum(mid - lo, 0)
@@ -405,19 +396,18 @@ def _frontier(
             offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
             j = lo[par] + offs
             child = _child_columns(blk, par, j, primes)
-            if collapse:
-                # A terminal child (p^2 > x // n) has only leaves, its repeat
-                # n*p included: yield it now and never push it.
-                p = primes[j]
-                term = p * p > x // child["n"]
-                if term.any():
-                    tblk = {k: v[term] for k, v in child.items()}
-                    tn = tblk["n"]
-                    thi = _admissible_hi(family, x, primes, tn, tblk.get("sigma"))
-                    yield level + 1, tblk, np.minimum(tblk["last"], thi), thi
-                    if term.all():
-                        continue
-                    child = {k: v[~term] for k, v in child.items()}
+            # A terminal child (p^2 > x // n) has only leaves, its repeat n*p
+            # included: yield it now and never push it.
+            p = primes[j]
+            term = p * p > x // child["n"]
+            if term.any():
+                tblk = {k: v[term] for k, v in child.items()}
+                tn = tblk["n"]
+                thi = _admissible_hi(family, x, primes, tn, tblk.get("sigma"))
+                yield level + 1, tblk, np.minimum(tblk["last"], thi), thi
+                if term.all():
+                    continue
+                child = {k: v[~term] for k, v in child.items()}
             stack.append((level + 1, child, 0, None))
 
     return primes, blocks()
@@ -509,18 +499,14 @@ def count_members_multi(
     x: int,
     qs: list[int],
     threads: int = 1,
-    engine: str = "auto",
 ) -> list[int]:
     """Counts of members n <= x with q | n, for each q in qs, in one pass.
-
-    engine is validated and, like threads, has no effect on the walk or the
-    result.
-    """
+    threads has no effect on the walk or the result."""
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     if any(q < 1 for q in qs):
         raise DomainError("every divisor filter q must be >= 1")
-    primes, blocks = _frontier(family, x, engine)
+    primes, blocks = _frontier(family, x)
     # q > x divides no member; skipping it keeps every q in int64 range.
     live_qs = [(k, q) for k, q in enumerate(qs) if q <= x]
     counts = [0] * len(qs)
@@ -529,11 +515,9 @@ def count_members_multi(
     return counts
 
 
-def count_members(query: CountQuery, threads: int = 1, engine: str = "auto") -> int:
+def count_members(query: CountQuery, threads: int = 1) -> int:
     """Exact |{members n <= x : q | n}| for the query's family."""
-    return count_members_multi(
-        query.family, query.x, [query.q], threads=threads, engine=engine
-    )[0]
+    return count_members_multi(query.family, query.x, [query.q], threads=threads)[0]
 
 
 def collect_moments(
@@ -542,13 +526,12 @@ def collect_moments(
     xi: float,
     expected: float,
     threads: int = 1,
-    engine: str = "auto",
 ) -> MomentSummary:
     """One enumeration pass filling every MomentSummary field.
 
     expected and xi define the exceedance rule |omega - expected| >
-    xi*sqrt(max(ln ln x, 0)); both are supplied by the caller.  engine and
-    threads are as in count_members_multi.
+    xi*sqrt(max(ln ln x, 0)); both are supplied by the caller.  threads is
+    as in count_members_multi.
 
     A leaf of a row n adds big omega + 1.  A new-prime leaf adds omega + 1
     and doubles tau; the repeat leaf n*p of a terminal row (j == last) keeps
@@ -556,7 +539,7 @@ def collect_moments(
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    _, blocks = _frontier(family, x, engine, stats=True)
+    _, blocks = _frontier(family, x, stats=True)
     hist_omega = _Histogram()
     hist_tau = _Histogram()
     hist_big: dict[int, int] = {}
@@ -589,31 +572,16 @@ def collect_moments(
 MEMBER_COLUMNS = ("n", "omega", "big_omega", "tau", "sigma")
 
 
-def member_columns(
-    family: ThetaFamily,
-    x: int,
-    names: tuple[str, ...],
-    n_min: int = 0,
-    engine: str = "auto",
+def _gather_sorted(
+    family: ThetaFamily, x: int, n_min: int, names: tuple[str, ...], chunks: Iterator
 ) -> tuple[np.ndarray, ...]:
-    """Columns over the members with n_min < n <= x, ascending in n, one per
-    name in names, each drawn from MEMBER_COLUMNS.
-
-    Every column is int64; sigma is refused at x >= 2^60 (ResourceCapError),
-    before any sieving.  Columns past _COLUMN_CELL_CAP cells are refused
-    (ResourceCapError) by the counting walk, before any leaf is built.
-    engine is as in count_members_multi.
-    """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if n_min < 0:
-        raise DomainError(f"n_min must be >= 0, got {n_min}")
-    # A counting walk sizes the columns first, so they are filled in place
-    # and no chunk outlives its copy; it refuses past the cap before any
-    # leaf is built.
+    """int64 columns, one per name, ascending in n, over the members
+    n_min < n <= x that chunks (_member_chunks(family, x, n_min), not yet
+    started) yields; big_omega is the chunk's level.  A counting walk sizes
+    the columns first, so they are filled in place and no chunk outlives
+    its copy, and refuses (ResourceCapError) past _COLUMN_CELL_CAP."""
     width = len({"n", *names}) + 2
-    sigma = "sigma" in names
-    primes, blocks = _frontier(family, x, engine, sigma=sigma)
+    primes, blocks = _frontier(family, x, sigma="sigma" in names)
     size = 0
     for _, blk, mid, hi in blocks:
         n = blk["n"]
@@ -626,7 +594,7 @@ def member_columns(
             )
     cols = {name: np.empty(size, dtype=np.int64) for name in ("n", *names)}
     at = 0
-    for level, chunk in _member_chunks(family, x, n_min, stats=True, sigma=sigma):
+    for level, chunk in chunks:
         end = at + len(chunk["n"])
         for name, col in cols.items():
             col[at:end] = level if name == "big_omega" else chunk[name]
@@ -640,13 +608,19 @@ def member_columns(
     return tuple(ordered[name] for name in names)
 
 
-def collect_divisor_counts(
-    family: ThetaFamily,
-    x: int,
-    n_min: int = 0,
-    threads: int = 1,
-    engine: str = "auto",
-) -> tuple[np.ndarray, np.ndarray]:
-    """int64 (n, tau) arrays over members with n_min < n <= x, ascending in n,
-    bit identical across engine and threads values."""
-    return member_columns(family, x, ("n", "tau"), n_min=n_min, engine=engine)
+def member_columns(
+    family: ThetaFamily, x: int, names: tuple[str, ...], n_min: int = 0
+) -> tuple[np.ndarray, ...]:
+    """Columns over the members with n_min < n <= x, ascending in n, one per
+    name in names, each drawn from MEMBER_COLUMNS.
+
+    Every column is int64; sigma is refused at x >= 2^60 (ResourceCapError),
+    before any sieving.  Columns past _COLUMN_CELL_CAP cells are refused
+    (ResourceCapError) by the counting walk, before any leaf is built.
+    """
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    if n_min < 0:
+        raise DomainError(f"n_min must be >= 0, got {n_min}")
+    chunks = _member_chunks(family, x, n_min, stats=True, sigma="sigma" in names)
+    return _gather_sorted(family, x, n_min, names, chunks)

@@ -22,9 +22,9 @@ The weighted analogues replace counting with Dirichlet-type weights
 for members n; the weights sum to 1 over the full (infinite) member set,
 the weight * log_moment series sums to 0, and the log moment approaches
 ``ln t - gamma`` for the fixed-ratio family.  Finite truncations of these
-series are checked as trends, not equalities.  Their members come from
-one frontier walk, and their primes from one sieve capped at
-PRIME_SIEVE_CAP.
+series are checked as trends, not equalities.  Their members are
+gathered as member_columns gathers its columns, and their primes come
+from one sieve capped at PRIME_SIEVE_CAP.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    PRIME_SIEVE_CAP,
     ROUGH_COUNTS_CAP,
     SpfTable,
     check_sieve_bound,
@@ -51,6 +52,7 @@ from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRang
 from .families import ThetaFamily, is_member
 from .generate import (
     _frontier,
+    _gather_sorted,
     _member_chunks,
     _prime_limit,
     _tally_counts,
@@ -136,30 +138,33 @@ def _prime_weight_arrays(
 
 def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 (n, threshold_floor) arrays over members n <= limit, ascending
-    in n, from the chunks of one leaf-collapsed walk.  Each chunk's
+    in n, gathered as member_columns gathers (_gather_sorted).  Each chunk's
     thresholds pass check_sieve_bound before they are formed, so an
     over-scale walk stops early."""
     # The walk sieves primes up to _prime_limit, below the threshold of the
     # member 2^k <= limit near the cap: this refuses only what the loop would.
     check_sieve_bound(_prime_limit(family, limit), "prime bound")
-    ns: list[np.ndarray] = []
-    thrs: list[np.ndarray] = []
-    # The practical threshold reads sigma, of the leaves too.
-    chunks = _member_chunks(family, limit, sigma=family.kind == "practical")
-    for _, chunk in chunks:
-        n, sigma = chunk["n"], chunk.get("sigma")
-        # threshold_floor is nondecreasing in n and in sigma, so this is the
-        # chunk's largest threshold, exact in Python ints.
-        top = family.threshold_floor(
-            int(n.max()), None if sigma is None else int(sigma.max())
-        )
-        check_sieve_bound(top, "threshold")
-        ns.append(n)
-        thrs.append(_theta_at_most(family, n, sigma, top))
-    n_arr = np.concatenate(ns)
-    thr_arr = np.concatenate(thrs)
-    order = np.argsort(n_arr)
-    return n_arr[order], thr_arr[order]
+
+    def chunks():
+        # The practical threshold reads sigma, of the leaves too.
+        practical = family.kind == "practical"
+        for level, chunk in _member_chunks(family, limit, sigma=practical):
+            n, sigma = chunk["n"], chunk.get("sigma")
+            # threshold_floor is nondecreasing in n and in sigma, so this is
+            # the chunk's largest threshold, exact in Python ints.
+            top = family.threshold_floor(
+                int(n.max()), None if sigma is None else int(sigma.max())
+            )
+            check_sieve_bound(top, "threshold")
+            yield level, {"n": n, "theta": _theta_at_most(family, n, sigma, top)}
+
+    m = 1 << (limit.bit_length() - 1)
+    if family.threshold_floor(m, 2 * m - 1) > PRIME_SIEVE_CAP:
+        # The chunk of the member m = 2^k <= limit is refused: walk up to it
+        # with no sizing walk, so the sieve cap, not the cell cap, refuses.
+        for _ in chunks():
+            pass
+    return _gather_sorted(family, limit, 0, ("n", "theta"), chunks())
 
 
 def _member_weights(
@@ -228,8 +233,8 @@ def _rough_sum(
     The theta filter passes every unbuilt leaf when x >= theta_min^2: a
     member with theta(n) < theta_min has n < theta(n) < theta_min, while
     an unbuilt leaf L whose last factor is the prime p <= L has L*p > x,
-    so L > sqrt(x) >= theta_min.  Below that the leaf tally is turned off
-    and every member is built and filtered.
+    so L > sqrt(x) >= theta_min.  Below that the sum reads
+    ``_member_chunks``, which builds every member, and filters each one.
     """
     if table is None and x > ROUGH_COUNTS_CAP:
         raise ResourceCapError(f"x={x} exceeds the identity cap {ROUGH_COUNTS_CAP}")
@@ -242,18 +247,24 @@ def _rough_sum(
             if rec.n % q == 0 and thr >= theta_min:
                 total += rough_count(x // rec.n, thr, table)
         return total
-    primes, blocks = _frontier(family, x, collapse=x >= theta_min**2)
+    if x >= theta_min**2:
+        primes, blocks = _frontier(family, x)
+    else:  # the theta filter may drop a leaf: build each member, leafless
+        blocks = ((0, c, None, None) for _, c in _member_chunks(family, x, sigma=True))
     total = [0]
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     for _, blk, mid, hi in blocks:
         n = blk["n"]
-        _tally_counts(total, [(0, q)], primes, n, mid, hi)
         quot = x // n
         theta = _theta_at_most(
             family, n, blk.get("sigma"), np.maximum(quot, theta_min)
         )
         keep = n % q == 0
+        if mid is None:
+            total[0] += int(np.count_nonzero(keep))
+        else:
+            _tally_counts(total, [(0, q)], primes, n, mid, hi)
         total[0] -= int(np.count_nonzero(keep & (theta < theta_min)))
         low = keep & (theta >= theta_min) & (theta < quot)
         xs.append(quot[low])

@@ -1,6 +1,6 @@
 """Enumeration/counting engine tests: DFS vs brute-force filtration, the
 int64 frontier (including dense t whose n*t_num leaves int64) against the
-DFS reference, engine/threads invariance, and moment summaries."""
+DFS reference, threads invariance, and moment summaries."""
 
 import itertools
 import math
@@ -17,7 +17,6 @@ from densediv import (
     DomainError,
     ResourceCapError,
     ThetaFamily,
-    collect_divisor_counts,
     collect_moments,
     count_members,
     count_members_multi,
@@ -62,31 +61,27 @@ def _filter_qs(x):
     return [1, 2, 3, 4, 8, 9, 25, 6, 12, 30, 210, big_prime, x + 1]
 
 
-def _assert_matches_reference(
-    family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0, engines=("numpy", "python")
-):
-    """Frontier counts and moments, for each engine value, equal plain
-    iter_members tallies."""
+def _assert_matches_reference(family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0):
+    """Frontier counts and moments equal plain iter_members tallies."""
     recs = list(iter_members(family, x))
-    for engine in engines:
-        got = count_members_multi(family, x, qs, engine=engine)
-        assert got == [sum(r.n % q == 0 for r in recs) for q in qs]
-        for xi in xis:
-            s = collect_moments(family, x, xi, expected, engine=engine)
-            bound = deviation_bound(x, xi)
-            assert s.exceed_count == sum(abs(r.omega - expected) > bound for r in recs)
-        assert s.count == len(recs)
-        assert s.histogram_omega == Counter(r.omega for r in recs)
-        assert s.histogram_big_omega == Counter(r.big_omega for r in recs)
-        assert s.histogram_tau == Counter(r.tau for r in recs)
-        assert s.sum_omega == sum(r.omega for r in recs)
-        assert s.sum_omega_sq == sum(r.omega**2 for r in recs)
-        assert s.sum_big_omega == sum(r.big_omega for r in recs)
-        assert s.sum_big_omega_sq == sum(r.big_omega**2 for r in recs)
-        assert s.sum_tau == sum(r.tau for r in recs)
-        assert s.sum_log_tau == pytest.approx(
-            math.fsum(math.log(r.tau) for r in recs), rel=1e-12
-        )
+    got = count_members_multi(family, x, qs)
+    assert got == [sum(r.n % q == 0 for r in recs) for q in qs]
+    for xi in xis:
+        s = collect_moments(family, x, xi, expected)
+        bound = deviation_bound(x, xi)
+        assert s.exceed_count == sum(abs(r.omega - expected) > bound for r in recs)
+    assert s.count == len(recs)
+    assert s.histogram_omega == Counter(r.omega for r in recs)
+    assert s.histogram_big_omega == Counter(r.big_omega for r in recs)
+    assert s.histogram_tau == Counter(r.tau for r in recs)
+    assert s.sum_omega == sum(r.omega for r in recs)
+    assert s.sum_omega_sq == sum(r.omega**2 for r in recs)
+    assert s.sum_big_omega == sum(r.big_omega for r in recs)
+    assert s.sum_big_omega_sq == sum(r.big_omega**2 for r in recs)
+    assert s.sum_tau == sum(r.tau for r in recs)
+    assert s.sum_log_tau == pytest.approx(
+        math.fsum(math.log(r.tau) for r in recs), rel=1e-12
+    )
 
 
 def _members_from_blocks(family, x):
@@ -108,15 +103,14 @@ def _members_from_blocks(family, x):
     return out
 
 
-def _assert_divisor_counts_match(family, x, engines):
-    """collect_divisor_counts gives int64 arrays equal to the sorted
-    iter_members records, for each engine."""
+def _assert_divisor_counts_match(family, x):
+    """member_columns gives int64 (n, tau) arrays equal to the sorted
+    iter_members records."""
     recs = sorted(iter_members(family, x), key=lambda r: r.n)
-    for engine in engines:
-        ns, taus = collect_divisor_counts(family, x, engine=engine)
-        assert ns.dtype == taus.dtype == np.int64
-        assert ns.tolist() == [r.n for r in recs]
-        assert taus.tolist() == [r.tau for r in recs]
+    ns, taus = member_columns(family, x, ("n", "tau"))
+    assert ns.dtype == taus.dtype == np.int64
+    assert ns.tolist() == [r.n for r in recs]
+    assert taus.tolist() == [r.tau for r in recs]
 
 
 class TestIterMembers:
@@ -164,17 +158,10 @@ class TestCounts:
         expect = sum(1 for _ in iter_members(family, x))
         assert count_members(CountQuery(x=x, family=family)) == expect
 
-    def test_engines_agree(self):
-        qs = [1, 2, 3, 5, 7, 16, 17]
-        for family in (DENSE2, PRACTICAL):
-            py = count_members_multi(family, 200_000, qs, engine="python")
-            vec = count_members_multi(family, 200_000, qs, engine="numpy")
-            assert py == vec
-
     def test_threads_deterministic(self):
         qs = [1, 2, 9]
-        one = count_members_multi(DENSE2, 100_000, qs, threads=1, engine="python")
-        three = count_members_multi(DENSE2, 100_000, qs, threads=3, engine="python")
+        one = count_members_multi(DENSE2, 100_000, qs, threads=1)
+        three = count_members_multi(DENSE2, 100_000, qs, threads=3)
         assert one == three
 
     def test_multi_matches_single(self):
@@ -200,17 +187,15 @@ class TestCollapsedFrontier:
         x = 20_000
         monkeypatch.setattr(generate, "_CHUNK", 5)
         _assert_matches_reference(family, x, _filter_qs(x), xis=(1.0,))
-        _assert_divisor_counts_match(family, x, ("numpy", "python"))
+        _assert_divisor_counts_match(family, x)
 
     @pytest.mark.parametrize("x", [97, 3000, 200_000])
     def test_int64_unsafe_family(self, x):
         # n * t_num >= 2^63: the thresholds of the rows n <= x // n are taken
-        # in Python ints, on every engine value, numpy included.
+        # in Python ints.
         family = INT64_UNSAFE
-        qs = _filter_qs(x)
-        engines = ("auto", "python", "numpy")
-        _assert_matches_reference(family, x, qs, xis=(1.0,), engines=engines)
-        _assert_divisor_counts_match(family, x, engines)
+        _assert_matches_reference(family, x, _filter_qs(x), xis=(1.0,))
+        _assert_divisor_counts_match(family, x)
 
     @pytest.mark.parametrize("chunk", [5, generate._CHUNK])
     @pytest.mark.parametrize(
@@ -414,24 +399,9 @@ class TestVanishingThreshold:
 
 
 class TestMoments:
-    def test_engines_agree(self):
-        kwargs = dict(x=200_000, xi=4.0, expected=2.0)
-        py = collect_moments(DENSE2, engine="python", **kwargs)
-        vec = collect_moments(DENSE2, engine="numpy", **kwargs)
-        assert py.count == vec.count
-        assert py.sum_omega == vec.sum_omega
-        assert py.sum_omega_sq == vec.sum_omega_sq
-        assert py.sum_big_omega == vec.sum_big_omega
-        assert py.sum_big_omega_sq == vec.sum_big_omega_sq
-        assert py.sum_tau == vec.sum_tau
-        assert py.exceed_count == vec.exceed_count
-        assert py.histogram_omega == vec.histogram_omega
-        assert py.histogram_big_omega == vec.histogram_big_omega
-        assert py.sum_log_tau == pytest.approx(vec.sum_log_tau, rel=1e-9)
-
     def test_threads_deterministic(self):
-        one = collect_moments(DENSE2, 50_000, 4.0, 2.0, threads=1, engine="python")
-        three = collect_moments(DENSE2, 50_000, 4.0, 2.0, threads=3, engine="python")
+        one = collect_moments(DENSE2, 50_000, 4.0, 2.0, threads=1)
+        three = collect_moments(DENSE2, 50_000, 4.0, 2.0, threads=3)
         assert one == three
 
     def test_histograms_consistent(self):
@@ -475,35 +445,28 @@ class TestMoments:
 
 
 class TestDivisorCounts:
+    """The (n, tau) columns of member_columns."""
+
     def test_ascending_and_exact(self, table):
-        ns, taus = collect_divisor_counts(DENSE2, 10_000)
+        ns, taus = member_columns(DENSE2, 10_000, ("n", "tau"))
         assert ns[0] == 1 and taus[0] == 1
         assert np.all(np.diff(ns) > 0)
         for n, tau in zip(ns.tolist(), taus.tolist()):
             assert factor_stats(factorize(n, table)).tau == tau
 
     def test_n_min_filter(self):
-        full_n, full_tau = collect_divisor_counts(PRACTICAL, 5000)
-        tail_n, tail_tau = collect_divisor_counts(PRACTICAL, 5000, n_min=100)
+        full_n, full_tau = member_columns(PRACTICAL, 5000, ("n", "tau"))
+        tail_n, tail_tau = member_columns(PRACTICAL, 5000, ("n", "tau"), n_min=100)
         assert np.all(tail_n > 100)
         keep = full_n > 100
         assert np.array_equal(tail_n, full_n[keep])
         assert np.array_equal(tail_tau, full_tau[keep])
 
-    def test_engines_and_threads_agree(self):
-        base_n, base_tau = collect_divisor_counts(DENSE2, 200_000, engine="python")
-        vec_n, vec_tau = collect_divisor_counts(DENSE2, 200_000, engine="numpy")
-        thr_n, thr_tau = collect_divisor_counts(
-            DENSE2, 200_000, threads=3, engine="python"
-        )
-        assert np.array_equal(base_n, vec_n) and np.array_equal(base_tau, vec_tau)
-        assert np.array_equal(base_n, thr_n) and np.array_equal(base_tau, thr_tau)
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            collect_divisor_counts(DENSE2, 0)
+            member_columns(DENSE2, 0, ("n", "tau"))
         with pytest.raises(DomainError):
-            collect_divisor_counts(DENSE2, 100, n_min=-1)
+            member_columns(DENSE2, 100, ("n", "tau"), n_min=-1)
 
 
 class TestDeviationBound:

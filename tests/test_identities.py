@@ -30,6 +30,7 @@ from densediv import (
     weight_series_partial_sum,
     weighted_log_moment_sum,
 )
+import densediv.generate as generate
 import densediv.identities as identities
 from densediv.arith import PRIME_SIEVE_CAP
 from densediv.identities import _member_arrays
@@ -145,12 +146,18 @@ class TestFloorQuotientPath:
 
     @pytest.mark.parametrize(
         "family",
-        [DENSE2, PRACTICAL, ThetaFamily.shifted_two()],
-        ids=["dense2", "practical", "shifted2"],
+        [
+            DENSE2,
+            PRACTICAL,
+            ThetaFamily.shifted_one(),
+            ThetaFamily.shifted_two(),
+            ThetaFamily.dense(Fraction(2**62 + 1, 2**61)),
+        ],
+        ids=["dense2", "practical", "shifted1", "shifted2", "dense_big"],
     )
     def test_shifted_large_last_prime(self, table, family):
-        # The right side keeps its leaf tally only for x // q_k >= q_k^2;
-        # these cases fall on both sides of that bound.
+        # The right side keeps its leaf tally only for x // q_k >= q_k^2, and
+        # below it sums over every member; these cases fall on both sides.
         for x in (7, 50, 500, 2000, 20_000):
             for qs in ([7], [2, 13], [31], [97]):
                 fast = check_shifted_partition_identity(family, x, qs)
@@ -262,6 +269,19 @@ class TestWeightSeries:
         # The walk stops at the first block whose thresholds pass the bound.
         with pytest.raises(ResourceCapError):
             weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
+
+    def test_cell_cap(self, monkeypatch):
+        # The n and theta columns, their sort order and one reordered column
+        # are 4 cells a member: the 1,391 members <= 10^4 fit 5,564 cells
+        # and are refused at one cell less.
+        assert len(_member_arrays(DENSE2, 10**4)[0]) == 1391
+        monkeypatch.setattr(generate, "_COLUMN_CELL_CAP", 4 * 1391)
+        assert weight_series_partial_sum(DENSE2, 1.0, 10**4) == pytest.approx(
+            0.930375, abs=1e-6
+        )
+        monkeypatch.setattr(generate, "_COLUMN_CELL_CAP", 4 * 1391 - 1)
+        with pytest.raises(ResourceCapError, match="cap of 5563 cells"):
+            weight_series_partial_sum(DENSE2, 1.0, 10**4)
 
     def test_over_scale_walk_stops_early(self, monkeypatch):
         # The chunk holding a threshold past the cap is refused before the

@@ -62,14 +62,13 @@ def test_frontier_equals_reference_tallies(table, family, x, qs):
         dict(Counter(rec.big_omega for rec in records)),
         dict(Counter(rec.tau for rec in records)),
     )
-    for engine in ("numpy", "python"):
-        assert count_members_multi(family, x, qs, engine=engine) == counts, engine
-        summary = collect_moments(family, x, 1.0, 0.0, engine=engine)
-        assert (
-            summary.histogram_omega,
-            summary.histogram_big_omega,
-            summary.histogram_tau,
-        ) == histograms, engine
+    assert count_members_multi(family, x, qs) == counts
+    summary = collect_moments(family, x, 1.0, 0.0)
+    assert (
+        summary.histogram_omega,
+        summary.histogram_big_omega,
+        summary.histogram_tau,
+    ) == histograms
 
 
 @PROPERTY_SETTINGS
