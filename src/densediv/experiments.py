@@ -352,6 +352,8 @@ def margenstern_tables(xs: list[int], threads: int = 1) -> ExperimentReport:
     _validate_grid(xs)
     if len(xs) < 2:
         raise ConfigurationError("need at least two grid points for the fit")
+    if xs[0] < 3:
+        raise DomainError(f"grid values must be >= 3, where C ln ln x > 0; got {xs}")
     family = ThetaFamily.practical()
     rows: list[ReportRow] = []
     loglog = []

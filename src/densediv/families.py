@@ -94,10 +94,6 @@ class ThetaFamily:
 
     # -- exact threshold comparisons ------------------------------------
 
-    def prime_allowed(self, n: int, sigma_n: int, p: int) -> bool:
-        """Whether prime p may extend the partial product n (sigma_n = sigma(n))."""
-        return p <= self.threshold_floor(n, sigma_n)  # exact: p is an integer
-
     def threshold_floor(self, n: int, sigma_n: int) -> int:
         """floor(theta(n)); a prime p is allowed iff p <= this value.
 
@@ -123,7 +119,7 @@ def is_member(n: int, family: ThetaFamily, table: SpfTable) -> bool:
     m = 1
     sigma_m = 1
     for p, e in f.factors:
-        if not family.prime_allowed(m, sigma_m, p):
+        if p > family.threshold_floor(m, sigma_m):
             return False
         m *= p**e
         sigma_m *= (p ** (e + 1) - 1) // (p - 1)

@@ -12,16 +12,16 @@ One production traversal and one reference:
   primes with repeats" representation (valid because every supported
   threshold rule is nondecreasing along divisibility chains) in blocks
   popped depth first.  It yields each block with the range of its
-  childless leaves n*p (a new prime p > sqrt(x/n), or the repeat of the
-  largest prime p of a terminal n, one with p^2 > x // n), which it never
-  builds as rows.  Counts, moment histograms and the identity sums tally
-  those ranges in bulk; member columns, the tau-order experiment and the
-  weight series read ``_member_chunks``, which expands them in chunks by
-  the walk's own child rule; ``_gather_sorted`` sorts them for the first
-  and last.  The walk's columns are int64 for every accepted query (the
-  sieve cap keeps x below 2^62, and sigma columns stop at x < 2^60); a
-  dense threshold n*t_num past int64 is formed in Python ints for the few
-  rows that need it.
+  childless leaves n*p, those with p^2 > x // n and p at least the
+  largest prime of n, which it never builds as rows.  Counts, moment
+  histograms and the identity sums tally those ranges in bulk; member
+  columns, the tau-order experiment and the weight series read
+  ``_member_chunks``, which expands them in chunks by the walk's own
+  child rule; ``_gather_sorted`` sorts them for the first and last.  The
+  walk's columns are int64 for every accepted query (the sieve cap keeps
+  x below 2^62, and sigma columns stop at x < 2^60); a dense threshold
+  n*t_num past int64 is formed in Python ints for the few rows that need
+  it.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
@@ -125,10 +125,6 @@ class MomentSummary:
     @property
     def sum_big_omega(self) -> int:
         return sum(k * v for k, v in self.histogram_big_omega.items())
-
-    @property
-    def sum_big_omega_sq(self) -> int:
-        return sum(k * k * v for k, v in self.histogram_big_omega.items())
 
     @property
     def sum_tau(self) -> int:
@@ -328,16 +324,16 @@ def _frontier(
     blocks yields every built block once, when it is first popped, as
     (level, blk, mid, hi): the rows of blk have big omega level, and the
     unbuilt leaves of row i are n[i]*primes[j] for j in [mid[i], hi[i]),
-    one level deeper.  A child n*p whose prime p is new and exceeds
-    sqrt(x/n) is such a leaf (n*p*p' > x for every p' >= p); the other
-    children are built in blocks of about _CHUNK rows popped LIFO, which
-    keeps the live rows near depth * _CHUNK.  A built child n = m*p with
-    p^2 > x // n is terminal: its new primes are leaves, and so is its
-    repeat n*p, as x // (n*p) < p.  Such a block is yielded as soon as it
-    is built, with mid = min(last, hi), and never expanded; its leaf at
-    j == last is the repeat.  Every other leaf has a new prime.  A caller
-    that needs the leaves themselves builds them with _child_columns
-    (_member_chunks).
+    one level deeper.  A child n*p, p at least the largest prime of n, is
+    a leaf exactly when p^2 > x // n (then n*p*p' > x for every p' >= p):
+    with s = pi(sqrt(x // n)), when j >= max(s, last).  A row whose
+    largest prime has p^2 > x // n has s <= last, so mid <= last: all its
+    children are leaves, its repeat n*p at j == last among them.  Every
+    other leaf has a new prime.  The other children are built in blocks
+    of about _CHUNK rows popped LIFO, which keeps the live rows near
+    depth * _CHUNK; a row without children is dropped once yielded.  A
+    caller that needs the leaves themselves builds them with
+    _child_columns (_member_chunks).
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
@@ -371,44 +367,33 @@ def _frontier(
         stack = [(0, root, 0, None)]
         while stack:
             level, blk, a, plan = stack.pop()
-            n = blk["n"]
-            last = blk["last"]
             if plan is None:
+                n, last = blk["n"], blk["last"]
                 hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
-                # j >= max(s, last+1) with s = pi(sqrt(x // n)): a new prime
-                # whose square exceeds x // n, hence a leaf.
+                # j >= max(s, last) with s = pi(sqrt(x // n)): p^2 > x // n,
+                # hence a leaf.  s <= last exactly when p_last^2 > x // n.
                 s = np.searchsorted(prime_sq, x // n, side="right")
-                mid = np.minimum(np.maximum(s, last + 1), hi)
+                mid = np.minimum(np.maximum(s, last), hi)
                 yield level, blk, mid, hi
-                lo = np.maximum(last, 0)
-                cnt = np.maximum(mid - lo, 0)
+                # Only the rows with children wait on the stack.
+                rows = np.flatnonzero(mid > np.maximum(last, 0))
+                if len(rows) == 0:
+                    continue
+                blk = {k: v[rows] for k, v in blk.items()}
+                lo = np.maximum(blk["last"], 0)
+                cnt = mid[rows] - lo
                 plan = (lo, cnt, np.cumsum(cnt))
             lo, cnt, cum = plan
             base = int(cum[a - 1]) if a else 0
             b = max(a + 1, int(np.searchsorted(cum, base + _CHUNK, side="right")))
-            if b < len(n):
+            if b < len(cnt):
                 stack.append((level, blk, b, plan))
             c = cnt[a:b]
             tot = int(cum[b - 1]) - base
-            if tot == 0:
-                continue
             par = np.repeat(np.arange(a, b), c)
             offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
             j = lo[par] + offs
-            child = _child_columns(blk, par, j, primes)
-            # A terminal child (p^2 > x // n) has only leaves, its repeat n*p
-            # included: yield it now and never push it.
-            p = primes[j]
-            term = p * p > x // child["n"]
-            if term.any():
-                tblk = {k: v[term] for k, v in child.items()}
-                tn = tblk["n"]
-                thi = _admissible_hi(family, x, primes, tn, tblk.get("sigma"))
-                yield level + 1, tblk, np.minimum(tblk["last"], thi), thi
-                if term.all():
-                    continue
-                child = {k: v[~term] for k, v in child.items()}
-            stack.append((level + 1, child, 0, None))
+            stack.append((level + 1, _child_columns(blk, par, j, primes), 0, None))
 
     return primes, blocks()
 
@@ -422,6 +407,17 @@ def _leaves_above(
     if n_min:
         lo = np.maximum(mid, np.searchsorted(primes, n_min // n, "right"))
     return lo, np.maximum(hi - lo, 0)
+
+
+def _terminal_first(blocks: Iterator[tuple]) -> Iterator[tuple]:
+    """_frontier's blocks, each split in two: the rows with mid <= last
+    (no child built) first, then the rest.  The chunk order fixes which
+    threshold a refused weight series names (_member_arrays)."""
+    for level, blk, mid, hi in blocks:
+        term = mid <= blk["last"]
+        for part in (term, ~term):
+            if part.any():
+                yield level, {k: v[part] for k, v in blk.items()}, mid[part], hi[part]
 
 
 def _member_chunks(
@@ -446,7 +442,7 @@ def _member_chunks(
     # only the columns asked for, and their leaves derive no others.
     keys = ["n", "last", *(("sigma", "pp") if sigma else ())]
     keys += ("e", "tau", "omega") if stats else ()
-    for level, blk, mid, hi in blocks:
+    for level, blk, mid, hi in _terminal_first(blocks):
         cols = {k: blk[k] for k in keys}
         n = cols["n"]
         keep = n > n_min
@@ -534,7 +530,7 @@ def collect_moments(
     as in count_members_multi.
 
     A leaf of a row n adds big omega + 1.  A new-prime leaf adds omega + 1
-    and doubles tau; the repeat leaf n*p of a terminal row (j == last) keeps
+    and doubles tau; the repeat leaf n*p of a row with mid == last keeps
     omega and has tau * (e + 2) / (e + 1), with e the exponent of p in n.
     """
     if x < 1:

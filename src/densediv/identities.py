@@ -219,16 +219,14 @@ def _rough_sum(
     With a table this is the reference loop of ``rough_count`` over
     ``iter_members``.  Without one (x <= 10^12, else ResourceCapError) it
     runs over the leaf-collapsed frontier, whose unbuilt leaves all have
-    Phi = 1.  A new-prime leaf n = m*p has p^2 > x // m, so
-    x // n < p <= theta(m) <= theta(n).  The repeat leaf N = n*p of a
-    terminal row n (p^2 > x // n) has N*p > x, so theta(N) >= N >= p >
-    x // N.  _tally_counts therefore counts every member that q divides,
-    built or not, at Phi = 1; the built rows with theta(n) < theta_min are
-    taken back, and those with theta(n) < x // n add Phi - 1.  Each such
-    x // n is a floor quotient of x, and one rough_counts table answers
-    them all.  Theta is taken at most max(x // n, theta_min)
-    (_theta_at_most), which keeps it in int64 and leaves both comparisons
-    exact.
+    Phi = 1: a leaf L = n*p has p <= theta(n) <= theta(L) and
+    p^2 > x // n, hence x // L < p.  _tally_counts therefore counts every
+    member that q divides, built or not, at Phi = 1; the built rows with
+    theta(n) < theta_min are taken back, and those with theta(n) < x // n
+    add Phi - 1.  Each such x // n is a floor quotient of x, and one
+    rough_counts table answers them all.  Theta is taken at most
+    max(x // n, theta_min) (_theta_at_most), which keeps it in int64 and
+    leaves both comparisons exact.
 
     The theta filter passes every unbuilt leaf when x >= theta_min^2: a
     member with theta(n) < theta_min has n < theta(n) < theta_min, while

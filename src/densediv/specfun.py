@@ -210,7 +210,9 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
 def _grid_points(span: float, m: int) -> int:
     """Grid points covering [0, span] at step 1/m, refused past
     GRID_POINTS_CAP before anything is allocated."""
-    n_pts = math.ceil(round(span * m, 6)) + 1
+    cells = round(span * m, 6)
+    # span * m overflows to inf near span = 1e308; ceil would raise there.
+    n_pts = math.ceil(cells) + 1 if cells < math.inf else cells
     if n_pts > GRID_POINTS_CAP:
         raise ResourceCapError(
             f"a grid of {n_pts} points exceeds the grid-point cap {GRID_POINTS_CAP}"

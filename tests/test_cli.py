@@ -262,6 +262,14 @@ class TestExperimentCommand:
         assert code == 1
         assert "experiment margenstern: fail" in err
 
+    @pytest.mark.parametrize("xs", ["1,100", "2,100"])
+    def test_margenstern_grid_below_three_refused(self, capsys, xs):
+        # C ln ln x <= 0 below x = 3: one error line, no math domain error.
+        code, out, err = run(capsys, ["experiment", "margenstern", "--xs", xs])
+        assert (code, out) == (1, [])
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "grid values must be >= 3" in err
+
     def test_report_only_exits_zero(self, capsys):
         code, _, err = run(capsys, ["experiment", "tau-order", "--x", "10000"])
         assert code == 0
@@ -439,6 +447,9 @@ class TestExitCodes:
             (["dfun", "--vmax", "nan"], 2),
             (["dfun", "--vmax", "inf"], 2),
             (["dfun", "--vmax", "1e9"], 1),  # past the grid-point cap
+            # span * m overflows to inf before the point count is rounded up
+            (["dfun", "--vmax", "1e308"], 1),
+            (["wfun", "--umax", "1e308"], 1),
             # sigma columns at x >= 2^60, refused before the 2e9 sieve
             (["enumerate", "--family", "dense", "--t", "2",
               "--x", "2000000000000000000"], 1),
@@ -448,6 +459,7 @@ class TestExitCodes:
               "--out", os.devnull], 1),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
+             "dfun-1e308", "wfun-1e308",
              "enumerate-sigma-2e18", "enumerate-cells-1e12"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
@@ -516,6 +528,17 @@ class TestInt64UnsafeBytes:
         assert captured.out == ""
         assert captured.err == (
             "error: threshold=99991000000 exceeds the prime-sieve cap 300000000\n"
+        )
+
+    def test_refusal_threshold_follows_chunk_order(self, capsys):
+        # The first refused chunk names its largest threshold, so the order
+        # of _member_chunks (rows with mid <= last first in each block)
+        # fixes the number printed.
+        argv = ["identity", "--check", "lambda0", "--family", "dense",
+                "--t", "2", "--N", "1e9"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: threshold=1999992984 exceeds the prime-sieve cap 300000000\n"
         )
 
 

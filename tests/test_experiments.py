@@ -184,6 +184,8 @@ class TestMargenstern:
             margenstern_tables([1000])
         with pytest.raises(ConfigurationError):
             margenstern_tables([100, 20])
+        with pytest.raises(DomainError):  # C ln ln 2 < 0
+            margenstern_tables([2, 100])
 
 
 class TestTauOrder:
