@@ -11,13 +11,13 @@ One production traversal and one reference:
 - the vectorized frontier (``_frontier``) walks the equivalent "ascending
   primes with repeats" representation (valid because every supported
   threshold rule is nondecreasing along divisibility chains) in blocks
-  popped depth first.  It yields each block with the range of its
+  drawn depth first.  It yields each block with the range of its
   childless leaves n*p, those with p^2 > x // n and p at least the
   largest prime of n, which it never builds as rows.  Counts, moment
   histograms and the identity sums tally those ranges in bulk; member
   columns, the tau-order experiment and the weight series read
-  ``_member_chunks``, which expands them in chunks by the walk's own
-  child rule; ``_gather_sorted`` sorts them for the first and last.  The
+  ``_member_chunks``, which expands them with the walk's own builder
+  ``_children``; ``_gather_sorted`` sorts them for the first and last.  The
   walk's columns are int64 for every accepted query (the sieve cap keeps
   x below 2^62, and sigma columns stop at x < 2^60); a dense threshold
   n*t_num past int64 is formed in Python ints for the few rows that need
@@ -50,10 +50,10 @@ from .arith import (
 from .errors import DomainError, ResourceCapError
 from .families import ThetaFamily
 
-# Target child rows per expansion block in the frontier engine, and leaves
-# per chunk where they are built.  Blocks are expanded depth first, so live
-# rows stay near depth * _CHUNK; 2^16 was fastest and smallest among
-# 2^14..2^20 for counts and moments at 1e9-1e11.
+# Most rows per block that _children builds, for the walk and the leaves.
+# Blocks are drawn depth first, so live rows stay near depth * _CHUNK;
+# 2^16 was fastest and smallest among 2^14..2^20 for counts and moments at
+# 1e9-1e11.
 _CHUNK = 1 << 16
 
 # Robin's unconditional bound sigma(n) < e^gamma n ln ln n + 0.6483 n / ln ln n
@@ -315,25 +315,45 @@ def _child_columns(
     return child
 
 
+def _child_index(lo, cnt, cum, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(par, j) of the children s..e-1, e = min(s + _CHUNK, cum[-1]), of the
+    rows i with children j in [lo[i], lo[i] + cnt[i]); cum = cumsum(cnt)."""
+    e = min(s + _CHUNK, int(cum[-1]))
+    a, b = np.searchsorted(cum, (s, e - 1), "right") + (0, 1)
+    # Rows a..b-1 hold children s..e-1, the end rows only in part.
+    first = cum[a:b] - cnt[a:b]
+    c = np.minimum(cum[a:b], e) - np.maximum(first, s)
+    j = np.repeat(lo[a:b] - first, c) + np.arange(s, e)
+    return np.repeat(np.arange(a, b), c), j
+
+
+def _children(blk, lo, cnt, primes) -> Iterator[dict[str, np.ndarray]]:
+    """_child_columns blocks of at most _CHUNK rows, in row order, of the
+    children n[i] * primes[j] of the rows i of blk, j in [lo[i], lo[i] +
+    cnt[i]).  The index arrays live in the call, not in this frame."""
+    cum = np.cumsum(cnt)
+    for s in range(0, int(cum[-1]), _CHUNK):
+        yield _child_columns(blk, *_child_index(lo, cnt, cum, s), primes)
+
+
 def _frontier(
     family: ThetaFamily, x: int, stats: bool = False, sigma: bool = False
 ) -> tuple[np.ndarray, Iterator[tuple]]:
     """(primes, blocks) for a walk over the members n <= x.  The primes are
     sieved here, and a prime bound past SIEVE_LIMIT_CAP is refused first.
 
-    blocks yields every built block once, when it is first popped, as
-    (level, blk, mid, hi): the rows of blk have big omega level, and the
-    unbuilt leaves of row i are n[i]*primes[j] for j in [mid[i], hi[i]),
-    one level deeper.  A child n*p, p at least the largest prime of n, is
-    a leaf exactly when p^2 > x // n (then n*p*p' > x for every p' >= p):
-    with s = pi(sqrt(x // n)), when j >= max(s, last).  A row whose
-    largest prime has p^2 > x // n has s <= last, so mid <= last: all its
-    children are leaves, its repeat n*p at j == last among them.  Every
-    other leaf has a new prime.  The other children are built in blocks
-    of about _CHUNK rows popped LIFO, which keeps the live rows near
-    depth * _CHUNK; a row without children is dropped once yielded.  A
-    caller that needs the leaves themselves builds them with
-    _child_columns (_member_chunks).
+    blocks yields every built block once, as (level, blk, mid, hi): the
+    rows of blk have big omega level, and the unbuilt leaves of row i are
+    n[i]*primes[j] for j in [mid[i], hi[i]), one level deeper.  A child
+    n*p, p at least the largest prime of n, is a leaf exactly when
+    p^2 > x // n (then n*p*p' > x for every p' >= p): with
+    s = pi(sqrt(x // n)), when j >= max(s, last).  A row whose largest
+    prime has p^2 > x // n has s <= last, so mid <= last: all its children
+    are leaves, its repeat n*p at j == last among them.  Every other leaf
+    has a new prime.  The stack holds a _children generator over the rows
+    with children of each level; each step draws the next block from the
+    top one, which keeps the live rows near depth * _CHUNK.  A caller that
+    needs the leaves builds them with _children too (_member_chunks).
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
@@ -362,38 +382,25 @@ def _frontier(
         if stats:
             zero = np.array([0], dtype=np.int64)
             root.update(e=zero, omega=zero, tau=np.array([1], dtype=np.int64))
-        # Stack entries (level, block, first row not yet expanded, expansion
-        # plan); the plan is None until the block is first popped.
-        stack = [(0, root, 0, None)]
+        stack = [(0, iter([root]))]
         while stack:
-            level, blk, a, plan = stack.pop()
-            if plan is None:
-                n, last = blk["n"], blk["last"]
-                hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
-                # j >= max(s, last) with s = pi(sqrt(x // n)): p^2 > x // n,
-                # hence a leaf.  s <= last exactly when p_last^2 > x // n.
-                s = np.searchsorted(prime_sq, x // n, side="right")
-                mid = np.minimum(np.maximum(s, last), hi)
-                yield level, blk, mid, hi
-                # Only the rows with children wait on the stack.
-                rows = np.flatnonzero(mid > np.maximum(last, 0))
-                if len(rows) == 0:
-                    continue
-                blk = {k: v[rows] for k, v in blk.items()}
-                lo = np.maximum(blk["last"], 0)
-                cnt = mid[rows] - lo
-                plan = (lo, cnt, np.cumsum(cnt))
-            lo, cnt, cum = plan
-            base = int(cum[a - 1]) if a else 0
-            b = max(a + 1, int(np.searchsorted(cum, base + _CHUNK, side="right")))
-            if b < len(cnt):
-                stack.append((level, blk, b, plan))
-            c = cnt[a:b]
-            tot = int(cum[b - 1]) - base
-            par = np.repeat(np.arange(a, b), c)
-            offs = np.arange(tot) - np.repeat(np.cumsum(c) - c, c)
-            j = lo[par] + offs
-            stack.append((level + 1, _child_columns(blk, par, j, primes), 0, None))
+            level, gen = stack[-1]
+            if (blk := next(gen, None)) is None:
+                stack.pop()
+                continue
+            n, last = blk["n"], blk["last"]
+            hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
+            # j >= max(s, last) with s = pi(sqrt(x // n)): p^2 > x // n,
+            # hence a leaf.  s <= last exactly when p_last^2 > x // n.
+            s = np.searchsorted(prime_sq, x // n, side="right")
+            mid = np.minimum(np.maximum(s, last), hi)
+            yield level, blk, mid, hi
+            # Only the rows with children wait on the stack.
+            rows = np.flatnonzero(mid > np.maximum(last, 0))
+            if len(rows):
+                lo = np.maximum(last[rows], 0)
+                kids = {k: v[rows] for k, v in blk.items()}
+                stack.append((level + 1, _children(kids, lo, mid[rows] - lo, primes)))
 
     return primes, blocks()
 
@@ -409,17 +416,6 @@ def _leaves_above(
     return lo, np.maximum(hi - lo, 0)
 
 
-def _terminal_first(blocks: Iterator[tuple]) -> Iterator[tuple]:
-    """_frontier's blocks, each split in two: the rows with mid <= last
-    (no child built) first, then the rest.  The chunk order fixes which
-    threshold a refused weight series names (_member_arrays)."""
-    for level, blk, mid, hi in blocks:
-        term = mid <= blk["last"]
-        for part in (term, ~term):
-            if part.any():
-                yield level, {k: v[part] for k, v in blk.items()}, mid[part], hi[part]
-
-
 def _member_chunks(
     family: ThetaFamily,
     x: int,
@@ -433,16 +429,16 @@ def _member_chunks(
     stats=True, as in _frontier's blocks.
 
     Each block of the collapsed walk gives its rows with n > n_min, then
-    its unbuilt leaves in chunks of at most _CHUNK, built by the same child
-    rule as the walk.  The leaves of row i start at j = max(mid[i],
-    pi(n_min // n[i])), so no leaf n*p <= n_min is formed.
+    its unbuilt leaves from _children, the walk's own child builder.  The
+    leaves of row i start at j = max(mid[i], pi(n_min // n[i])), so no leaf
+    n*p <= n_min is formed.
     """
     primes, blocks = _frontier(family, x, stats=stats, sigma=sigma)
     # The practical walk carries sigma for its thresholds; the chunks carry
     # only the columns asked for, and their leaves derive no others.
     keys = ["n", "last", *(("sigma", "pp") if sigma else ())]
     keys += ("e", "tau", "omega") if stats else ()
-    for level, blk, mid, hi in _terminal_first(blocks):
+    for level, blk, mid, hi in blocks:
         cols = {k: blk[k] for k in keys}
         n = cols["n"]
         keep = n > n_min
@@ -451,19 +447,8 @@ def _member_chunks(
         elif keep.any():
             yield level, {k: v[keep] for k, v in cols.items()}
         lo, cnt = _leaves_above(primes, n_min, n, mid, hi)
-        # Leaf k of the block (in row order) is leaf k - first[i] of row i.
-        cum = np.cumsum(cnt)
-        first = cum - cnt
-        tot = int(cum[-1])
-        for s in range(0, tot, _CHUNK):
-            e = min(s + _CHUNK, tot)
-            a = int(np.searchsorted(cum, s, "right"))
-            b = int(np.searchsorted(cum, e - 1, "right")) + 1
-            # Rows a..b-1 hold leaves s..e-1, the end rows only in part.
-            c = np.minimum(cum[a:b], e) - np.maximum(first[a:b], s)
-            par = np.repeat(np.arange(a, b), c)
-            j = lo[par] + (np.arange(s, e) - first[par])
-            yield level + 1, _child_columns(cols, par, j, primes)
+        for child in _children(cols, lo, cnt, primes):
+            yield level + 1, child
 
 
 def _tally_counts(

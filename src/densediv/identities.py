@@ -24,7 +24,9 @@ the weight * log_moment series sums to 0, and the log moment approaches
 ``ln t - gamma`` for the fixed-ratio family.  Finite truncations of these
 series are checked as trends, not equalities.  Their members are
 gathered as member_columns gathers its columns, and their primes come
-from one sieve capped at PRIME_SIEVE_CAP.
+from one sieve capped at PRIME_SIEVE_CAP.  A limit whose member 2^k
+already has its threshold past that cap is refused before any walk;
+otherwise the walk stops at the first chunk whose thresholds pass it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
-    PRIME_SIEVE_CAP,
     ROUGH_COUNTS_CAP,
     SpfTable,
     check_sieve_bound,
@@ -54,7 +55,6 @@ from .generate import (
     _frontier,
     _gather_sorted,
     _member_chunks,
-    _prime_limit,
     _tally_counts,
     _theta_at_most,
     iter_members,
@@ -130,7 +130,9 @@ def _prime_weight_arrays(
     ``ln p / (p^s - 1)`` (index 0 = empty product/sum).
     """
     pf = primes.astype(np.float64)
-    ps = pf**s
+    # p^s past the float range is inf, the exact limit: 1/inf = 0 here.
+    with np.errstate(over="ignore"):
+        ps = pf**s
     prod_pad = np.concatenate(([1.0], np.cumprod(1.0 - 1.0 / ps)))
     mu_pad = np.concatenate(([0.0], np.cumsum(np.log(pf) / (ps - 1.0))))
     return prod_pad, mu_pad
@@ -138,12 +140,16 @@ def _prime_weight_arrays(
 
 def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 (n, threshold_floor) arrays over members n <= limit, ascending
-    in n, gathered as member_columns gathers (_gather_sorted).  Each chunk's
-    thresholds pass check_sieve_bound before they are formed, so an
-    over-scale walk stops early."""
-    # The walk sieves primes up to _prime_limit, below the threshold of the
-    # member 2^k <= limit near the cap: this refuses only what the loop would.
-    check_sieve_bound(_prime_limit(family, limit), "prime bound")
+    in n, gathered as member_columns gathers (_gather_sorted).
+
+    The member m = 2^k <= limit (2 <= theta(1) for every rule) is checked
+    before any sieve or walk.  Under the cap this bounds _prime_limit far
+    below SIEVE_LIMIT_CAP: by sqrt(2*theta(m) + 2) + 1 for dense (limit*t
+    < 2*m*t), by about 81k for the rules with theta(m) >= m.  Each chunk's
+    thresholds pass check_sieve_bound before they are formed, so a walk
+    past the cap stops early."""
+    m = 1 << (limit.bit_length() - 1)
+    check_sieve_bound(family.threshold_floor(m, 2 * m - 1), "threshold")
 
     def chunks():
         # The practical threshold reads sigma, of the leaves too.
@@ -158,12 +164,6 @@ def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndar
             check_sieve_bound(top, "threshold")
             yield level, {"n": n, "theta": _theta_at_most(family, n, sigma, top)}
 
-    m = 1 << (limit.bit_length() - 1)
-    if family.threshold_floor(m, 2 * m - 1) > PRIME_SIEVE_CAP:
-        # The chunk of the member m = 2^k <= limit is refused: walk up to it
-        # with no sizing walk, so the sieve cap, not the cell cap, refuses.
-        for _ in chunks():
-            pass
     return _gather_sorted(family, limit, 0, ("n", "theta"), chunks())
 
 

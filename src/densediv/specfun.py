@@ -211,13 +211,13 @@ def _grid_points(span: float, m: int) -> int:
     """Grid points covering [0, span] at step 1/m, refused past
     GRID_POINTS_CAP before anything is allocated."""
     cells = round(span * m, 6)
-    # span * m overflows to inf near span = 1e308; ceil would raise there.
-    n_pts = math.ceil(cells) + 1 if cells < math.inf else cells
-    if n_pts > GRID_POINTS_CAP:
+    # ceil(cells) + 1 > cap iff cells + 1 > cap (an integer), also at inf.
+    if cells + 1 > GRID_POINTS_CAP:
         raise ResourceCapError(
-            f"a grid of {n_pts} points exceeds the grid-point cap {GRID_POINTS_CAP}"
+            f"a grid of {cells + 1:.6g} points exceeds the grid-point cap"
+            f" {GRID_POINTS_CAP}"
         )
-    return n_pts
+    return math.ceil(cells) + 1
 
 
 def _march_workers() -> int:

@@ -39,8 +39,9 @@ def run_capped_cli(argv, code, timeout=120, stderr_lines=()):
     timeout, assert its exit status, and return its stdout (bytes).
 
     A failing run (code != 0) must print nothing on stdout and exactly one
-    stderr line, starting with ``error:``; a successful one exactly
-    stderr_lines on stderr (an experiment's verdict line), by default none.
+    stderr line of at most 200 characters, starting with ``error:``; a
+    successful one exactly stderr_lines on stderr (an experiment's verdict
+    line), by default none.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -58,6 +59,7 @@ def run_capped_cli(argv, code, timeout=120, stderr_lines=()):
     if code:
         assert proc.stdout == b""
         assert len(stderr) == 1 and stderr[0].startswith("error: "), stderr
+        assert len(stderr[0]) <= 200, stderr
     else:
         assert stderr == list(stderr_lines)
     return proc.stdout

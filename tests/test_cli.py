@@ -450,6 +450,9 @@ class TestExitCodes:
             # span * m overflows to inf before the point count is rounded up
             (["dfun", "--vmax", "1e308"], 1),
             (["wfun", "--umax", "1e308"], 1),
+            # finite over-cap grids name their point count in 6 digits
+            (["wfun", "--umax", "1e300"], 1),
+            (["dfun", "--step", "1e-300"], 1),
             # sigma columns at x >= 2^60, refused before the 2e9 sieve
             (["enumerate", "--family", "dense", "--t", "2",
               "--x", "2000000000000000000"], 1),
@@ -459,7 +462,7 @@ class TestExitCodes:
               "--out", os.devnull], 1),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
-             "dfun-1e308", "wfun-1e308",
+             "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
              "enumerate-sigma-2e18", "enumerate-cells-1e12"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
@@ -519,27 +522,51 @@ class TestInt64UnsafeBytes:
         assert capsys.readouterr().out == "1000\n"
 
     def test_refusal_names_exact_threshold(self, capsys):
-        # The largest threshold, 99991 * 10^6 of the prime 99991, is named
-        # exactly, not as a value clipped at the cap.
+        # The threshold of the member 2^16, 65536 * 10^6, is named exactly,
+        # not as a value clipped at the cap.
         argv = ["identity", "--check", "lambda0", "--family", "dense",
                 "--t", "1000000", "--N", "100000"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: threshold=99991000000 exceeds the prime-sieve cap 300000000\n"
+            "error: threshold=65536000000 exceeds the prime-sieve cap 300000000\n"
         )
 
-    def test_refusal_threshold_follows_chunk_order(self, capsys):
-        # The first refused chunk names its largest threshold, so the order
-        # of _member_chunks (rows with mid <= last first in each block)
-        # fixes the number printed.
+    def test_refusal_names_member_2k_before_any_walk(self, capsys, monkeypatch):
+        # The member 2^29 <= 1e9 already passes the cap: the message names
+        # its threshold whatever the chunk size, and no chunk is formed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("_member_chunks called")
+
+        monkeypatch.setattr(densediv.identities, "_member_chunks", refuse)
         argv = ["identity", "--check", "lambda0", "--family", "dense",
                 "--t", "2", "--N", "1e9"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: threshold=1999992984 exceeds the prime-sieve cap 300000000\n"
-        )
+        want = "error: threshold=1073741824 exceeds the prime-sieve cap 300000000\n"
+        for chunk in (densediv.generate._CHUNK, 5):
+            monkeypatch.setattr(densediv.generate, "_CHUNK", chunk)
+            assert main(argv) == 1
+            assert capsys.readouterr().err == want
+
+    def test_refusal_past_member_2k_names_chunk_threshold(self, capsys):
+        # theta(2^16) = 262,144,000 passes the cap check, but thresholds up
+        # to 4 * 10^8 do not: the walk names one of them.
+        argv = ["identity", "--check", "lambda0", "--family", "dense",
+                "--t", "4000", "--N", "100000"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, [])
+        assert err.count("\n") == 1
+        prefix, cap = "error: threshold=", " exceeds the prime-sieve cap 300000000\n"
+        assert err.startswith(prefix) and err.endswith(cap)
+        assert 3 * 10**8 < int(err[len(prefix) : -len(cap)]) <= 4 * 10**8
+
+    def test_large_finite_s_prints_no_warning(self, capsys):
+        # p^s past the float range is inf, whose reciprocal 0 is exact.
+        argv = ["identity", "--check", "mu0", "--family", "dense", "--t", "2",
+                "--N", "10", "--s", "800"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("lhs,rhs,gap,pass\n0,0,0,true\n", "")
 
 
 class TestAtScale:

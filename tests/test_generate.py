@@ -237,7 +237,7 @@ class TestCollapsedFrontier:
 
     def test_childless_rows_leave_the_stack(self):
         # Blocks wait on the stack with their rows that have children only:
-        # the peak is 8.5 MiB, and 13.9 MiB when every row waits.
+        # the peak is 7.7 MiB, and 18.4 MiB when every row waits.
         tracemalloc.start()
         try:
             count_members_multi(PRACTICAL, 10**9, [1])

@@ -284,8 +284,26 @@ class TestWeightSeries:
             weight_series_partial_sum(DENSE2, 1.0, 10**4)
 
     def test_over_scale_walk_stops_early(self, monkeypatch):
-        # The chunk holding a threshold past the cap is refused before the
-        # walk goes on: 113,073 of the 19,271,927 members <= 3e8 are formed.
+        # theta(2^28) passes the cap: the query is refused before any walk.
+        formed = self._count_formed(monkeypatch)
+        with pytest.raises(ResourceCapError, match="threshold="):
+            _member_arrays(DENSE2, PRIME_SIEVE_CAP)
+        assert formed == [0]
+
+    def test_walk_past_member_2k_stops_early(self, monkeypatch):
+        # theta(2^16) = 262,144,000 is under the cap and 4 * 10^8 is not:
+        # the first chunk past the cap is refused before all the members
+        # <= 100,000 are formed.
+        family = ThetaFamily.dense(4000)
+        formed = self._count_formed(monkeypatch)
+        with pytest.raises(ResourceCapError, match="threshold="):
+            _member_arrays(family, 100_000)
+        members = generate.count_members_multi(family, 100_000, [1])[0]
+        assert 0 < formed[0] < members
+
+    @staticmethod
+    def _count_formed(monkeypatch):
+        """A one-item list counting the members _member_chunks forms."""
         formed = [0]
         chunks = identities._member_chunks
 
@@ -295,9 +313,7 @@ class TestWeightSeries:
                 yield level, cols
 
         monkeypatch.setattr(identities, "_member_chunks", counted)
-        with pytest.raises(ResourceCapError, match="threshold="):
-            _member_arrays(DENSE2, PRIME_SIEVE_CAP)
-        assert 0 < formed[0] < 200_000
+        return formed
 
 
 class TestWeightShift:
