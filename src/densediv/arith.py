@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,7 @@ ROUGH_COUNTS_CAP = 10**12
 
 # Largest bound for sieve_primes, the prime source of the weight series,
 # Mertens products and phi-scan.  The weight series at the cap (dense t=2,
-# N = 1.5e8) peak near 1.1 GB RSS.
+# N = 1.5e8) peak at about 450 MB RSS: the sieve's bytes and its primes.
 PRIME_SIEVE_CAP = 3 * 10**8
 
 # Largest limit of an int32 SpfTable, and largest prime bound of a frontier
@@ -105,6 +106,27 @@ def sieve_primes(bound, what: str) -> np.ndarray:
     check_sieve_bound passes."""
     check_sieve_bound(bound, what)
     return primes_up_to(math.floor(bound))
+
+
+def prime_counter(primes: np.ndarray, limit: int) -> Callable:
+    """pi as a bit-packed lookup: from the ascending primes <= limit, a pi(v)
+    equal to np.searchsorted(primes, v, "right") for int64 v in [0, limit].
+    Bit b of word w marks 128*w + 2*b + 1 as prime and before[w] counts the
+    odd primes below word w; pi(v) adds the bits of v's word up to v
+    (np.bitwise_count) and the prime 2.  limit/8 bytes in all."""
+    flags = np.zeros(64 * (limit // 128 + 1), dtype=bool)
+    flags[primes[1:] >> 1] = True
+    words = np.packbits(flags, bitorder="little").view("<u8")
+    before = np.cumsum(np.bitwise_count(words), dtype=np.int64)
+    before -= np.bitwise_count(words)
+
+    def pi(v: np.ndarray) -> np.ndarray:
+        k = np.maximum(v - 1, 0) >> 1  # the odd integer 2k + 1 <= max(v, 1)
+        w = k >> 6
+        low = words[w] << (63 - (k & 63)).astype(np.uint64)  # bits <= 2k + 1
+        return before[w] + np.bitwise_count(low) + (v >= 2)
+
+    return pi
 
 
 def is_prime(n: int) -> bool:

@@ -17,11 +17,11 @@ One production traversal and one reference:
   histograms and the identity sums tally those ranges in bulk; member
   columns, the tau-order experiment and the weight series read
   ``_member_chunks``, which expands them with the walk's own builder
-  ``_children``; ``_gather_sorted`` sorts them for the first and last.  The
-  walk's columns are int64 for every accepted query (the sieve cap keeps
-  x below 2^62, and sigma columns stop at x < 2^60); a dense threshold
-  n*t_num past int64 is formed in Python ints for the few rows that need
-  it.
+  ``_children``; member_columns sorts them by n, the others read them
+  unsorted.  The walk's columns are int64 for every accepted query (the
+  sieve cap keeps x below 2^62, and sigma columns stop at x < 2^60); a
+  dense threshold n*t_num past int64 is formed in Python ints for the few
+  rows that need it.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
@@ -60,7 +60,7 @@ _CHUNK = 1 << 16
 # keeps sigma(n) + 1 below 2^63 for n < 2^60: sigma columns stop there.
 _SIGMA_X_CAP = 2**60
 
-# int64 cells _gather_sorted may hold, counting its sort order and one
+# int64 cells member_columns may hold, counting its sort order and one
 # reordered column as two more columns, before it refuses (ResourceCapError).
 # enumerate's 7 cells a member reach it at 19.2M members; under a 2 GiB
 # address limit it peaked at 1.4 GB for 25.3M (dense t = 2, x = 4e8).
@@ -553,16 +553,21 @@ def collect_moments(
 MEMBER_COLUMNS = ("n", "omega", "big_omega", "tau", "sigma")
 
 
-def _gather_sorted(
-    family: ThetaFamily, x: int, n_min: int, names: tuple[str, ...], chunks: Iterator
+def member_columns(
+    family: ThetaFamily, x: int, names: tuple[str, ...], n_min: int = 0
 ) -> tuple[np.ndarray, ...]:
-    """int64 columns, one per name, ascending in n, over the members
-    n_min < n <= x that chunks (_member_chunks(family, x, n_min), not yet
-    started) yields; big_omega is the chunk's level.  A counting walk sizes
-    the columns first, so they are filled in place and no chunk outlives
-    its copy, and refuses (ResourceCapError) past _COLUMN_CELL_CAP."""
+    """int64 columns over the members n_min < n <= x, ascending in n, one per
+    name in names, each from MEMBER_COLUMNS (big_omega: the chunk's level).
+    A counting walk sizes the columns, so _member_chunks fills them in place,
+    and refuses (ResourceCapError) past _COLUMN_CELL_CAP cells before any
+    leaf is built; sigma at x >= 2^60 is refused before any sieving."""
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    if n_min < 0:
+        raise DomainError(f"n_min must be >= 0, got {n_min}")
+    sigma = "sigma" in names
     width = len({"n", *names}) + 2
-    primes, blocks = _frontier(family, x, sigma="sigma" in names)
+    primes, blocks = _frontier(family, x, sigma=sigma)
     size = 0
     for _, blk, mid, hi in blocks:
         n = blk["n"]
@@ -575,7 +580,7 @@ def _gather_sorted(
             )
     cols = {name: np.empty(size, dtype=np.int64) for name in ("n", *names)}
     at = 0
-    for level, chunk in chunks:
+    for level, chunk in _member_chunks(family, x, n_min, stats=True, sigma=sigma):
         end = at + len(chunk["n"])
         for name, col in cols.items():
             col[at:end] = level if name == "big_omega" else chunk[name]
@@ -587,21 +592,3 @@ def _gather_sorted(
     ordered = {"n": cols.pop("n")}
     ordered.update((name, cols.pop(name)[order]) for name in list(cols))
     return tuple(ordered[name] for name in names)
-
-
-def member_columns(
-    family: ThetaFamily, x: int, names: tuple[str, ...], n_min: int = 0
-) -> tuple[np.ndarray, ...]:
-    """Columns over the members with n_min < n <= x, ascending in n, one per
-    name in names, each drawn from MEMBER_COLUMNS.
-
-    Every column is int64; sigma is refused at x >= 2^60 (ResourceCapError),
-    before any sieving.  Columns past _COLUMN_CELL_CAP cells are refused
-    (ResourceCapError) by the counting walk, before any leaf is built.
-    """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if n_min < 0:
-        raise DomainError(f"n_min must be >= 0, got {n_min}")
-    chunks = _member_chunks(family, x, n_min, stats=True, sigma="sigma" in names)
-    return _gather_sorted(family, x, n_min, names, chunks)

@@ -22,18 +22,20 @@ The weighted analogues replace counting with Dirichlet-type weights
 for members n; the weights sum to 1 over the full (infinite) member set,
 the weight * log_moment series sums to 0, and the log moment approaches
 ``ln t - gamma`` for the fixed-ratio family.  Finite truncations of these
-series are checked as trends, not equalities.  Their members are
-gathered as member_columns gathers its columns, and their primes come
-from one sieve capped at PRIME_SIEVE_CAP.  A limit whose member 2^k
+series are checked as trends, not equalities.  They stream unsorted
+member chunks, summed by the exactly rounded math.fsum, and their primes
+come from one sieve capped at PRIME_SIEVE_CAP.  A limit whose member 2^k
 already has its threshold past that cap is refused before any walk;
 otherwise the walk stops at the first chunk whose thresholds pass it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .arith import (
     factor_stats,
     factorize,
     is_prime,
+    prime_counter,
     rough_count,
     rough_counts,
     sieve_primes,
@@ -53,7 +56,6 @@ from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRang
 from .families import ThetaFamily, is_member
 from .generate import (
     _frontier,
-    _gather_sorted,
     _member_chunks,
     _tally_counts,
     _theta_at_most,
@@ -127,58 +129,56 @@ def _prime_weight_arrays(
 
     Returns (prod_pad, mu_pad) where prod_pad[k] is the product of
     ``1 - p^{-s}`` over the first k primes and mu_pad[k] the prefix sum of
-    ``ln p / (p^s - 1)`` (index 0 = empty product/sum).
+    ``ln p / (p^s - 1)`` (index 0 = empty product/sum).  Both are built in
+    place with no temporary array: p^s is formed twice instead.
     """
-    pf = primes.astype(np.float64)
+    prod_pad, mu_pad = np.ones(len(primes) + 1), np.zeros(len(primes) + 1)
+    ps, mu = prod_pad[1:], mu_pad[1:]
+    s = float(s)  # p^s in floats, as the int64 power would overflow
     # p^s past the float range is inf, the exact limit: 1/inf = 0 here.
     with np.errstate(over="ignore"):
-        ps = pf**s
-    prod_pad = np.concatenate(([1.0], np.cumprod(1.0 - 1.0 / ps)))
-    mu_pad = np.concatenate(([0.0], np.cumsum(np.log(pf) / (ps - 1.0))))
+        np.power(primes, s, out=ps)
+        np.divide(np.log(primes, out=mu), np.subtract(ps, 1.0, out=ps), out=mu)
+        np.power(primes, s, out=ps)
+    np.cumsum(mu, out=mu)
+    np.cumprod(np.subtract(1.0, np.divide(1.0, ps, out=ps), out=ps), out=ps)
     return prod_pad, mu_pad
 
 
-def _member_arrays(family: ThetaFamily, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """int64 (n, threshold_floor) arrays over members n <= limit, ascending
-    in n, gathered as member_columns gathers (_gather_sorted).
+def _weight_chunks(family: ThetaFamily, s: float, limit: int) -> Iterator[tuple]:
+    """(n, threshold_floor, weight, log_moment) arrays over the members
+    n <= limit, one unsorted _member_chunks chunk at a time.
 
     The member m = 2^k <= limit (2 <= theta(1) for every rule) is checked
-    before any sieve or walk.  Under the cap this bounds _prime_limit far
-    below SIEVE_LIMIT_CAP: by sqrt(2*theta(m) + 2) + 1 for dense (limit*t
-    < 2*m*t), by about 81k for the rules with theta(m) >= m.  Each chunk's
-    thresholds pass check_sieve_bound before they are formed, so a walk
-    past the cap stops early."""
+    before any sieve or walk, which bounds _prime_limit far below
+    SIEVE_LIMIT_CAP.  A first walk checks each chunk's largest threshold,
+    so a walk past the cap stops early; the primes up to the largest are
+    sieved once, and a second walk yields the terms."""
     m = 1 << (limit.bit_length() - 1)
     check_sieve_bound(family.threshold_floor(m, 2 * m - 1), "threshold")
-
-    def chunks():
-        # The practical threshold reads sigma, of the leaves too.
-        practical = family.kind == "practical"
-        for level, chunk in _member_chunks(family, limit, sigma=practical):
-            n, sigma = chunk["n"], chunk.get("sigma")
-            # threshold_floor is nondecreasing in n and in sigma, so this is
-            # the chunk's largest threshold, exact in Python ints.
-            top = family.threshold_floor(
-                int(n.max()), None if sigma is None else int(sigma.max())
-            )
-            check_sieve_bound(top, "threshold")
-            yield level, {"n": n, "theta": _theta_at_most(family, n, sigma, top)}
-
-    return _gather_sorted(family, limit, 0, ("n", "theta"), chunks())
-
-
-def _member_weights(
-    family: ThetaFamily, s: float, limit: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(n, threshold_floor, weight, log_moment) over members n <= limit,
-    ascending in n, with the primes sieved up to the largest threshold."""
-    n_arr, thr_arr = _member_arrays(family, limit)
-    primes = sieve_primes(int(thr_arr.max()), "threshold")
+    # The practical threshold reads sigma, of the leaves too.
+    sigma = family.kind == "practical"
+    top = 0
+    for _, chunk in _member_chunks(family, limit, sigma=sigma):
+        # threshold_floor is nondecreasing in n and in sigma, so this is
+        # the chunk's largest threshold, exact in Python ints.
+        sig = int(chunk["sigma"].max()) if sigma else None
+        top = max(top, family.threshold_floor(int(chunk["n"].max()), sig))
+        check_sieve_bound(top, "threshold")
+    primes = sieve_primes(top, "threshold")
+    pi = prime_counter(primes, top)
     prod_pad, mu_pad = _prime_weight_arrays(s, primes)
-    idx = np.searchsorted(primes, thr_arr, side="right")
-    n_float = n_arr.astype(np.float64)
-    weights = n_float ** (-s) * prod_pad[idx]
-    return n_arr, thr_arr, weights, mu_pad[idx] - np.log(n_float)
+    for _, chunk in _member_chunks(family, limit, sigma=sigma):
+        n = chunk["n"]
+        theta = _theta_at_most(family, n, chunk.get("sigma"), top)
+        idx = pi(theta)
+        n_float = n.astype(np.float64)
+        yield n, theta, n_float ** (-s) * prod_pad[idx], mu_pad[idx] - np.log(n_float)
+
+
+def _fsum(parts: Iterable[np.ndarray]) -> float:
+    """Exactly rounded sum of the entries of the arrays, in any order."""
+    return math.fsum(itertools.chain.from_iterable(p.tolist() for p in parts))
 
 
 def series_term(
@@ -327,7 +327,7 @@ def weight_series_partial_sum(family: ThetaFamily, s: float, limit: int) -> floa
     threshold, at most PRIME_SIEVE_CAP (ResourceCapError).
     """
     _validate_s(s, limit)
-    return float(np.sum(_member_weights(family, s, limit)[2]))
+    return _fsum(w for _, _, w, _ in _weight_chunks(family, s, limit))
 
 
 def check_weight_shift(
@@ -347,10 +347,11 @@ def check_weight_shift(
     q_all = math.prod(qs)
     q_last = qs[-1]
     q_rest = q_all // q_last
-    n_arr, thr_arr, w, _ = _member_weights(family, s, limit)
-    lhs = float(np.sum(w[n_arr % q_all == 0]))
-    keep = (thr_arr >= q_last) & (n_arr % q_rest == 0)
-    rhs = float(q_last) ** (-s) * float(np.sum(w[keep]))
+    lhs, rhs = [], []
+    for n, thr, w, _ in _weight_chunks(family, s, limit):
+        lhs.append(w[n % q_all == 0])
+        rhs.append(w[(thr >= q_last) & (n % q_rest == 0)])
+    lhs, rhs = _fsum(lhs), float(q_last) ** (-s) * _fsum(rhs)
     return CheckResult("weight_shift", lhs, rhs, abs(lhs - rhs), True)
 
 
@@ -362,8 +363,7 @@ def weighted_log_moment_sum(family: ThetaFamily, s: float, limit: int) -> float:
     weight_series_partial_sum.
     """
     _validate_s(s, limit)
-    _, _, weights, moments = _member_weights(family, s, limit)
-    return float(np.sum(weights * moments))
+    return _fsum(w * mu for _, _, w, mu in _weight_chunks(family, s, limit))
 
 
 def log_moment_gap(n: int, t: Fraction) -> float:

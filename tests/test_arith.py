@@ -22,6 +22,7 @@ from densediv import (
     rough_count,
     rough_counts,
 )
+from densediv.arith import prime_counter
 
 
 def brute_factorize(n: int) -> list[tuple[int, int]]:
@@ -81,6 +82,24 @@ class TestSieve:
             tracemalloc.stop()
         assert len(primes) == 664_579
         assert peak < 18_000_000
+
+
+class TestPrimeCounter:
+    @pytest.mark.parametrize("limit", [1, 2, 3, 127, 128, 129, 1000, 65537])
+    def test_every_value(self, limit):
+        # 127..129 and 65537 sit at the ends of a 64-bit word of odd numbers.
+        primes = primes_up_to(limit)
+        v = np.arange(limit + 1, dtype=np.int64)
+        got = prime_counter(primes, limit)(v)
+        assert np.array_equal(got, np.searchsorted(primes, v, "right"))
+
+    def test_random_sample(self):
+        limit = 10**7
+        primes = primes_up_to(limit)
+        v = np.random.default_rng(20211).integers(0, limit, 200_000, endpoint=True)
+        v[:2] = 0, limit
+        got = prime_counter(primes, limit)(v)
+        assert np.array_equal(got, np.searchsorted(primes, v, "right"))
 
 
 class TestIsPrime:

@@ -28,6 +28,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 
+DENSE2 = ["--family", "dense", "--t", "2"]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -220,6 +223,38 @@ class TestIdentity:
         )
         assert code == 0
         assert float(out[1].split(",")[0]) == pytest.approx(0.022671, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["lambda0", *DENSE2, "--N", "1000"],
+             "0.909571671448,1,0.090428328552,true"),
+            (["lambdak", *DENSE2, "--N", "1000", "--qs", "2,3"],
+             "0.109857766214,0.136523890483,0.0266661242689,true"),
+            (["mu0", *DENSE2, "--N", "1000"],
+             "0.526250969847,0,0.526250969847,true"),
+            (["lambda0", *DENSE2, "--N", "100000"],
+             "0.943600829146,1,0.0563991708538,true"),
+            (["lambdak", *DENSE2, "--N", "100000", "--qs", "2,3"],
+             "0.131108720889,0.147866943049,0.0167582221599,true"),
+            (["mu0", *DENSE2, "--N", "100000"],
+             "0.530582341467,0,0.530582341467,true"),
+            (["lambda0", "--family", "practical", "--N", "1e6"],
+             "0.949323401825,1,0.0506765981752,true"),
+            (["lambdak", "--family", "practical", "--N", "1e6", "--qs", "2,3"],
+             "0.133989957391,0.149774467275,0.0157845098836,true"),
+            (["mu0", "--family", "practical", "--N", "1e6"],
+             "0.566145763466,0,0.566145763466,true"),
+        ],
+        ids=[f"{c}-{f}-{n}" for f, n in (("dense2", "1e3"), ("dense2", "1e5"),
+                                          ("practical", "1e6"))
+             for c in ("lambda0", "lambdak", "mu0")],
+    )
+    def test_weight_series_stdout_pinned(self, capsys, argv, want):
+        # Recorded when the series still summed the members sorted by n
+        # with np.sum; the exactly rounded sums print the same bytes.
+        assert main(["identity", "--check", *argv]) == 0
+        assert capsys.readouterr().out == f"lhs,rhs,gap,pass\n{want}\n"
 
     def test_log_moment_limit(self, capsys):
         code, out, _ = run(

@@ -33,7 +33,6 @@ from densediv import (
 import densediv.generate as generate
 import densediv.identities as identities
 from densediv.arith import PRIME_SIEVE_CAP
-from densediv.identities import _member_arrays
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE3 = ThetaFamily.dense(3)
@@ -248,46 +247,35 @@ class TestWeightSeries:
 
     @pytest.mark.parametrize("limit", SERIES_LIMITS)
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
-    def test_member_arrays_match_iter_members(self, family, limit):
+    def test_weight_chunks_match_iter_members(self, family, limit):
+        # The chunks are unsorted: compare (n, theta) as multisets.
         pairs = sorted(
             (rec.n, family.threshold_floor(rec.n, rec.sigma))
             for rec in iter_members(family, limit)
         )
-        n_arr, thr_arr = _member_arrays(family, limit)
-        assert n_arr.dtype == thr_arr.dtype == np.int64
-        assert np.all(np.diff(n_arr) > 0)
-        assert list(zip(n_arr.tolist(), thr_arr.tolist())) == pairs
+        got = []
+        for n, thr, _, _ in identities._weight_chunks(family, 1.0, limit):
+            assert n.dtype == thr.dtype == np.int64
+            got += zip(n.tolist(), thr.tolist())
+        assert sorted(got) == pairs
 
     @pytest.mark.parametrize("limit", SERIES_LIMITS)
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
     def test_without_table(self, table, family, limit):
         for s in (1.0, 1.5):
             _, _, w, _ = reference_weights(table, family, s, limit)
-            assert weight_series_partial_sum(family, s, limit) == float(np.sum(w))
+            assert weight_series_partial_sum(family, s, limit) == math.fsum(w)
 
     def test_sieve_bounds(self):
         # The walk stops at the first block whose thresholds pass the bound.
         with pytest.raises(ResourceCapError):
             weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
 
-    def test_cell_cap(self, monkeypatch):
-        # The n and theta columns, their sort order and one reordered column
-        # are 4 cells a member: the 1,391 members <= 10^4 fit 5,564 cells
-        # and are refused at one cell less.
-        assert len(_member_arrays(DENSE2, 10**4)[0]) == 1391
-        monkeypatch.setattr(generate, "_COLUMN_CELL_CAP", 4 * 1391)
-        assert weight_series_partial_sum(DENSE2, 1.0, 10**4) == pytest.approx(
-            0.930375, abs=1e-6
-        )
-        monkeypatch.setattr(generate, "_COLUMN_CELL_CAP", 4 * 1391 - 1)
-        with pytest.raises(ResourceCapError, match="cap of 5563 cells"):
-            weight_series_partial_sum(DENSE2, 1.0, 10**4)
-
     def test_over_scale_walk_stops_early(self, monkeypatch):
         # theta(2^28) passes the cap: the query is refused before any walk.
         formed = self._count_formed(monkeypatch)
         with pytest.raises(ResourceCapError, match="threshold="):
-            _member_arrays(DENSE2, PRIME_SIEVE_CAP)
+            weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
         assert formed == [0]
 
     def test_walk_past_member_2k_stops_early(self, monkeypatch):
@@ -297,7 +285,7 @@ class TestWeightSeries:
         family = ThetaFamily.dense(4000)
         formed = self._count_formed(monkeypatch)
         with pytest.raises(ResourceCapError, match="threshold="):
-            _member_arrays(family, 100_000)
+            weight_series_partial_sum(family, 1.0, 100_000)
         members = generate.count_members_multi(family, 100_000, [1])[0]
         assert 0 < formed[0] < members
 
@@ -339,8 +327,8 @@ class TestWeightShift:
     def test_without_table(self, table, family, limit):
         for s in (1.0, 1.5):
             n, thr, w, _ = reference_weights(table, family, s, limit)
-            lhs = float(np.sum(w[n % 6 == 0]))
-            rhs = 3.0 ** (-s) * float(np.sum(w[(thr >= 3) & (n % 2 == 0)]))
+            lhs = math.fsum(w[n % 6 == 0])
+            rhs = 3.0 ** (-s) * math.fsum(w[(thr >= 3) & (n % 2 == 0)])
             assert check_weight_shift(family, s, limit, [2, 3]) == CheckResult(
                 "weight_shift", lhs, rhs, abs(lhs - rhs), True
             )
@@ -376,7 +364,7 @@ class TestLogMomentSeries:
     def test_without_table(self, table, family, limit):
         for s in (1.0, 1.5):
             _, _, w, mu = reference_weights(table, family, s, limit)
-            assert weighted_log_moment_sum(family, s, limit) == float(np.sum(w * mu))
+            assert weighted_log_moment_sum(family, s, limit) == math.fsum(w * mu)
 
     def test_validation(self):
         with pytest.raises(DomainError):
