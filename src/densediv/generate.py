@@ -15,10 +15,10 @@ One production traversal and one reference:
   childless leaves n*p, those with p^2 > x // n and p at least the
   largest prime of n, which it never builds as rows.  Counts, moment
   histograms and the identity sums tally those ranges in bulk; member
-  columns, the tau-order experiment and the weight series read
-  ``_member_chunks``, which expands them with the walk's own builder
-  ``_children``; member_columns sorts them by n, the others read them
-  unsorted.  The walk's columns are int64 for every accepted query (the
+  columns, the tau-order experiment, the weight series and the identity
+  sums' take-back below theta_min read ``_member_chunks``, which expands
+  them with the walk's own builder ``_children``; member_columns sorts
+  them by n, the others read them unsorted.  The walk's columns are int64 for every accepted query (the
   sieve cap keeps x below 2^62, and sigma columns stop at x < 2^60); a
   dense threshold n*t_num past int64 is formed in Python ints for the few
   rows that need it.
@@ -451,25 +451,20 @@ def _member_chunks(
             yield level + 1, child
 
 
-def _tally_counts(
-    counts: list[int], live_qs: list[tuple[int, int]], primes, n, mid, hi
-) -> None:
-    """Add to counts[k], for each (k, q) in live_qs, the rows n and their
-    leaves n*primes[j], j in [mid, hi), that q divides."""
+def _tally_counts(q: int, primes, n, mid, hi) -> int:
+    """The rows n and their leaves n*primes[j], j in [mid, hi), that q
+    divides."""
     leaves = hi - mid
-    for k, q in live_qs:
-        if q == 1:
-            counts[k] += len(n) + int(leaves.sum())
-            continue
-        # q | n*p  iff  r | p  with r = q / gcd(q, n): a row and all its
-        # leaves count when r = 1, and only the leaf p = r when r is a prime
-        # in range.
-        r = q // np.gcd(n, q)
-        idx = np.searchsorted(primes, r)
-        hit = (idx >= mid) & (idx < hi)
-        counts[k] += int((leaves[r == 1] + 1).sum()) + int(
-            np.count_nonzero(primes[idx[hit]] == r[hit])
-        )
+    if q == 1:
+        return len(n) + int(leaves.sum())
+    # q | n*p  iff  r | p  with r = q / gcd(q, n): a row and all its leaves
+    # count when r = 1, and only the leaf p = r when r is a prime in range.
+    r = q // np.gcd(n, q)
+    idx = np.searchsorted(primes, r)
+    hit = (idx >= mid) & (idx < hi)
+    return int((leaves[r == 1] + 1).sum()) + int(
+        np.count_nonzero(primes[idx[hit]] == r[hit])
+    )
 
 
 # ---- public counting / moments API ----
@@ -492,7 +487,8 @@ def count_members_multi(
     live_qs = [(k, q) for k, q in enumerate(qs) if q <= x]
     counts = [0] * len(qs)
     for _, blk, mid, hi in blocks:
-        _tally_counts(counts, live_qs, primes, blk["n"], mid, hi)
+        for k, q in live_qs:
+            counts[k] += _tally_counts(q, primes, blk["n"], mid, hi)
     return counts
 
 

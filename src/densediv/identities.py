@@ -11,8 +11,9 @@ filtered sums on both sides.  Both are exact integer equalities at every
 finite x, so they validate the enumerator, the threshold arithmetic, and
 the rough-count sieve against each other with zero tolerance.  Without a
 table both sums run over the leaf-collapsed frontier and one
-floor-quotient prime count table; with one they run the reference loop of
-rough_count over iter_members.
+floor-quotient prime count table, and a short member walk below the
+shifted side's theta bound takes back the members under it; with one they
+run the reference loop of rough_count over iter_members.
 
 The weighted analogues replace counting with Dirichlet-type weights
 
@@ -26,7 +27,8 @@ series are checked as trends, not equalities.  They stream unsorted
 member chunks, summed by the exactly rounded math.fsum, and their primes
 come from one sieve capped at PRIME_SIEVE_CAP.  A limit whose member 2^k
 already has its threshold past that cap is refused before any walk;
-otherwise the walk stops at the first chunk whose thresholds pass it.
+otherwise a first walk finds the largest threshold, and a refusal names
+that one, whatever the order of the chunks.
 """
 
 from __future__ import annotations
@@ -150,10 +152,11 @@ def _weight_chunks(family: ThetaFamily, s: float, limit: int) -> Iterator[tuple]
     n <= limit, one unsorted _member_chunks chunk at a time.
 
     The member m = 2^k <= limit (2 <= theta(1) for every rule) is checked
-    before any sieve or walk, which bounds _prime_limit far below
-    SIEVE_LIMIT_CAP.  A first walk checks each chunk's largest threshold,
-    so a walk past the cap stops early; the primes up to the largest are
-    sieved once, and a second walk yields the terms."""
+    before any sieve or walk.  That bounds the limit below 2^29, so a
+    first walk always finishes quickly and finds the largest threshold,
+    whatever the chunk order; sieve_primes refuses it past the cap, by
+    its exact value.  Else the primes up to it are sieved once, and a
+    second walk yields the terms."""
     m = 1 << (limit.bit_length() - 1)
     check_sieve_bound(family.threshold_floor(m, 2 * m - 1), "threshold")
     # The practical threshold reads sigma, of the leaves too.
@@ -164,7 +167,6 @@ def _weight_chunks(family: ThetaFamily, s: float, limit: int) -> Iterator[tuple]
         # the chunk's largest threshold, exact in Python ints.
         sig = int(chunk["sigma"].max()) if sigma else None
         top = max(top, family.threshold_floor(int(chunk["n"].max()), sig))
-        check_sieve_bound(top, "threshold")
     primes = sieve_primes(top, "threshold")
     pi = prime_counter(primes, top)
     prod_pad, mu_pad = _prime_weight_arrays(s, primes)
@@ -221,18 +223,18 @@ def _rough_sum(
     runs over the leaf-collapsed frontier, whose unbuilt leaves all have
     Phi = 1: a leaf L = n*p has p <= theta(n) <= theta(L) and
     p^2 > x // n, hence x // L < p.  _tally_counts therefore counts every
-    member that q divides, built or not, at Phi = 1; the built rows with
-    theta(n) < theta_min are taken back, and those with theta(n) < x // n
-    add Phi - 1.  Each such x // n is a floor quotient of x, and one
-    rough_counts table answers them all.  Theta is taken at most
-    max(x // n, theta_min) (_theta_at_most), which keeps it in int64 and
-    leaves both comparisons exact.
+    member that q divides, built or not, at Phi = 1, and the built rows
+    with theta_min <= theta(n) < x // n add Phi - 1.  Each such x // n is
+    a floor quotient of x, and one rough_counts table answers them all.
+    Theta is taken at most max(x // n, theta_min) (_theta_at_most), which
+    keeps it in int64 and leaves both comparisons exact.
 
-    The theta filter passes every unbuilt leaf when x >= theta_min^2: a
-    member with theta(n) < theta_min has n < theta(n) < theta_min, while
-    an unbuilt leaf L whose last factor is the prime p <= L has L*p > x,
-    so L > sqrt(x) >= theta_min.  Below that the sum reads
-    ``_member_chunks``, which builds every member, and filters each one.
+    Every rule has theta(n) >= n + 1, so each member with
+    theta(n) < theta_min, leaf or row, is below theta_min, and one short
+    ``_member_chunks`` walk to min(x, theta_min) takes those back.  On the
+    shifted identity's right side that limit, min(x // q_k, q_k), is at
+    most the square root of the left side's x, so at most 10^6; with
+    theta_min <= 2 (phi0 and every left side) no walk starts.
     """
     if table is None and x > ROUGH_COUNTS_CAP:
         raise ResourceCapError(f"x={x} exceeds the identity cap {ROUGH_COUNTS_CAP}")
@@ -245,11 +247,8 @@ def _rough_sum(
             if rec.n % q == 0 and thr >= theta_min:
                 total += rough_count(x // rec.n, thr, table)
         return total
-    if x >= theta_min**2:
-        primes, blocks = _frontier(family, x)
-    else:  # the theta filter may drop a leaf: build each member, leafless
-        blocks = ((0, c, None, None) for _, c in _member_chunks(family, x, sigma=True))
-    total = [0]
+    primes, blocks = _frontier(family, x)
+    total = 0
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     for _, blk, mid, hi in blocks:
@@ -258,18 +257,18 @@ def _rough_sum(
         theta = _theta_at_most(
             family, n, blk.get("sigma"), np.maximum(quot, theta_min)
         )
-        keep = n % q == 0
-        if mid is None:
-            total[0] += int(np.count_nonzero(keep))
-        else:
-            _tally_counts(total, [(0, q)], primes, n, mid, hi)
-        total[0] -= int(np.count_nonzero(keep & (theta < theta_min)))
-        low = keep & (theta >= theta_min) & (theta < quot)
+        total += _tally_counts(q, primes, n, mid, hi)
+        low = (n % q == 0) & (theta >= theta_min) & (theta < quot)
         xs.append(quot[low])
         ys.append(theta[low])
+    if theta_min > 2:
+        for _, chunk in _member_chunks(family, min(x, theta_min), sigma=True):
+            n = chunk["n"]
+            theta = _theta_at_most(family, n, chunk["sigma"], theta_min)
+            total -= int(np.count_nonzero((n % q == 0) & (theta < theta_min)))
     quot = np.concatenate(xs)
     theta = np.concatenate(ys)
-    return total[0] + int(rough_counts(x, quot, theta).sum()) - len(quot)
+    return total + int(rough_counts(x, quot, theta).sum()) - len(quot)
 
 
 def check_partition_identity(

@@ -495,10 +495,19 @@ class TestExitCodes:
             # any column is built
             (["enumerate", "--family", "dense", "--t", "2", "--x", "1e12",
               "--out", os.devnull], 1),
+            # weight series whose member 2^k passes the cap check: the first
+            # walk runs over every member <= N before the refusal
+            (["identity", "--check", "lambda0", "--family", "dense", "--t", "2",
+              "--N", "2e8"], 1),
+            (["identity", "--check", "mu0", "--family", "practical",
+              "--N", "1e8", "--s", "1.5"], 1),
+            (["identity", "--check", "mu0", "--family", "shifted2",
+              "--N", "536870911"], 1),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
              "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
-             "enumerate-sigma-2e18", "enumerate-cells-1e12"],
+             "enumerate-sigma-2e18", "enumerate-cells-1e12",
+             "lambda0-dense2-2e8", "mu0-practical-1e8", "mu0-shifted2-2^29-1"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         capped_cli(argv, code)
@@ -583,17 +592,17 @@ class TestInt64UnsafeBytes:
             assert main(argv) == 1
             assert capsys.readouterr().err == want
 
-    def test_refusal_past_member_2k_names_chunk_threshold(self, capsys):
-        # theta(2^16) = 262,144,000 passes the cap check, but thresholds up
-        # to 4 * 10^8 do not: the walk names one of them.
+    def test_refusal_past_member_2k_names_largest_threshold(self, capsys):
+        # theta(2^16) = 262,144,000 passes the cap check; the first walk
+        # then runs to its end and names the largest threshold, that of the
+        # member 100,000.
         argv = ["identity", "--check", "lambda0", "--family", "dense",
                 "--t", "4000", "--N", "100000"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, [])
-        assert err.count("\n") == 1
-        prefix, cap = "error: threshold=", " exceeds the prime-sieve cap 300000000\n"
-        assert err.startswith(prefix) and err.endswith(cap)
-        assert 3 * 10**8 < int(err[len(prefix) : -len(cap)]) <= 4 * 10**8
+        assert err == (
+            "error: threshold=400000000 exceeds the prime-sieve cap 300000000\n"
+        )
 
     def test_large_finite_s_prints_no_warning(self, capsys):
         # p^s past the float range is inf, whose reciprocal 0 is exact.

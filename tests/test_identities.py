@@ -155,8 +155,9 @@ class TestFloorQuotientPath:
         ids=["dense2", "practical", "shifted1", "shifted2", "dense_big"],
     )
     def test_shifted_large_last_prime(self, table, family):
-        # The right side keeps its leaf tally only for x // q_k >= q_k^2, and
-        # below it sums over every member; these cases fall on both sides.
+        # The right side takes back its members with theta(n) < q_k, all
+        # below q_k, leaves among them when x // q_k < q_k^2; these cases
+        # fall on both sides of that square.
         for x in (7, 50, 500, 2000, 20_000):
             for qs in ([7], [2, 13], [31], [97]):
                 fast = check_shifted_partition_identity(family, x, qs)
@@ -172,6 +173,11 @@ class TestFloorQuotientPath:
     def test_shifted_exact_at_1e8(self):
         res = check_shifted_partition_identity(DENSE2, 10**8, [2, 3])
         assert res.passed and res.lhs == res.rhs == 16_666_666
+        # x // 1009 < 1009^2: the right side takes back leaves too.
+        for family in (DENSE2, PRACTICAL):
+            for qs in ([1009], [3, 1009]):
+                res = check_shifted_partition_identity(family, 10**9, qs)
+                assert res.passed and res.lhs == res.rhs, (family, qs)
 
     def test_q_beyond_x(self):
         res = check_shifted_partition_identity(DENSE2, 10, [11, 13])
@@ -267,7 +273,7 @@ class TestWeightSeries:
             assert weight_series_partial_sum(family, s, limit) == math.fsum(w)
 
     def test_sieve_bounds(self):
-        # The walk stops at the first block whose thresholds pass the bound.
+        # theta(2^28) = 2^29 passes the bound.
         with pytest.raises(ResourceCapError):
             weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
 
@@ -278,16 +284,14 @@ class TestWeightSeries:
             weight_series_partial_sum(DENSE2, 1.0, PRIME_SIEVE_CAP)
         assert formed == [0]
 
-    def test_walk_past_member_2k_stops_early(self, monkeypatch):
-        # theta(2^16) = 262,144,000 is under the cap and 4 * 10^8 is not:
-        # the first chunk past the cap is refused before all the members
-        # <= 100,000 are formed.
-        family = ThetaFamily.dense(4000)
-        formed = self._count_formed(monkeypatch)
-        with pytest.raises(ResourceCapError, match="threshold="):
-            weight_series_partial_sum(family, 1.0, 100_000)
-        members = generate.count_members_multi(family, 100_000, [1])[0]
-        assert 0 < formed[0] < members
+    @pytest.mark.parametrize("chunk", [5, 1 << 16])
+    def test_refusal_names_largest_threshold(self, monkeypatch, chunk):
+        # theta(2^16) = 262,144,000 is under the cap; the first walk runs to
+        # its end and names the largest threshold, that of the member
+        # 100,000, whatever the chunk order.
+        monkeypatch.setattr(generate, "_CHUNK", chunk)
+        with pytest.raises(ResourceCapError, match=r"^threshold=400000000 "):
+            weight_series_partial_sum(ThetaFamily.dense(4000), 1.0, 100_000)
 
     @staticmethod
     def _count_formed(monkeypatch):
