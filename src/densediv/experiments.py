@@ -37,7 +37,13 @@ from .generate import (
     collect_moments,
     count_members_multi,
 )
-from .specfun import SolverConfig, TabulatedFunction, rough_count_approx, tabulate_buchstab
+from .specfun import (
+    SolverConfig,
+    TabulatedFunction,
+    _rough_main_term,
+    mertens_product,
+    tabulate_buchstab,
+)
 
 __all__ = [
     "CoeffEstimate",
@@ -301,7 +307,8 @@ def phi_approx_scan(
     """Exact rough-number counts vs. the main-term approximation on a grid.
 
     The exact counts of each x come from one ``rough_counts`` call and the
-    Mertens products from the primes up to y (see mertens_product).  Each
+    approximation is ``rough_count_approx``, with each y's Mertens product
+    (see mertens_product) computed once for the whole x grid.  Each
     (x, y) yields a ``rough_count`` row (measured = exact count,
     predicted = approximation) and a report-only ``scaled_residual`` row
     carrying ``|exact - approx| * ln y / (x e^{-u/3})`` -- the residual in
@@ -315,13 +322,14 @@ def phi_approx_scan(
     check_sieve_bound(max(y_grid), "y")
     if w is None:
         w = tabulate_buchstab(SolverConfig())
+    mertens = {y: mertens_product(y) for y in y_grid}
     rows: list[ReportRow] = []
     gated: list[float] = []
     for x in x_grid:
         ys = [math.floor(y) for y in y_grid]
         exact_row = rough_counts(x, [x] * len(ys), ys).tolist()
         for y, exact in zip(y_grid, exact_row):
-            approx = rough_count_approx(x, y, w)
+            approx = _rough_main_term(x, y, mertens[y], w)
             rel = _rel_err(exact, approx)
             u = math.log(max(1, x)) / math.log(y)
             scaled = abs(exact - approx) * math.log(y) / (x * math.exp(-u / 3.0))

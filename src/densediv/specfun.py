@@ -10,7 +10,10 @@ Two tabulated solutions of delay/Volterra equations:
       d(v) = 1 - integral_0^{(v-1)/2} d(u)/(u+1) * w((v-u)/(u+1)) du
 
   solved by forward marching (the integrand only looks strictly backwards).
-  ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.
+  ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.  Each row's
+  integrand is filled by a small C loop (``_march_row.c``), compiled once
+  per process and loaded with ctypes, or by numpy passes where no C
+  compiler builds it; both give the same floats.
 
 Both solvers snap the grid step to an exact reciprocal 1/m so that the
 integral limits ``u - 1`` (for w) and ``(v-1)/2`` (for d) land on grid or
@@ -23,6 +26,7 @@ approximation to the rough-number count built from both.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -49,8 +53,8 @@ __all__ = [
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
 
 #: Most grid points a tabulator builds.  The density march is O(N^2): at
-#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 23 s end to end on
-#: 2 CPUs.
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 9 s end to end on
+#: 2 CPUs of an x86-64 box (18 s with the numpy row fill).
 GRID_POINTS_CAP = 2**17
 
 # Smallest wave (in quadrature cells) the density march splits over
@@ -228,27 +232,59 @@ def _march_workers() -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
-def _march_rows(rows, d, scaled, inv_up1, w, m, g) -> None:
-    """March the density-kernel rows ``rows`` (ascending), writing d[i] and
-    scaled[i]; every row must read only finished entries of d and scaled."""
-    # manual linear interpolation into the (uniform, u_min = 1) w table;
-    # dw[j] is the same float as wv[j + 1] - wv[j] read per cell
-    wv = w.values
-    dw = wv[1:] - wv[:-1]
-    inv_hw = 1.0 / w.step
-    top = float(len(wv) - 1)
-    last = len(wv) - 2
-    # row work buffers, written through prefix views: no allocation per row
-    size = (rows[-1] - m) // 2 + 1
+@functools.cache
+def _row_kernel():
+    """The compiled row fill of the density march (``_march_row.c``), or
+    None where it cannot be built or loaded.
+
+    Built once per process with the interpreter's C compiler into a
+    private temporary directory and loaded with ctypes; compiler output is
+    discarded.  ``-ffp-contract=off`` and no fast-math keep every cell the
+    same float operations, in the same order, as the numpy fill.
+    """
+    # imported here: only a density march builds the kernel
+    import ctypes
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None
+    source = os.path.join(os.path.dirname(__file__), "_march_row.c")
+    try:
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+            lib = os.path.join(tmp, "_march_row.so")
+            built = subprocess.run(
+                [*shlex.split(cc), "-O2", "-fPIC", "-shared",
+                 "-ffp-contract=off", "-o", lib, source],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            if built.returncode:
+                return None
+            kernel = ctypes.CDLL(lib).march_row
+    except (OSError, ValueError):  # no compiler, a bad CC, a failed load
+        return None
+    ptr, real, count = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
+    kernel.argtypes = [ptr] * 5 + [real, real, count, count, real]
+    kernel.restype = None
+    return kernel
+
+
+def _numpy_fill(inv_up1, scaled, wv, dw, inv_hw, top, last, f_buf):
+    """The row fill in numpy passes, for where the compiled kernel is
+    missing: ``fill(c, v)`` writes the c integrand values of the row at v
+    into f_buf[:c], through work buffers allocated once."""
+    size = len(f_buf)
     pos_buf = np.empty(size)
     floor_buf = np.empty(size)
     idx_buf = np.empty(size, dtype=np.int64)
-    f_buf = np.empty(size)
-    for i in rows:
-        v = i * g
-        half_cells = i - m  # integral limit U = (v-1)/2 in half-step units
-        full, odd = divmod(half_cells, 2)
-        c = full + 1  # cells 0..full
+
+    def fill(c: int, v: float) -> None:
+        full = c - 1
         pos, flo, idx, f = pos_buf[:c], floor_buf[:c], idx_buf[:c], f_buf[:c]
         np.multiply(inv_up1[:c], v + 1.0, out=pos)
         np.subtract(pos, 2.0, out=pos)
@@ -265,6 +301,40 @@ def _march_rows(rows, d, scaled, inv_up1, w, m, g) -> None:
         np.multiply(f, frac, out=f)
         np.add(f, np.take(wv, idx, out=flo, mode="clip"), out=f)
         np.multiply(f, scaled[:c], out=f)
+
+    return fill
+
+
+def _march_rows(rows, d, scaled, inv_up1, w, m, g, kernel) -> None:
+    """March the density-kernel rows ``rows`` (ascending), writing d[i] and
+    scaled[i]; every row must read only finished entries of d and scaled.
+
+    ``kernel`` (from _row_kernel, or None for the numpy passes) fills each
+    row's integrand; the quadrature sum and the half cell are shared.
+    """
+    # manual linear interpolation into the (uniform, u_min = 1) w table;
+    # dw[j] is the same float as wv[j + 1] - wv[j] read per cell; the
+    # kernel reads wv as a plain float64 buffer
+    wv = np.ascontiguousarray(w.values, dtype=np.float64)
+    dw = wv[1:] - wv[:-1]
+    inv_hw = 1.0 / w.step
+    top = float(len(wv) - 1)
+    last = len(wv) - 2
+    f_buf = np.empty((rows[-1] - m) // 2 + 1)
+    if kernel is None:
+        fill = _numpy_fill(inv_up1, scaled, wv, dw, inv_hw, top, last, f_buf)
+    else:
+        buffers = (inv_up1, scaled, wv, dw, f_buf)
+        fill = functools.partial(
+            kernel, *(a.ctypes.data for a in buffers), inv_hw, top, last
+        )
+    for i in rows:
+        v = i * g
+        half_cells = i - m  # integral limit U = (v-1)/2 in half-step units
+        full, odd = divmod(half_cells, 2)
+        c = full + 1  # cells 0..full
+        fill(c, v)
+        f = f_buf[:c]
         if full > 0:
             acc = g * (f.sum() - 0.5 * (f[0] + f[full]))
         else:
@@ -284,9 +354,11 @@ def _march_wave(rows, workers: int, args: tuple) -> None:
     d and scaled, the parent marches rows[0::workers] and reaps them all.
     A share whose fork fails is marched by the parent.
 
-    A child runs only numpy ufuncs, ``take`` and ``sum`` (no BLAS, no lock
-    another thread of the parent could hold), so forking a threaded parent
-    is safe, and leaves through ``os._exit``: no atexit handler, no stdio
+    A child runs only numpy ufuncs, ``take`` and ``sum`` and the compiled
+    row kernel, which is pure C and calls nothing (no BLAS, no lock another
+    thread of the parent could hold), so forking a threaded parent is safe.
+    The kernel is built before the first wave, so a child never compiles.
+    A child leaves through ``os._exit``: no atexit handler, no stdio
     flush.  A child that fails or is killed raises ResourceCapError here,
     so rows it did not write are never returned as 1.0.
     """
@@ -334,12 +406,14 @@ def tabulate_density_kernel(
     the right.  d values at midpoints interpolate linearly.
 
     Each row evaluates w at ``pos = ((v+1)/(u_k+1) - 2) / h_w`` for its cells
-    k, in preallocated buffers.  Rounding is monotone, so pos never
-    increases with k: only pos[0] can pass the last w grid point and only
-    the last pos can fall below 0 (its exact value is >= 0), so the clamps
-    run only when an end is out of range.  Since pos >= 0 after the clamp,
-    floor equals truncation and the cell index and fraction are the same
-    floats as a per-cell truncate-and-clip would give.
+    k, into a preallocated buffer.  The compiled fill clamps pos and the
+    cell index per cell and truncates.  The numpy fill clamps only when a
+    row end is out of range: rounding is monotone, so pos never increases
+    with k, only pos[0] can pass the last w grid point and only the last
+    pos can fall below 0 (its exact value is >= 0); it then floors.  A
+    clamp is the identity on in-range values and floor equals truncation
+    for pos >= 0, so both fills give the same cell index, fraction and
+    integrand floats, and the row sum is the same pairwise ``sum``.
 
     Row i reads d and scaled only at indices <= (i - m)//2 + 1 (the method
     of steps for a delay equation), so once d[:k] is final every row in
@@ -380,7 +454,8 @@ def tabulate_density_kernel(
     grid_u = g * np.arange(n_pts)
     inv_up1 = 1.0 / (grid_u + 1.0)
     scaled[: m + 1] = inv_up1[: m + 1]
-    args = (d, scaled, inv_up1, w, m, g)
+    # built before the first wave: forked workers inherit it, never compile
+    args = (d, scaled, inv_up1, w, m, g, _row_kernel())
     workers = _march_workers()
     lo = m + 1
     while lo < n_pts:
@@ -434,9 +509,17 @@ def rough_count_approx(x: float, y: float, w: TabulatedFunction) -> float:
         raise DomainError(f"y must be >= 2, got {y}")
     if math.isnan(x):
         raise DomainError("x must be a number, got nan")
+    return _rough_main_term(x, y, mertens_product(y), w)
+
+
+def _rough_main_term(
+    x: float, y: float, mertens: float, w: TabulatedFunction
+) -> float:
+    """rough_count_approx(x, y, w) given mertens = mertens_product(y), so a
+    grid of x values sieves the primes up to each y once."""
     log_y = math.log(y)
     u = math.log(max(1.0, x)) / log_y
-    value = (1.0 if x >= 1.0 else 0.0) + x * mertens_product(y)
+    value = (1.0 if x >= 1.0 else 0.0) + x * mertens
     correction = w(u) - BUCHSTAB_LIMIT - (y / x if x >= y else 0.0)
     value += (x / log_y) * correction
     return max(0.0, value)

@@ -135,6 +135,20 @@ class TestTabulators:
         code, _, err = run(capsys, ["wfun", "--step", "0.5"])
         assert code == 2 and "error:" in err
 
+    def test_dfun_same_bytes_without_kernel(self, capfd, monkeypatch):
+        # The first run builds the row kernel afresh: nothing the compiler
+        # prints may reach the process's stdout or stderr.
+        argv = ["dfun", "--vmax", "8", "--step", "1e-3"]
+        densediv.specfun._row_kernel.cache_clear()
+        assert main(argv) == 0
+        kernel = capfd.readouterr()
+        monkeypatch.setattr(densediv.specfun, "_row_kernel", lambda: None)
+        assert main(argv) == 0
+        numpy_fill = capfd.readouterr()
+        assert kernel.out == numpy_fill.out
+        assert len(kernel.out.splitlines()) == 8002
+        assert kernel.err == numpy_fill.err == ""
+
     def test_dfun_bytes_pinned(self, capped_cli):
         # The benchmark's dfun op, run as a process whose march forks its
         # workers: a worker that flushed a copy of stdout would show here.

@@ -27,6 +27,7 @@ from densediv import (
     tabulate_buchstab,
     tau_normal_order_experiment,
 )
+from densediv import specfun
 
 
 class TestMeanOmega:
@@ -152,6 +153,20 @@ class TestPhiScan:
             assert row.measured == rough_count(row.x, row.t, table)
             assert row.predicted == rough_count_approx(row.x, row.t, w)
         assert report.verdict == "pass"
+
+    def test_sieves_each_y_once(self, monkeypatch, w):
+        bounds = []
+        sieve = specfun.sieve_primes
+
+        def counted(bound, what):
+            bounds.append(bound)
+            return sieve(bound, what)
+
+        monkeypatch.setattr(specfun, "sieve_primes", counted)
+        xs, ys = [10**3, 10**4, 10**5, 10**6], [100.0, 1000.7, 10_000.0]
+        report = phi_approx_scan(xs, ys, w=w)
+        assert sorted(bounds) == ys
+        assert len(report.rows_for("rough_count")) == 12
 
     def test_validation(self, w):
         with pytest.raises(DomainError):

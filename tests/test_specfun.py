@@ -4,6 +4,10 @@ self-convergence, tail rules, and the sieve-product/rough-count helpers."""
 import hashlib
 import math
 import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
 
 import numpy as np
 import pytest
@@ -252,6 +256,81 @@ def clamp_table():
     return TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
 
 
+def short_clamp_table():
+    """clamp_table's values on a grid ending 5e-10 short of 9, inside the
+    1e-9 the march accepts: the last row at v = 9 reads w past its last
+    grid point, so only the pos clamp keeps it at w_last."""
+    values = clamp_table().values
+    return TabulatedFunction(
+        u_min=1.0, step=(8.0 - 5e-10) / 800, values=values, name="w"
+    )
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def row_fill(request, monkeypatch):
+    """Run a test with the compiled row fill and with the numpy passes
+    (the loader forced to find no kernel)."""
+    if request.param == "numpy":
+        monkeypatch.setattr(specfun, "_row_kernel", lambda: None)
+    elif specfun._row_kernel() is None:
+        pytest.skip("no C compiler builds the row kernel here")
+    return request.param
+
+
+def configured_compiler():
+    """The interpreter's C compiler if it is on PATH, else None."""
+    cc = sysconfig.get_config_var("CC")
+    return cc and shutil.which(shlex.split(cc)[0])
+
+
+needs_compiler = pytest.mark.skipif(
+    not configured_compiler(), reason="the configured C compiler is not on PATH"
+)
+
+
+class TestRowKernel:
+    @needs_compiler
+    def test_builds_where_the_compiler_is(self):
+        assert specfun._row_kernel.__wrapped__() is not None
+
+    @pytest.mark.parametrize(
+        "cc",
+        [
+            "/nonexistent/cc",
+            "sh -c 'echo out; echo err >&2; exit 1' sh",
+            "sh -c 'echo out; echo err >&2' sh",  # succeeds, builds nothing
+            "cc 'unbalanced",
+        ],
+    )
+    def test_failed_build_is_quiet(self, monkeypatch, capfd, cc):
+        monkeypatch.setattr(
+            sysconfig, "get_config_var", lambda name: cc if name == "CC" else None
+        )
+        assert specfun._row_kernel.__wrapped__() is None
+        assert capfd.readouterr() == ("", "")
+
+    @needs_compiler
+    def test_built_once_in_the_parent(self, monkeypatch, tmp_path):
+        # Every compiler run appends its pid to a file, so runs in forked
+        # workers would show too.
+        log = tmp_path / "compiles"
+        run = subprocess.run
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", logged)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
+        specfun._row_kernel.cache_clear()
+        w = tabulate_buchstab(SolverConfig(step=1e-2, max_abscissa=30.0))
+        for _ in range(2):
+            tabulate_density_kernel(SolverConfig(step=1e-2, max_abscissa=30.0), w)
+        assert log.read_text() == f"{os.getpid()}\n"
+
+
 class TestDensityKernel:
     @pytest.mark.parametrize(
         "w_step, w_max, d_step, d_max",
@@ -264,7 +343,9 @@ class TestDensityKernel:
             (1e-3, 64.0, 1e-3, 64.0),  # checked against a recorded digest
         ],
     )
-    def test_bit_identical_to_reference(self, w_step, w_max, d_step, d_max):
+    def test_bit_identical_to_reference(
+        self, row_fill, w_step, w_max, d_step, d_max
+    ):
         w = tabulate_buchstab(SolverConfig(step=w_step, max_abscissa=w_max))
         cfg = SolverConfig(step=d_step, max_abscissa=d_max)
         new = tabulate_density_kernel(cfg, w).values
@@ -276,8 +357,9 @@ class TestDensityKernel:
         ref = reference_density_kernel(cfg, w)
         assert np.array_equal(new.view(np.int64), ref.view(np.int64))
 
-    def test_index_clamp_matches_reference(self):
-        w = clamp_table()
+    @pytest.mark.parametrize("table", [clamp_table, short_clamp_table])
+    def test_index_clamp_matches_reference(self, row_fill, table):
+        w = table()
         cfg = SolverConfig(step=0.01, max_abscissa=9.0)
         new = tabulate_density_kernel(cfg, w).values
         ref = reference_density_kernel(cfg, w)
@@ -331,7 +413,7 @@ class TestDensityKernel:
         ],
     )
     def test_waves_match_reference(
-        self, monkeypatch, cpus, min_cells, step, d_max
+        self, monkeypatch, row_fill, cpus, min_cells, step, d_max
     ):
         # {0} forces the serial march; three CPUs split waves three ways
         # whatever this machine has.
