@@ -10,10 +10,12 @@ Two tabulated solutions of delay/Volterra equations:
       d(v) = 1 - integral_0^{(v-1)/2} d(u)/(u+1) * w((v-u)/(u+1)) du
 
   solved by forward marching (the integrand only looks strictly backwards).
-  ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.  Each row's
-  integrand is filled by a small C loop (``_march_row.c``), compiled once
-  per process and loaded with ctypes, or by numpy passes where no C
-  compiler builds it; both give the same floats.
+  ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.  On grids large
+  enough to repay its build, a small C loop (``_march_row.c``), compiled
+  once per process and loaded with ctypes, marches whole shares of rows:
+  it fills each row's integrand, sums it in numpy's pairwise order and
+  adds the half cell.  Elsewhere, or where no C compiler builds it, numpy
+  passes fill each row and Python finishes it; both give the same floats.
 
 Both solvers snap the grid step to an exact reciprocal 1/m so that the
 integral limits ``u - 1`` (for w) and ``(v-1)/2`` (for d) land on grid or
@@ -53,15 +55,32 @@ __all__ = [
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
 
 #: Most grid points a tabulator builds.  The density march is O(N^2): at
-#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 9 s end to end on
-#: 2 CPUs of an x86-64 box (18 s with the numpy row fill).
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 5.4-5.7 s end to
+#: end on 2 CPUs of an x86-64 box (19-21 s with the numpy row fill).
 GRID_POINTS_CAP = 2**17
 
 # Smallest wave (in quadrature cells) the density march splits over
-# processes.  A fork and reap costs about 4 ms; on 2 CPUs a wave of 79,401
-# cells (398 rows) took 10.9 ms serial and 11.4 ms split, one of 110,888
-# cells (665 rows) 17.6 and 17.2 ms, one of 396,408 cells 23.4 and 20.2 ms.
-_PARALLEL_MIN_CELLS = 2**17
+# processes.  A fork and reap costs about 4 ms; with the row kernel on 2
+# CPUs of an x86-64 box a wave of 2,249,999 cells took 3.9 ms serial and
+# 7.2 ms split, one of 2,956,139 cells 6.4 and 8.1 ms, one of 3,999,999
+# cells 10.3 and 8.8 ms, one of 7,994,001 cells 16.0 and 11.5 ms.
+_PARALLEL_MIN_CELLS = 2**22
+
+# Fewest quadrature cells (all waves) for which the density march builds
+# the row kernel.  The build and load take 100-145 ms; on the box above a
+# march of 6.25e6 cells (step 1e-3, vmax 6) took 17 ms with the kernel and
+# 105 ms with the numpy fill, one of 1.23e7 cells (vmax 8) 23 and 165 ms.
+_KERNEL_MIN_CELLS = 2**23
+
+# Flags of the row-kernel build.  The kernel is built in the process that
+# runs it, so -march=native code never leaves its host; gcc's -O2 cost
+# model vectorises the fill only with -fvect-cost-model=dynamic (-O3 does
+# too, but builds in 2 to 3 times as long); -ffp-contract=off and no
+# fast-math keep each cell's IEEE operations.
+_KERNEL_CFLAGS = (
+    "-O2", "-march=native", "-fvect-cost-model=dynamic", "-fPIC", "-shared",
+    "-ffp-contract=off",
+)
 
 # Most processes one density-kernel wave is split over.
 _MAX_WORKERS = 8
@@ -224,6 +243,12 @@ def _grid_points(span: float, m: int) -> int:
     return math.ceil(cells) + 1
 
 
+def _march_cells(lo: int, hi: int, m: int) -> int:
+    """Quadrature cells of the density-march rows [lo, hi), about: row i
+    has (i - m)//2 + 1."""
+    return (hi - lo) * (lo + hi - 2 * m) // 4
+
+
 def _march_workers() -> int:
     """Processes a density-kernel wave is split over: the usable CPUs,
     capped at _MAX_WORKERS, or 1 where affinity or fork is missing."""
@@ -234,13 +259,14 @@ def _march_workers() -> int:
 
 @functools.cache
 def _row_kernel():
-    """The compiled row fill of the density march (``_march_row.c``), or
-    None where it cannot be built or loaded.
+    """The compiled row march of the density kernel (``_march_row.c``),
+    or None where it cannot be built or loaded.
 
-    Built once per process with the interpreter's C compiler into a
-    private temporary directory and loaded with ctypes; compiler output is
-    discarded.  ``-ffp-contract=off`` and no fast-math keep every cell the
-    same float operations, in the same order, as the numpy fill.
+    Built once per process with the interpreter's C compiler and
+    _KERNEL_CFLAGS into a private temporary directory and loaded with
+    ctypes; compiler output is discarded.  ``-ffp-contract=off`` and no
+    fast-math keep every cell, row sum and half cell the same float
+    operations, in the same order, as the numpy fill and the Python row.
     """
     # imported here: only a density march builds the kernel
     import ctypes
@@ -257,34 +283,60 @@ def _row_kernel():
         with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
             lib = os.path.join(tmp, "_march_row.so")
             built = subprocess.run(
-                [*shlex.split(cc), "-O2", "-fPIC", "-shared",
-                 "-ffp-contract=off", "-o", lib, source],
+                [*shlex.split(cc), *_KERNEL_CFLAGS, "-o", lib, source],
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
             )
             if built.returncode:
                 return None
-            kernel = ctypes.CDLL(lib).march_row
+            kernel = ctypes.CDLL(lib).march_rows
     except (OSError, ValueError):  # no compiler, a bad CC, a failed load
         return None
-    ptr, real, count = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
-    kernel.argtypes = [ptr] * 5 + [real, real, count, count, real]
+    ptr, real = ctypes.c_void_p, ctypes.c_double
+    count, index = ctypes.c_int64, ctypes.c_int32
+    kernel.argtypes = (
+        [ptr] * 6 + [real, real, index, count, real] + [count] * 3
+    )
     kernel.restype = None
     return kernel
 
 
-def _numpy_fill(inv_up1, scaled, wv, dw, inv_hw, top, last, f_buf):
-    """The row fill in numpy passes, for where the compiled kernel is
-    missing: ``fill(c, v)`` writes the c integrand values of the row at v
-    into f_buf[:c], through work buffers allocated once."""
-    size = len(f_buf)
-    pos_buf = np.empty(size)
-    floor_buf = np.empty(size)
-    idx_buf = np.empty(size, dtype=np.int64)
+def _march_rows(rows, d, scaled, inv_up1, w, m, g, kernel) -> None:
+    """March the density-kernel rows ``rows`` (an ascending range), writing
+    d[i] and scaled[i]; every row must read only finished entries of d and
+    scaled.
 
-    def fill(c: int, v: float) -> None:
-        full = c - 1
+    ``kernel`` (from _row_kernel) marches the whole range in one call: per
+    row it fills the integrand, sums it in numpy's pairwise order and
+    applies the half cell, in the float order of the Python row below.
+    With ``kernel`` None numpy passes fill each row, through work buffers
+    allocated once, and Python sums it.
+    """
+    # manual linear interpolation into the (uniform, u_min = 1) w table;
+    # dw[j] is the same float as wv[j + 1] - wv[j] read per cell; the
+    # kernel reads wv as a plain float64 buffer
+    wv = np.ascontiguousarray(w.values, dtype=np.float64)
+    dw = wv[1:] - wv[:-1]
+    inv_hw = 1.0 / w.step
+    top = float(len(wv) - 1)
+    last = len(wv) - 2
+    f_buf = np.empty((rows[-1] - m) // 2 + 1)
+    if kernel is not None:
+        buffers = (inv_up1, d, scaled, wv, dw, f_buf)
+        kernel(
+            *(a.ctypes.data for a in buffers), inv_hw, top, last, m, g,
+            rows.start, rows.stop, rows.step,
+        )
+        return
+    pos_buf = np.empty(len(f_buf))
+    floor_buf = np.empty(len(f_buf))
+    idx_buf = np.empty(len(f_buf), dtype=np.int64)
+    for i in rows:
+        v = i * g
+        half_cells = i - m  # integral limit U = (v-1)/2 in half-step units
+        full, odd = divmod(half_cells, 2)
+        c = full + 1  # cells 0..full
         pos, flo, idx, f = pos_buf[:c], floor_buf[:c], idx_buf[:c], f_buf[:c]
         np.multiply(inv_up1[:c], v + 1.0, out=pos)
         np.subtract(pos, 2.0, out=pos)
@@ -301,40 +353,6 @@ def _numpy_fill(inv_up1, scaled, wv, dw, inv_hw, top, last, f_buf):
         np.multiply(f, frac, out=f)
         np.add(f, np.take(wv, idx, out=flo, mode="clip"), out=f)
         np.multiply(f, scaled[:c], out=f)
-
-    return fill
-
-
-def _march_rows(rows, d, scaled, inv_up1, w, m, g, kernel) -> None:
-    """March the density-kernel rows ``rows`` (ascending), writing d[i] and
-    scaled[i]; every row must read only finished entries of d and scaled.
-
-    ``kernel`` (from _row_kernel, or None for the numpy passes) fills each
-    row's integrand; the quadrature sum and the half cell are shared.
-    """
-    # manual linear interpolation into the (uniform, u_min = 1) w table;
-    # dw[j] is the same float as wv[j + 1] - wv[j] read per cell; the
-    # kernel reads wv as a plain float64 buffer
-    wv = np.ascontiguousarray(w.values, dtype=np.float64)
-    dw = wv[1:] - wv[:-1]
-    inv_hw = 1.0 / w.step
-    top = float(len(wv) - 1)
-    last = len(wv) - 2
-    f_buf = np.empty((rows[-1] - m) // 2 + 1)
-    if kernel is None:
-        fill = _numpy_fill(inv_up1, scaled, wv, dw, inv_hw, top, last, f_buf)
-    else:
-        buffers = (inv_up1, scaled, wv, dw, f_buf)
-        fill = functools.partial(
-            kernel, *(a.ctypes.data for a in buffers), inv_hw, top, last
-        )
-    for i in rows:
-        v = i * g
-        half_cells = i - m  # integral limit U = (v-1)/2 in half-step units
-        full, odd = divmod(half_cells, 2)
-        c = full + 1  # cells 0..full
-        fill(c, v)
-        f = f_buf[:c]
         if full > 0:
             acc = g * (f.sum() - 0.5 * (f[0] + f[full]))
         else:
@@ -406,14 +424,17 @@ def tabulate_density_kernel(
     the right.  d values at midpoints interpolate linearly.
 
     Each row evaluates w at ``pos = ((v+1)/(u_k+1) - 2) / h_w`` for its cells
-    k, into a preallocated buffer.  The compiled fill clamps pos and the
-    cell index per cell and truncates.  The numpy fill clamps only when a
-    row end is out of range: rounding is monotone, so pos never increases
-    with k, only pos[0] can pass the last w grid point and only the last
-    pos can fall below 0 (its exact value is >= 0); it then floors.  A
-    clamp is the identity on in-range values and floor equals truncation
-    for pos >= 0, so both fills give the same cell index, fraction and
-    integrand floats, and the row sum is the same pairwise ``sum``.
+    k, into a preallocated buffer.  The compiled kernel, used when the
+    march has at least _KERNEL_MIN_CELLS cells and w fewer than 2^31
+    points, clamps pos and the cell index per cell and truncates.  The
+    numpy fill clamps only when a row end is out of range: rounding is
+    monotone, so pos never increases with k, only pos[0] can pass the last
+    w grid point and only the last pos can fall below 0 (its exact value
+    is >= 0); it then floors.  A clamp is the identity on in-range values
+    and floor equals truncation for pos >= 0, so both fills give the same
+    cell index, fraction and integrand floats.  The kernel sums a row with
+    a copy of numpy's pairwise float64 sum, so the row sum is the same
+    float as ``sum``.
 
     Row i reads d and scaled only at indices <= (i - m)//2 + 1 (the method
     of steps for a delay equation), so once d[:k] is final every row in
@@ -454,14 +475,18 @@ def tabulate_density_kernel(
     grid_u = g * np.arange(n_pts)
     inv_up1 = 1.0 / (grid_u + 1.0)
     scaled[: m + 1] = inv_up1[: m + 1]
-    # built before the first wave: forked workers inherit it, never compile
-    args = (d, scaled, inv_up1, w, m, g, _row_kernel())
+    # built before the first wave: forked workers inherit it, never compile;
+    # the kernel's cell index is an int32
+    use_kernel = (
+        _march_cells(m + 1, n_pts, m) >= _KERNEL_MIN_CELLS
+        and len(w.values) < 2**31
+    )
+    args = (d, scaled, inv_up1, w, m, g, _row_kernel() if use_kernel else None)
     workers = _march_workers()
     lo = m + 1
     while lo < n_pts:
         hi = min(2 * lo + m - 2, n_pts)
-        # row i has (i - m)//2 + 1 cells
-        cells = (hi - lo) * (lo + hi - 2 * m) // 4
+        cells = _march_cells(lo, hi, m)
         _march_wave(
             range(lo, hi), workers if cells >= _PARALLEL_MIN_CELLS else 1, args
         )

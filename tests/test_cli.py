@@ -139,6 +139,7 @@ class TestTabulators:
         # The first run builds the row kernel afresh: nothing the compiler
         # prints may reach the process's stdout or stderr.
         argv = ["dfun", "--vmax", "8", "--step", "1e-3"]
+        monkeypatch.setattr(densediv.specfun, "_KERNEL_MIN_CELLS", 0)
         densediv.specfun._row_kernel.cache_clear()
         assert main(argv) == 0
         kernel = capfd.readouterr()

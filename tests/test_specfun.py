@@ -268,12 +268,15 @@ def short_clamp_table():
 
 @pytest.fixture(params=["kernel", "numpy"])
 def row_fill(request, monkeypatch):
-    """Run a test with the compiled row fill and with the numpy passes
-    (the loader forced to find no kernel)."""
+    """Run a test with the compiled row kernel, used on every grid however
+    small, and with the numpy passes (the loader forced to find no
+    kernel)."""
     if request.param == "numpy":
         monkeypatch.setattr(specfun, "_row_kernel", lambda: None)
     elif specfun._row_kernel() is None:
         pytest.skip("no C compiler builds the row kernel here")
+    else:
+        monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
     return request.param
 
 
@@ -292,6 +295,21 @@ class TestRowKernel:
     @needs_compiler
     def test_builds_where_the_compiler_is(self):
         assert specfun._row_kernel.__wrapped__() is not None
+
+    @needs_compiler
+    def test_builds_without_warnings(self, tmp_path):
+        # The loader discards compiler output, so warnings only show here.
+        source = os.path.join(
+            os.path.dirname(specfun.__file__), "_march_row.c"
+        )
+        built = subprocess.run(
+            [*shlex.split(sysconfig.get_config_var("CC")),
+             *specfun._KERNEL_CFLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "_march_row.so"), source],
+            capture_output=True,
+            text=True,
+        )
+        assert built.returncode == 0, built.stderr
 
     @pytest.mark.parametrize(
         "cc",
@@ -324,6 +342,7 @@ class TestRowKernel:
         monkeypatch.setattr(subprocess, "run", logged)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
+        monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
         specfun._row_kernel.cache_clear()
         w = tabulate_buchstab(SolverConfig(step=1e-2, max_abscissa=30.0))
         for _ in range(2):
@@ -361,6 +380,19 @@ class TestDensityKernel:
     def test_index_clamp_matches_reference(self, row_fill, table):
         w = table()
         cfg = SolverConfig(step=0.01, max_abscissa=9.0)
+        new = tabulate_density_kernel(cfg, w).values
+        ref = reference_density_kernel(cfg, w)
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+    def test_sum_order_matches_reference(self, row_fill):
+        # w values spread over 16 decades make each row's sum depend on its
+        # order.  At step 0.01 the rows have 1 to 1201 cells, so numpy's
+        # plain loop (under 8 terms), its eight accumulators (8 to 128),
+        # one split (129 to 256) and nested splits (over 1000) all run.
+        rng = np.random.default_rng(20240)
+        values = 10.0 ** rng.uniform(-8.0, 8.0, 2401)
+        w = TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
+        cfg = SolverConfig(step=0.01, max_abscissa=25.0)
         new = tabulate_density_kernel(cfg, w).values
         ref = reference_density_kernel(cfg, w)
         assert np.array_equal(new.view(np.int64), ref.view(np.int64))
@@ -405,8 +437,8 @@ class TestDensityKernel:
     @pytest.mark.parametrize(
         "step, d_max",
         [
-            (1e-2, 30.0),  # m = 100: the first two waves are under the
-            # serial threshold, the later ones are split
+            (1e-2, 60.0),  # m = 100: the first four waves are under the
+            # serial threshold, the last one is split
             (1 / 333, 10.0),  # odd m
             (1e-3, 5.0),  # ends inside the wave [3000, 6998)
             (None, 9.0),  # the index-clamp table
@@ -440,6 +472,7 @@ class TestDensityKernel:
 
         monkeypatch.setattr(specfun, "_march_rows", failing_in_child)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
         w = tabulate_buchstab(SolverConfig(step=1e-3, max_abscissa=5.0))
         with pytest.raises(DensedivError, match="worker process"):
             tabulate_density_kernel(
@@ -454,6 +487,7 @@ class TestDensityKernel:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
         w = tabulate_buchstab(SolverConfig(step=1 / 333, max_abscissa=10.0))
         cfg = SolverConfig(step=1 / 333, max_abscissa=10.0)
         new = tabulate_density_kernel(cfg, w).values
