@@ -15,6 +15,7 @@ a failed exact identity, or a failed experiment gate), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import itertools
 import math
@@ -71,7 +72,8 @@ def _parse_exact_int(text: str) -> int:
         value = Decimal(text)
     except InvalidOperation:
         raise ConfigurationError(f"not an integer: {text!r}") from None
-    if value != value.to_integral_value():
+    # is_finite first: inf has no int and comparing sNaN raises
+    if not value.is_finite() or value != value.to_integral_value():
         raise ConfigurationError(f"not an integer: {text!r}")
     return int(value)
 
@@ -108,9 +110,17 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
         return
     tmp = f"{out}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.writelines(f"{line}\n" for line in lines)
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{line}\n" for line in lines)
+        os.replace(tmp, out)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {out}: {exc.strerror or exc}"
+        ) from None
+    finally:
+        with contextlib.suppress(OSError):  # gone once renamed
+            os.remove(tmp)
 
 
 def _csv_blocks(row: str, columns) -> Iterator[str]:

@@ -12,10 +12,11 @@ Two tabulated solutions of delay/Volterra equations:
   solved by forward marching (the integrand only looks strictly backwards).
   ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.  On grids large
   enough to repay its build, a small C loop (``_march_row.c``), compiled
-  once per process and loaded with ctypes, marches whole shares of rows:
-  it fills each row's integrand, sums it in numpy's pairwise order and
-  adds the half cell.  Elsewhere, or where no C compiler builds it, numpy
-  passes fill each row and Python finishes it; both give the same floats.
+  once per process and loaded with ctypes, marches whole shares of rows
+  on threads: it fills each row's integrand, sums it in numpy's pairwise
+  order and adds the half cell.  Elsewhere, or where no C compiler builds
+  it, numpy passes fill each row and Python finishes it, serially; both
+  give the same floats.
 
 Both solvers snap the grid step to an exact reciprocal 1/m so that the
 integral limits ``u - 1`` (for w) and ``(v-1)/2`` (for d) land on grid or
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +56,9 @@ __all__ = [
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
 
 #: Most grid points a tabulator builds.  The density march is O(N^2): at
-#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 5.4-5.7 s end to
-#: end on 2 CPUs of an x86-64 box (19-21 s with the numpy row fill).
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 5.7-5.9 s end to
+#: end on 2 CPUs of an x86-64 box (39 s with the serial numpy row fill).
 GRID_POINTS_CAP = 2**17
-
-# Smallest wave (in quadrature cells) the density march splits over
-# processes.  A fork and reap costs about 4 ms; with the row kernel on 2
-# CPUs of an x86-64 box a wave of 2,249,999 cells took 3.9 ms serial and
-# 7.2 ms split, one of 2,956,139 cells 6.4 and 8.1 ms, one of 3,999,999
-# cells 10.3 and 8.8 ms, one of 7,994,001 cells 16.0 and 11.5 ms.
-_PARALLEL_MIN_CELLS = 2**22
 
 # Fewest quadrature cells (all waves) for which the density march builds
 # the row kernel.  The build and load take 100-145 ms; on the box above a
@@ -82,7 +76,7 @@ _KERNEL_CFLAGS = (
     "-ffp-contract=off",
 )
 
-# Most processes one density-kernel wave is split over.
+# Most threads one density-kernel wave is split over.
 _MAX_WORKERS = 8
 
 _TAIL_KINDS = ("constant", "decay")
@@ -250,9 +244,9 @@ def _march_cells(lo: int, hi: int, m: int) -> int:
 
 
 def _march_workers() -> int:
-    """Processes a density-kernel wave is split over: the usable CPUs,
-    capped at _MAX_WORKERS, or 1 where affinity or fork is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    """Threads a density-kernel wave is split over: the usable CPUs,
+    capped at _MAX_WORKERS, or 1 where affinity is missing."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
@@ -305,13 +299,14 @@ def _row_kernel():
 def _march_rows(rows, d, scaled, inv_up1, w, m, g, kernel) -> None:
     """March the density-kernel rows ``rows`` (an ascending range), writing
     d[i] and scaled[i]; every row must read only finished entries of d and
-    scaled.
+    scaled.  Each call allocates its own work buffers, so threads may march
+    disjoint ranges at once.
 
-    ``kernel`` (from _row_kernel) marches the whole range in one call: per
-    row it fills the integrand, sums it in numpy's pairwise order and
-    applies the half cell, in the float order of the Python row below.
-    With ``kernel`` None numpy passes fill each row, through work buffers
-    allocated once, and Python sums it.
+    ``kernel`` (from _row_kernel) marches the whole range in one call,
+    which releases the GIL: per row it fills the integrand, sums it in
+    numpy's pairwise order and applies the half cell, in the float order of
+    the Python row below.  With ``kernel`` None numpy passes fill each row,
+    through work buffers allocated once, and Python sums it.
     """
     # manual linear interpolation into the (uniform, u_min = 1) w table;
     # dw[j] is the same float as wv[j + 1] - wv[j] read per cell; the
@@ -368,47 +363,35 @@ def _march_rows(rows, d, scaled, inv_up1, w, m, g, kernel) -> None:
 
 def _march_wave(rows, workers: int, args: tuple) -> None:
     """March ``rows`` (mutually independent) split over ``workers``
-    processes: child j forks and marches rows[j::workers] into the shared
-    d and scaled, the parent marches rows[0::workers] and reaps them all.
-    A share whose fork fails is marched by the parent.
+    threads: thread j marches rows[j::workers] into d and scaled, the
+    caller marches rows[0::workers] and joins them all.
 
-    A child runs only numpy ufuncs, ``take`` and ``sum`` and the compiled
-    row kernel, which is pure C and calls nothing (no BLAS, no lock another
-    thread of the parent could hold), so forking a threaded parent is safe.
-    The kernel is built before the first wave, so a child never compiles.
-    A child leaves through ``os._exit``: no atexit handler, no stdio
-    flush.  A child that fails or is killed raises ResourceCapError here,
-    so rows it did not write are never returned as 1.0.
+    The compiled row kernel runs without the GIL (ctypes releases it), so
+    the shares march in parallel.  An exception in any share is raised
+    here once every thread has ended, so no thread outlives the march and
+    rows a share did not write are never returned as 1.0.
     """
     workers = min(workers, len(rows))
-    own = [rows[0::workers]]
-    pids = []
+    errors = []
+
+    def march(share):
+        try:
+            _march_rows(share, *args)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = []
     try:
         for j in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError:
-                own.append(rows[j::workers])
-                continue
-            if pid == 0:  # child: leave only through os._exit
-                status = 1
-                try:
-                    _march_rows(rows[j::workers], *args)
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        for share in own:
-            _march_rows(share, *args)
+            thread = threading.Thread(target=march, args=(rows[j::workers],))
+            thread.start()
+            threads.append(thread)
+        march(rows[0::workers])
     finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status in zip(pids, statuses):
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"exit status {code}" if code > 0 else f"signal {-code}"
-            raise ResourceCapError(
-                f"density-kernel worker process {pid} ended with {how}"
-            )
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def tabulate_density_kernel(
@@ -439,11 +422,11 @@ def tabulate_density_kernel(
     Row i reads d and scaled only at indices <= (i - m)//2 + 1 (the method
     of steps for a delay equation), so once d[:k] is final every row in
     [k, 2k + m - 2) can be marched independently.  The march runs in such
-    waves; each wave of at least _PARALLEL_MIN_CELLS cells is split over
-    the usable CPUs by forked processes writing one shared anonymous
-    mapping.  Every row does the same float operations in the same order
-    whichever process runs it, so the values are bit-identical to a serial
-    march.
+    waves; with the compiled kernel each wave is split over the usable
+    CPUs by threads (the numpy fill holds the GIL between its passes, so
+    it marches serially).  Every row does the same float operations in the
+    same order whichever thread runs it, so the values are bit-identical
+    to a serial march.
 
     Parameters
     ----------
@@ -456,7 +439,7 @@ def tabulate_density_kernel(
     Raises
     ------
     ResourceCapError
-        If the grid exceeds GRID_POINTS_CAP, or a worker process fails.
+        If the grid exceeds GRID_POINTS_CAP.
     """
     m, g = _snap(cfg.step)
     n_pts = _grid_points(cfg.max_abscissa, m)
@@ -465,36 +448,29 @@ def tabulate_density_kernel(
         raise ConfigurationError(
             f"Buchstab table reaches {w.u_max}, need {v_max}"
         )
-    # d and scaled (scaled[i] = d[i] / (u_i + 1)) live in one shared
-    # anonymous mapping, so forked workers write their rows in place
-    shared = mmap.mmap(-1, 2 * n_pts * 8)
-    d = np.frombuffer(shared, count=n_pts)
-    scaled = np.frombuffer(shared, count=n_pts, offset=n_pts * 8)
-    d.fill(1.0)
-    scaled.fill(1.0)
+    d = np.ones(n_pts)
+    scaled = np.ones(n_pts)  # scaled[i] = d[i] / (u_i + 1)
     grid_u = g * np.arange(n_pts)
     inv_up1 = 1.0 / (grid_u + 1.0)
     scaled[: m + 1] = inv_up1[: m + 1]
-    # built before the first wave: forked workers inherit it, never compile;
-    # the kernel's cell index is an int32
+    # built before the first wave, so no thread compiles; the kernel's cell
+    # index is an int32
     use_kernel = (
         _march_cells(m + 1, n_pts, m) >= _KERNEL_MIN_CELLS
         and len(w.values) < 2**31
     )
-    args = (d, scaled, inv_up1, w, m, g, _row_kernel() if use_kernel else None)
-    workers = _march_workers()
+    kernel = _row_kernel() if use_kernel else None
+    args = (d, scaled, inv_up1, w, m, g, kernel)
+    workers = _march_workers() if kernel is not None else 1
     lo = m + 1
     while lo < n_pts:
         hi = min(2 * lo + m - 2, n_pts)
-        cells = _march_cells(lo, hi, m)
-        _march_wave(
-            range(lo, hi), workers if cells >= _PARALLEL_MIN_CELLS else 1, args
-        )
+        _march_wave(range(lo, hi), workers, args)
         lo = hi
     return TabulatedFunction(
         u_min=0.0,
         step=g,
-        values=d.copy(),
+        values=d,
         name="density_kernel",
         below_value=0.0,
         tail_kind="decay",

@@ -87,11 +87,31 @@ class TestCount:
         _, out_dec, _ = run(capsys, ["count", "--family", "dense", "--t", "2", "--x", "1000"])
         assert out_sci == out_dec
 
-    def test_fractional_x_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", *DENSE2, "--x", "12.5"],
+            ["count", *DENSE2, "--x", "inf"],
+            ["count", *DENSE2, "--x", "Infinity"],
+            ["count", *DENSE2, "--x=-inf"],
+            ["count", *DENSE2, "--x", "20", "--q", "sNaN"],
+            ["identity", "--check", "lambda0", *DENSE2, "--N", "inf"],
+            ["identity", "--check", "phik", *DENSE2, "--x", "100",
+             "--qs", "2,sNaN"],
+            ["experiment", "phi-scan", "--xs", "100,inf", "--ys", "10"],
+        ],
+        ids=["x-12.5", "x-inf", "x-Infinity", "x-minus-inf", "q-sNaN",
+             "N-inf", "qs-sNaN", "xs-inf"],
+    )
+    def test_non_integer_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
-            main(["count", "--family", "dense", "--t", "2", "--x", "12.5"])
+            main(argv)
         assert info.value.code == 2
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert "invalid _parse_" in lines[-1]
 
 
 class TestStats:
@@ -151,8 +171,8 @@ class TestTabulators:
         assert kernel.err == numpy_fill.err == ""
 
     def test_dfun_bytes_pinned(self, capped_cli):
-        # The benchmark's dfun op, run as a process whose march forks its
-        # workers: a worker that flushed a copy of stdout would show here.
+        # The benchmark's dfun op, run as a process whose march splits its
+        # waves over threads: its stdout bytes and an empty stderr.
         out = capped_cli(["dfun", "--vmax", "32", "--step", "1e-3"], 0)
         assert hashlib.sha256(out).hexdigest() == (
             "b98a0403e33ad49d7e118444b60c3412e41ed5f34ec7ff5c56bc6795d7265f41"
@@ -378,6 +398,23 @@ class TestOutputFile:
         assert out == []  # nothing on stdout when --out is given
         assert target.read_text() == "9\n"
         assert os.listdir(tmp_path) == ["count.txt"]  # no temp litter
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_target_refused(self, capsys, tmp_path, where):
+        if where == "missing-dir":
+            target = tmp_path / "missing" / "o.csv"
+        else:
+            target = tmp_path / "o.csv"
+            target.mkdir()
+        code, out, err = run(
+            capsys,
+            ["count", *DENSE2, "--x", "20", "--out", str(target)],
+        )
+        assert (code, out) == (2, [])
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        left = [p.name for p in tmp_path.rglob("*")]  # no temp litter
+        assert left == ([] if where == "missing-dir" else ["o.csv"])
 
 
 class TestExitCodes:
@@ -739,20 +776,37 @@ def _python(*args):
     )
 
 
-def test_count_imports_only_what_it_runs():
-    proc = _python(
-        "-X", "importtime", "-m", "densediv.cli",
-        "count", "--family", "dense", "--t", "2", "--x", "1000",
-    )
-    assert proc.returncode == 0 and proc.stdout == b"193\n"
+def _cli_imports(*argv):
+    """Run the CLI under -X importtime; returns the CompletedProcess and
+    the names of the modules it imported."""
+    proc = _python("-X", "importtime", "-m", "densediv.cli", *argv)
     loaded = {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.decode().splitlines()
         if line.startswith("import time:")
     }
+    return proc, loaded
+
+
+def test_count_imports_only_what_it_runs():
+    proc, loaded = _cli_imports(
+        "count", "--family", "dense", "--t", "2", "--x", "1000"
+    )
+    assert proc.returncode == 0 and proc.stdout == b"193\n"
     assert {"densediv.generate", "densediv.families"} <= loaded
     assert not loaded & {
         "densediv.experiments", "densediv.identities", "densediv.specfun"
+    }
+
+
+def test_dfun_loads_no_process_pool():
+    # The density-kernel march splits its waves over plain threads.
+    proc, loaded = _cli_imports("dfun", "--vmax", "8", "--step", "1e-3")
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 8002
+    assert "densediv.specfun" in loaded
+    assert not {
+        name for name in loaded
+        if name.split(".")[0] in ("concurrent", "multiprocessing")
     }
 
 

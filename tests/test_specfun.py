@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from densediv import (
     BUCHSTAB_LIMIT,
     ConfigurationError,
     DENSITY_SCALE,
-    DensedivError,
     DomainError,
     EULER_GAMMA,
     ResourceCapError,
@@ -328,26 +328,25 @@ class TestRowKernel:
         assert capfd.readouterr() == ("", "")
 
     @needs_compiler
-    def test_built_once_in_the_parent(self, monkeypatch, tmp_path):
-        # Every compiler run appends its pid to a file, so runs in forked
-        # workers would show too.
+    def test_built_once(self, monkeypatch, tmp_path):
+        # Every compiler run appends a line to a file, so a build by a
+        # march thread or by the second tabulation would show too.
         log = tmp_path / "compiles"
         run = subprocess.run
 
         def logged(*args, **kwargs):
             with open(log, "a") as out:
-                out.write(f"{os.getpid()}\n")
+                out.write("cc\n")
             return run(*args, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", logged)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
         monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
         specfun._row_kernel.cache_clear()
         w = tabulate_buchstab(SolverConfig(step=1e-2, max_abscissa=30.0))
         for _ in range(2):
             tabulate_density_kernel(SolverConfig(step=1e-2, max_abscissa=30.0), w)
-        assert log.read_text() == f"{os.getpid()}\n"
+        assert log.read_text() == "cc\n"
 
 
 class TestDensityKernel:
@@ -430,25 +429,22 @@ class TestDensityKernel:
         assert max(gaps) < 5e-6
 
     @pytest.mark.parametrize(
-        "cpus, min_cells",
-        [({0}, None), ({0, 1, 2}, None), ({0, 1, 2}, 0)],
-        ids=["serial", "split", "split-every-wave"],
+        "cpus", [{0}, {0, 1, 2}], ids=["serial", "split"]
     )
     @pytest.mark.parametrize(
         "step, d_max",
         [
-            (1e-2, 60.0),  # m = 100: the first four waves are under the
-            # serial threshold, the last one is split
+            (1e-2, 30.0),  # m = 100
             (1 / 333, 10.0),  # odd m
             (1e-3, 5.0),  # ends inside the wave [3000, 6998)
             (None, 9.0),  # the index-clamp table
         ],
     )
     def test_waves_match_reference(
-        self, monkeypatch, row_fill, cpus, min_cells, step, d_max
+        self, monkeypatch, row_fill, cpus, step, d_max
     ):
-        # {0} forces the serial march; three CPUs split waves three ways
-        # whatever this machine has.
+        # {0} forces the serial march; with the row kernel three CPUs split
+        # waves three ways whatever this machine has.
         if step is None:
             w, step = clamp_table(), 0.01
         else:
@@ -456,43 +452,29 @@ class TestDensityKernel:
         cfg = SolverConfig(step=step, max_abscissa=d_max)
         ref = reference_density_kernel(cfg, w)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        if min_cells is not None:
-            monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", min_cells)
         new = tabulate_density_kernel(cfg, w).values
         assert np.array_equal(new.view(np.int64), ref.view(np.int64))
 
-    def test_failed_worker_raises_and_is_reaped(self, monkeypatch):
-        parent = os.getpid()
+    @needs_compiler
+    def test_failed_thread_raises_in_caller(self, monkeypatch, capfd):
         march = specfun._march_rows
 
-        def failing_in_child(rows, *args):
-            if os.getpid() != parent:
-                raise RuntimeError("worker failure")
+        def failing_off_main(rows, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("share failure")
             march(rows, *args)
 
-        monkeypatch.setattr(specfun, "_march_rows", failing_in_child)
+        monkeypatch.setattr(specfun, "_march_rows", failing_off_main)
+        monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
         w = tabulate_buchstab(SolverConfig(step=1e-3, max_abscissa=5.0))
-        with pytest.raises(DensedivError, match="worker process"):
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="share failure"):
             tabulate_density_kernel(
                 SolverConfig(step=1e-3, max_abscissa=5.0), w
             )
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_failed_fork_marches_in_parent(self, monkeypatch):
-        def no_fork():
-            raise OSError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(specfun, "_PARALLEL_MIN_CELLS", 0)
-        w = tabulate_buchstab(SolverConfig(step=1 / 333, max_abscissa=10.0))
-        cfg = SolverConfig(step=1 / 333, max_abscissa=10.0)
-        new = tabulate_density_kernel(cfg, w).values
-        ref = reference_density_kernel(cfg, w)
-        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+        assert threading.active_count() == threads
+        assert capfd.readouterr().err == ""
 
     def test_short_w_table_rejected(self):
         w = tabulate_buchstab(SolverConfig(step=1e-3, max_abscissa=8.0))
