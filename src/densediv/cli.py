@@ -24,26 +24,15 @@ import sys
 from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-
-from . import __version__
-from .constants import (
-    DENSITY_SCALE,
-    constants_bundle,
-    expected_distinct_factors,
-)
+from . import __version__, _native
 from .errors import ConfigurationError, DensedivError
 from .families import FAMILY_KINDS, ThetaFamily, parse_t
-from .generate import (
-    MEMBER_COLUMNS,
-    collect_moments,
-    count_members_multi,
-    member_columns,
-)
 
-# Run as a script, the CLI imports experiments, identities and specfun only
-# in the handlers that run them, so count, stats and enumerate never load
-# them (imported as a module it loads them all; see the end of this file).
+# Run as a script, the CLI imports numpy and every layer past families only
+# in the handlers that run them: enumerate and dfun start their C build
+# before those imports, and count, stats and enumerate never load
+# experiments, identities or specfun (imported as a module it loads them
+# all; see the end of this file).
 if TYPE_CHECKING:
     from .experiments import ExperimentReport
 
@@ -127,9 +116,49 @@ def _csv_blocks(row: str, columns) -> Iterator[str]:
     """The rows of equal-length columns, each formatted by the %-template
     row, as one newline-joined string per _ROW_BLOCK rows: one interpolation
     per block, and only one block's text held at a time."""
+    import numpy as np
+
     for a in range(0, len(columns[0]), _ROW_BLOCK):
         cells = np.column_stack([c[a : a + _ROW_BLOCK] for c in columns])
         yield "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _csv_kernel():
+    """The C integer-CSV formatter (``_csv_rows.c``), or None where it
+    cannot be built or loaded."""
+    import ctypes
+
+    count = ctypes.c_int64
+    return _native.kernel(
+        _native.CSV_SOURCE, "csv_rows",
+        [ctypes.c_void_p, count, count, count, ctypes.c_void_p], count,
+    )
+
+
+def _int_blocks(columns, kernel) -> Iterator[str]:
+    """_csv_blocks of the integer columns with the template "%d,...,%d":
+    the same bytes, block by block, formatted by kernel (from _csv_kernel)
+    into one reusable buffer when it is not None and the columns are
+    C-contiguous int64 of one length."""
+    import ctypes
+
+    import numpy as np
+
+    rows = len(columns[0])
+    if kernel is None or not rows or not all(
+        c.dtype == np.int64 and c.flags.c_contiguous and len(c) == rows
+        for c in columns
+    ):
+        yield from _csv_blocks(",".join(["%d"] * len(columns)), columns)
+        return
+    # 21 bytes a cell: a sign, up to 19 digits and a separator
+    buf = bytearray(21 * len(columns) * min(_ROW_BLOCK, rows))
+    out = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    cols = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
+    text = memoryview(buf)
+    for a in range(0, rows, _ROW_BLOCK):
+        end = kernel(cols, len(columns), a, min(a + _ROW_BLOCK, rows), out)
+        yield str(text[: end - 1], "ascii")  # _emit ends the last row
 
 
 def _family_from_args(args: argparse.Namespace) -> ThetaFamily:
@@ -149,6 +178,8 @@ def _family_from_args(args: argparse.Namespace) -> ThetaFamily:
 
 def _expected_omega(family: ThetaFamily, x: int) -> float:
     """Reference mean for the distinct-factor count (0 when undefined)."""
+    from .constants import DENSITY_SCALE, expected_distinct_factors
+
     if family.kind == "dense" and x >= 2:
         return expected_distinct_factors(x, family.t_num / family.t_den)
     if x >= 3:
@@ -170,13 +201,20 @@ def _check_common(args: argparse.Namespace) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
+    fast = args.x >= _native.CSV_MIN_X
+    if fast:  # builds while numpy loads and the members are walked
+        _native.start(_native.CSV_SOURCE)
+    from .generate import MEMBER_COLUMNS, member_columns
+
     columns = member_columns(family, args.x, MEMBER_COLUMNS)
-    blocks = _csv_blocks(",".join(["%d"] * len(columns)), columns)
+    blocks = _int_blocks(columns, _csv_kernel() if fast else None)
     _emit(itertools.chain([",".join(MEMBER_COLUMNS)], blocks), args.out)
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .generate import count_members_multi
+
     family = _family_from_args(args)
     count = count_members_multi(family, args.x, [args.q], threads=args.threads)[0]
     _emit([str(count)], args.out)
@@ -184,6 +222,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .generate import collect_moments
+
     family = _family_from_args(args)
     expected = _expected_omega(family, args.x)
     summary = collect_moments(
@@ -229,6 +269,8 @@ def _cmd_wfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfun(args: argparse.Namespace) -> int:
+    if _native.march_uses_kernel(args.step, args.vmax):
+        _native.start(_native.MARCH_SOURCE)  # builds while numpy loads
     from .specfun import SolverConfig, tabulate_buchstab, tabulate_density_kernel
 
     cfg = SolverConfig(step=args.step, max_abscissa=args.vmax)
@@ -238,6 +280,8 @@ def _cmd_dfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    from .constants import constants_bundle
+
     bundle = constants_bundle()
     fields = (
         ("gamma", bundle.gamma),
@@ -522,7 +566,10 @@ def run() -> int:
     console script): main() with the import-time heap frozen and a stdout
     closed by its reader handled; returns the exit status."""
     # Objects made by the imports live until exit, so neither the run's
-    # collections nor the ones at shutdown need to scan them.
+    # collections nor the ones at shutdown need to scan them.  The handlers
+    # import numpy and the layers after this freeze, so that a C build can
+    # start first; the freeze after the command keeps the collection at
+    # shutdown off those too.
     gc.freeze()
     try:
         code = main()
@@ -531,7 +578,8 @@ def run() -> int:
         # The reader left (say `| head`): point stdout at devnull so the
         # flush at exit finds no closed pipe, and report failure.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        code = 1
+    gc.freeze()
     return code
 
 

@@ -21,9 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arith import SpfTable, divisor_ratio_bound, factorize
 from .errors import ConfigurationError, DomainError, ResourceCapError
+
+# arith (and numpy with it) loads only in the two oracles that factor, so
+# the CLI can parse a family before numpy is imported.
+if TYPE_CHECKING:
+    from .arith import SpfTable
 
 FAMILY_KINDS = ("dense", "practical", "shifted1", "shifted2")
 
@@ -113,6 +118,8 @@ class ThetaFamily:
 def is_member(n: int, family: ThetaFamily, table: SpfTable) -> bool:
     """Exact chain membership: each distinct prime of n is checked against
     the threshold of the product of all smaller-prime full powers."""
+    from .arith import factorize
+
     if n == 1:
         return True
     f = factorize(n, table)
@@ -133,6 +140,8 @@ def _validate_ratio(t_num: int, t_den: int) -> None:
 
 def is_dense_by_ratio_bound(n: int, t_num: int, t_den: int, table: SpfTable) -> bool:
     """Membership via the divisor-ratio bound: F(n)*t_den <= n*t_num."""
+    from .arith import divisor_ratio_bound, factorize
+
     _validate_ratio(t_num, t_den)
     return divisor_ratio_bound(factorize(n, table)) * t_den <= n * t_num
 

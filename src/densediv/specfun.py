@@ -10,13 +10,14 @@ Two tabulated solutions of delay/Volterra equations:
       d(v) = 1 - integral_0^{(v-1)/2} d(u)/(u+1) * w((v-u)/(u+1)) du
 
   solved by forward marching (the integrand only looks strictly backwards).
-  ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.  On grids large
-  enough to repay its build, a small C loop (``_march_row.c``), compiled
-  once per process and loaded with ctypes, marches whole shares of rows
-  on threads: it fills each row's integrand, sums it in numpy's pairwise
-  order and adds the half cell.  Elsewhere, or where no C compiler builds
-  it, numpy passes fill each row and Python finishes it, serially; both
-  give the same floats.
+  ``(v+1) d(v)`` approaches ``C = 1/(1 - e^{-gamma})``.  On grids of at
+  least ``_native.MARCH_MIN_CELLS`` cells, a small C loop
+  (``_march_row.c``, built and loaded by ``_native``) marches whole shares
+  of rows on threads: it fills each row's integrand, sums it in numpy's
+  pairwise order and adds the half cell.  The CLI starts that build
+  before it imports numpy, so it compiles while numpy loads.  Elsewhere,
+  or where no C compiler builds it, numpy passes fill each row and Python
+  finishes it, serially; both give the same floats.
 
 Both solvers snap the grid step to an exact reciprocal 1/m so that the
 integral limits ``u - 1`` (for w) and ``(v-1)/2`` (for d) land on grid or
@@ -29,7 +30,6 @@ approximation to the rough-number count built from both.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .arith import sieve_primes
 from .constants import DENSITY_SCALE, EULER_GAMMA
 from .errors import ConfigurationError, DomainError, ResourceCapError
@@ -59,22 +60,6 @@ BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
 #: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 5.7-5.9 s end to
 #: end on 2 CPUs of an x86-64 box (39 s with the serial numpy row fill).
 GRID_POINTS_CAP = 2**17
-
-# Fewest quadrature cells (all waves) for which the density march builds
-# the row kernel.  The build and load take 100-145 ms; on the box above a
-# march of 6.25e6 cells (step 1e-3, vmax 6) took 17 ms with the kernel and
-# 105 ms with the numpy fill, one of 1.23e7 cells (vmax 8) 23 and 165 ms.
-_KERNEL_MIN_CELLS = 2**23
-
-# Flags of the row-kernel build.  The kernel is built in the process that
-# runs it, so -march=native code never leaves its host; gcc's -O2 cost
-# model vectorises the fill only with -fvect-cost-model=dynamic (-O3 does
-# too, but builds in 2 to 3 times as long); -ffp-contract=off and no
-# fast-math keep each cell's IEEE operations.
-_KERNEL_CFLAGS = (
-    "-O2", "-march=native", "-fvect-cost-model=dynamic", "-fPIC", "-shared",
-    "-ffp-contract=off",
-)
 
 # Most threads one density-kernel wave is split over.
 _MAX_WORKERS = 8
@@ -237,12 +222,6 @@ def _grid_points(span: float, m: int) -> int:
     return math.ceil(cells) + 1
 
 
-def _march_cells(lo: int, hi: int, m: int) -> int:
-    """Quadrature cells of the density-march rows [lo, hi), about: row i
-    has (i - m)//2 + 1."""
-    return (hi - lo) * (lo + hi - 2 * m) // 4
-
-
 def _march_workers() -> int:
     """Threads a density-kernel wave is split over: the usable CPUs,
     capped at _MAX_WORKERS, or 1 where affinity is missing."""
@@ -251,49 +230,17 @@ def _march_workers() -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
-@functools.cache
 def _row_kernel():
-    """The compiled row march of the density kernel (``_march_row.c``),
-    or None where it cannot be built or loaded.
-
-    Built once per process with the interpreter's C compiler and
-    _KERNEL_CFLAGS into a private temporary directory and loaded with
-    ctypes; compiler output is discarded.  ``-ffp-contract=off`` and no
-    fast-math keep every cell, row sum and half cell the same float
-    operations, in the same order, as the numpy fill and the Python row.
-    """
-    # imported here: only a density march builds the kernel
+    """The compiled row march of the density kernel (``_march_row.c``,
+    built by _native), or None where it cannot be built or loaded."""
     import ctypes
-    import shlex
-    import subprocess
-    import sysconfig
-    import tempfile
 
-    cc = sysconfig.get_config_var("CC")
-    if not cc:
-        return None
-    source = os.path.join(os.path.dirname(__file__), "_march_row.c")
-    try:
-        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-            lib = os.path.join(tmp, "_march_row.so")
-            built = subprocess.run(
-                [*shlex.split(cc), *_KERNEL_CFLAGS, "-o", lib, source],
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-            if built.returncode:
-                return None
-            kernel = ctypes.CDLL(lib).march_rows
-    except (OSError, ValueError):  # no compiler, a bad CC, a failed load
-        return None
     ptr, real = ctypes.c_void_p, ctypes.c_double
     count, index = ctypes.c_int64, ctypes.c_int32
-    kernel.argtypes = (
-        [ptr] * 6 + [real, real, index, count, real] + [count] * 3
+    return _native.kernel(
+        _native.MARCH_SOURCE, "march_rows",
+        [ptr] * 6 + [real, real, index, count, real] + [count] * 3, None,
     )
-    kernel.restype = None
-    return kernel
 
 
 def _march_rows(rows, d, scaled, inv_up1, w, m, g, kernel) -> None:
@@ -408,7 +355,7 @@ def tabulate_density_kernel(
 
     Each row evaluates w at ``pos = ((v+1)/(u_k+1) - 2) / h_w`` for its cells
     k, into a preallocated buffer.  The compiled kernel, used when the
-    march has at least _KERNEL_MIN_CELLS cells and w fewer than 2^31
+    march has at least _native.MARCH_MIN_CELLS cells and w fewer than 2^31
     points, clamps pos and the cell index per cell and truncates.  The
     numpy fill clamps only when a row end is out of range: rounding is
     monotone, so pos never increases with k, only pos[0] can pass the last
@@ -456,7 +403,7 @@ def tabulate_density_kernel(
     # built before the first wave, so no thread compiles; the kernel's cell
     # index is an int32
     use_kernel = (
-        _march_cells(m + 1, n_pts, m) >= _KERNEL_MIN_CELLS
+        _native.march_uses_kernel(cfg.step, cfg.max_abscissa)
         and len(w.values) < 2**31
     )
     kernel = _row_kernel() if use_kernel else None

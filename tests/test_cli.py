@@ -2,6 +2,7 @@
 output, and worker-count invariance via in-process main() calls, plus
 subprocess checks of the process entry point (imports, flush, closed pipe)."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -23,12 +24,14 @@ import densediv.generate
 import densediv.identities  # noqa: F401
 import densediv.specfun  # noqa: F401
 from densediv.cli import main
+from conftest import CONSOLE_SCRIPT, csv_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 
 DENSE2 = ["--family", "dense", "--t", "2"]
+ENUMERATE_3E6 = ["enumerate", *DENSE2, "--x", "3000000"]
 
 
 def run(capsys, argv):
@@ -63,6 +66,14 @@ class TestEnumerate:
         assert run(capsys, [*argv, "--out", str(target)])[:2] == (0, [])
         assert target.read_text() == "\n".join(whole) + "\n"
         assert os.listdir(tmp_path) == ["members.csv"]
+
+    def test_bytes_pinned_at_3e6(self, capped_cli, csv_fill):
+        # The benchmark's enumerate op, through the C formatter and the
+        # %-formatting, as printed before the C formatter existed.
+        out = capped_cli(ENUMERATE_3E6, 0, entry=csv_entry(csv_fill))
+        assert hashlib.sha256(out).hexdigest() == (
+            "519f8baba455956292c0659e92cb584f2f76ceec4e475227bbceb5341e908a93"
+        )
 
 
 class TestCount:
@@ -155,12 +166,11 @@ class TestTabulators:
         code, _, err = run(capsys, ["wfun", "--step", "0.5"])
         assert code == 2 and "error:" in err
 
-    def test_dfun_same_bytes_without_kernel(self, capfd, monkeypatch):
+    def test_dfun_same_bytes_without_kernel(self, capfd, monkeypatch, fresh_native):
         # The first run builds the row kernel afresh: nothing the compiler
         # prints may reach the process's stdout or stderr.
         argv = ["dfun", "--vmax", "8", "--step", "1e-3"]
-        monkeypatch.setattr(densediv.specfun, "_KERNEL_MIN_CELLS", 0)
-        densediv.specfun._row_kernel.cache_clear()
+        monkeypatch.setattr(fresh_native, "MARCH_MIN_CELLS", 0)
         assert main(argv) == 0
         kernel = capfd.readouterr()
         monkeypatch.setattr(densediv.specfun, "_row_kernel", lambda: None)
@@ -604,7 +614,7 @@ class TestInt64UnsafeBytes:
     @pytest.mark.parametrize(
         "argv", list(INT64_UNSAFE_STDOUT_SHA256), ids=lambda a: " ".join(a[:3])
     )
-    def test_stdout_pinned(self, capsys, argv):
+    def test_stdout_pinned(self, capsys, csv_fill, argv):
         code = main(list(argv))
         out = capsys.readouterr().out.encode()
         assert code == 0
@@ -833,20 +843,19 @@ def test_public_names_resolve():
         densediv.no_such_name
 
 
-def test_process_entry_flushes_and_renames(capsys, capped_cli, tmp_path):
+def test_process_entry_flushes_and_renames(capsys, capped_cli, tmp_path, csv_fill):
     # The entry point freezes the heap and flushes stdout itself; its bytes,
     # on stdout and through --out, equal an in-process main() run.
     argv = ["enumerate", "--family", "dense", "--t", "2", "--x", "300000"]
+    entry = csv_entry(csv_fill)
     assert main(argv) == 0
     want = capsys.readouterr().out.encode()
-    assert capped_cli(argv, 0) == want and want.count(b"\n") > 20_000
+    assert capped_cli(argv, 0, entry=entry) == want
+    assert want.count(b"\n") > 20_000
     target = tmp_path / "members.csv"
-    assert capped_cli([*argv, "--out", str(target)], 0) == b""
+    assert capped_cli([*argv, "--out", str(target)], 0, entry=entry) == b""
     assert target.read_bytes() == want
     assert os.listdir(tmp_path) == ["members.csv"]
-
-
-CONSOLE_SCRIPT = "import sys; from densediv.cli import run; sys.exit(run())"
 
 
 def test_console_script_is_the_process_entry():
@@ -854,18 +863,12 @@ def test_console_script_is_the_process_entry():
     assert '\n[project.scripts]\ndensediv = "densediv.cli:run"\n' in project
 
 
-@pytest.mark.parametrize("entry", [["-m", "densediv.cli"], ["-c", CONSOLE_SCRIPT]])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "--family", "dense", "--t", "2", "--x", "3000000"],
-        ["wfun"],  # the table writer of wfun and dfun, about 1.4 MB
-    ],
-)
-def test_closed_stdout_ends_quietly(entry, argv):
-    # Like `densediv ... | head -1`: the reader leaves after one line.
+def _closes_after_one_line(command):
+    """Run command as a CLI process whose reader leaves after one line,
+    like `densediv ... | head -1`, check that it ends with exit 1 and no
+    traceback, and return that line."""
     proc = subprocess.Popen(
-        [sys.executable, *entry, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        command, env=dict(os.environ, PYTHONPATH=SRC),
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     first = proc.stdout.readline()
@@ -876,7 +879,94 @@ def test_closed_stdout_ends_quietly(entry, argv):
         proc.kill()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert first.startswith((b"n,omega", b"abscissa"))
     assert code == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+    return first
+
+
+@pytest.mark.parametrize("console", [False, True], ids=["module", "console"])
+def test_closed_stdout_ends_quietly(csv_fill, console):
+    # enumerate writes about 6 MB, through the C formatter or the
+    # %-formatting.
+    entry = csv_entry(csv_fill, console)
+    first = _closes_after_one_line([sys.executable, *entry, *ENUMERATE_3E6])
+    assert first.startswith(b"n,omega")
+
+
+@pytest.mark.parametrize("entry", [["-m", "densediv.cli"], ["-c", CONSOLE_SCRIPT]])
+def test_closed_stdout_ends_table_quietly(entry):
+    # The table writer of wfun and dfun, about 1.4 MB.
+    first = _closes_after_one_line([sys.executable, *entry, "wfun"])
+    assert first.startswith(b"abscissa")
+
+
+def _build_processes(marker):
+    """The pids of the live processes whose command line holds marker."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                if marker.encode() in handle.read():
+                    found.append(int(pid))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "argv, reader_leaves",
+    [
+        (ENUMERATE_3E6, False),
+        # refused at the column-cell cap, after the build has started
+        (["enumerate", *DENSE2, "--x", "1e12"], False),
+        (["dfun", "--vmax", "32"], False),
+        (ENUMERATE_3E6, True),
+    ],
+    ids=["enumerate-3e6", "enumerate-refused", "dfun-32", "enumerate-closed"],
+)
+def test_no_build_outlives_the_cli(tmp_path, argv, reader_leaves):
+    # The op runs in its own session, and its builds (and gcc's own
+    # temporary files) in a private TMPDIR: once it has exited, no process
+    # of its group, and no compiler working in that TMPDIR, is left, and
+    # the TMPDIR is empty.
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    command = [sys.executable, "-m", "densediv.cli", *argv]
+    env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp))
+    proc = subprocess.Popen(
+        command, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        if reader_leaves:
+            assert proc.stdout.readline().startswith(b"n,omega")
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        else:
+            proc.communicate(timeout=120)
+            code = proc.returncode
+    finally:
+        proc.kill()
+    assert code == (1 if reader_leaves or "1e12" in argv else 0)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert _build_processes(str(tmp)) == []
+    assert os.listdir(tmp) == []
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["count", *DENSE2, "--x", "1000"]])
+def test_light_ops_load_no_build_machinery(argv):
+    # _native imports subprocess and shlex only when a build starts, so
+    # ops that build nothing pay nothing for it.
+    proc, loaded = _cli_imports(*argv)
+    assert proc.returncode == 0
+    assert "densediv._native" in loaded
+    assert not loaded & {"subprocess", "shlex"}
+
+
+def test_families_loads_no_numpy():
+    # The CLI parses a family, and starts a build, before numpy loads.
+    proc = _python(
+        "-c", "import densediv.families, sys; print('numpy' in sys.modules)"
+    )
+    assert proc.stdout == b"False\n"

@@ -4,10 +4,6 @@ self-convergence, tail rules, and the sieve-product/rough-count helpers."""
 import hashlib
 import math
 import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
 import threading
 
 import numpy as np
@@ -28,8 +24,9 @@ from densediv import (
     tabulate_buchstab,
     tabulate_density_kernel,
 )
-from densediv import specfun
+from densediv import _native, specfun
 from densediv.arith import PRIME_SIEVE_CAP
+from conftest import needs_compiler
 
 
 @pytest.fixture(scope="module")
@@ -276,77 +273,8 @@ def row_fill(request, monkeypatch):
     elif specfun._row_kernel() is None:
         pytest.skip("no C compiler builds the row kernel here")
     else:
-        monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
+        monkeypatch.setattr(_native, "MARCH_MIN_CELLS", 0)
     return request.param
-
-
-def configured_compiler():
-    """The interpreter's C compiler if it is on PATH, else None."""
-    cc = sysconfig.get_config_var("CC")
-    return cc and shutil.which(shlex.split(cc)[0])
-
-
-needs_compiler = pytest.mark.skipif(
-    not configured_compiler(), reason="the configured C compiler is not on PATH"
-)
-
-
-class TestRowKernel:
-    @needs_compiler
-    def test_builds_where_the_compiler_is(self):
-        assert specfun._row_kernel.__wrapped__() is not None
-
-    @needs_compiler
-    def test_builds_without_warnings(self, tmp_path):
-        # The loader discards compiler output, so warnings only show here.
-        source = os.path.join(
-            os.path.dirname(specfun.__file__), "_march_row.c"
-        )
-        built = subprocess.run(
-            [*shlex.split(sysconfig.get_config_var("CC")),
-             *specfun._KERNEL_CFLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "_march_row.so"), source],
-            capture_output=True,
-            text=True,
-        )
-        assert built.returncode == 0, built.stderr
-
-    @pytest.mark.parametrize(
-        "cc",
-        [
-            "/nonexistent/cc",
-            "sh -c 'echo out; echo err >&2; exit 1' sh",
-            "sh -c 'echo out; echo err >&2' sh",  # succeeds, builds nothing
-            "cc 'unbalanced",
-        ],
-    )
-    def test_failed_build_is_quiet(self, monkeypatch, capfd, cc):
-        monkeypatch.setattr(
-            sysconfig, "get_config_var", lambda name: cc if name == "CC" else None
-        )
-        assert specfun._row_kernel.__wrapped__() is None
-        assert capfd.readouterr() == ("", "")
-
-    @needs_compiler
-    def test_built_once(self, monkeypatch, tmp_path):
-        # Every compiler run appends a line to a file, so a build by a
-        # march thread or by the second tabulation would show too.
-        log = tmp_path / "compiles"
-        run = subprocess.run
-
-        def logged(*args, **kwargs):
-            with open(log, "a") as out:
-                out.write("cc\n")
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "run", logged)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
-        specfun._row_kernel.cache_clear()
-        w = tabulate_buchstab(SolverConfig(step=1e-2, max_abscissa=30.0))
-        for _ in range(2):
-            tabulate_density_kernel(SolverConfig(step=1e-2, max_abscissa=30.0), w)
-        assert log.read_text() == "cc\n"
 
 
 class TestDensityKernel:
@@ -465,7 +393,7 @@ class TestDensityKernel:
             march(rows, *args)
 
         monkeypatch.setattr(specfun, "_march_rows", failing_off_main)
-        monkeypatch.setattr(specfun, "_KERNEL_MIN_CELLS", 0)
+        monkeypatch.setattr(_native, "MARCH_MIN_CELLS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         w = tabulate_buchstab(SolverConfig(step=1e-3, max_abscissa=5.0))
         threads = threading.active_count()
