@@ -110,21 +110,34 @@ def sieve_primes(bound, what: str) -> np.ndarray:
 
 def prime_counter(primes: np.ndarray, limit: int) -> Callable:
     """pi as a bit-packed lookup: from the ascending primes <= limit, a pi(v)
-    equal to np.searchsorted(primes, v, "right") for int64 v in [0, limit].
-    Bit b of word w marks 128*w + 2*b + 1 as prime and before[w] counts the
-    odd primes below word w; pi(v) adds the bits of v's word up to v
-    (np.bitwise_count) and the prime 2.  limit/8 bytes in all."""
+    equal to np.searchsorted(primes, v, "right") for int64 v, an array or a
+    scalar: the number of primes <= min(v, limit), so pi(limit) above the
+    limit.  Bit b of word w marks 128*w + 2*b + 1 as prime and before[w]
+    counts the odd primes below word w; pi(v) adds the bits of v's word up
+    to v (np.bitwise_count) and the prime 2.  limit/8 bytes in all."""
     flags = np.zeros(64 * (limit // 128 + 1), dtype=bool)
     flags[primes[1:] >> 1] = True
     words = np.packbits(flags, bitorder="little").view("<u8")
     before = np.cumsum(np.bitwise_count(words), dtype=np.int64)
     before -= np.bitwise_count(words)
+    top = max(limit - 1, 0)
 
-    def pi(v: np.ndarray) -> np.ndarray:
-        k = np.maximum(v - 1, 0) >> 1  # the odd integer 2k + 1 <= max(v, 1)
+    def pi(v):
+        # In place, and each name rebound once its array is spent, so that
+        # at most three arrays of len(v) are live besides v.
+        k = np.minimum(np.maximum(v - 1, 0), top)  # np.clip's wrapper is slower
+        two = k > 0  # the prime 2 counts once 2 <= v and 2 <= limit
+        k >>= 1  # the odd integer 2k + 1 <= min(v, limit), or 1
         w = k >> 6
-        low = words[w] << (63 - (k & 63)).astype(np.uint64)  # bits <= 2k + 1
-        return before[w] + np.bitwise_count(low) + (v >= 2)
+        k &= 63
+        k ^= 63  # 63 - (k & 63)
+        out = words[w]
+        out <<= k.view(np.uint64)  # the bits <= 2k + 1
+        k = np.bitwise_count(out)
+        out = before[w]
+        out += k
+        out += two
+        return out
 
     return pi
 
@@ -269,7 +282,8 @@ def rough_counts(x: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     stage pi(min(Y, sqrt(x))), in one sweep with the queries sorted by
     stage.  Y >= X gives 1 and X < 1 gives 0.  O(x^{3/4}) time; memory is
     O(sqrt(x)) for the tables plus a prime sieve up to max(sqrt(x), Y_i)
-    over the queries with Y_i < X_i, from which pi(Y) is read.
+    over the queries with Y_i < X_i, whose prime_counter gives pi(Y) and
+    the stage count pi(sqrt(x)).
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -285,9 +299,11 @@ def rough_counts(x: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     r = math.isqrt(x)
     if int(Xa.max()) > x or np.any(x // (x // Xa) != Xa):
         raise DomainError(f"every X must be a floor quotient x // k of x={x}")
-    primes = primes_up_to(max(r, int(Ya.max())))
-    pi_y = np.searchsorted(primes, Ya, side="right")
-    n_sieve = int(np.searchsorted(primes, r, side="right"))
+    limit = max(r, int(Ya.max()))
+    primes = primes_up_to(limit)
+    pi = prime_counter(primes, limit)
+    pi_y = pi(Ya)
+    n_sieve = int(pi(r))
     stage = np.minimum(pi_y, n_sieve)
     order = np.argsort(stage, kind="stable")
     starts = np.searchsorted(stage[order], np.arange(n_sieve + 2))

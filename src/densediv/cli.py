@@ -181,7 +181,7 @@ def _expected_omega(family: ThetaFamily, x: int) -> float:
     from .constants import DENSITY_SCALE, expected_distinct_factors
 
     if family.kind == "dense" and x >= 2:
-        return expected_distinct_factors(x, family.t_num / family.t_den)
+        return expected_distinct_factors(x, family.t_float)
     if x >= 3:
         return DENSITY_SCALE * math.log(math.log(x))
     return 0.0
@@ -229,7 +229,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     summary = collect_moments(
         family, args.x, xi=args.xi, expected=expected, threads=args.threads
     )
-    t_float = family.t_num / family.t_den if family.kind == "dense" else 0.0
     header = (
         "x,t,count,mean_omega,mean_big_omega,variance_omega,"
         "mean_tau,mean_log_tau,expected_omega,exceed_fraction"
@@ -237,7 +236,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     row = ",".join(
         [
             str(args.x),
-            _fmt(t_float),
+            _fmt(family.t_float),
             str(summary.count),
             _fmt(summary.mean_omega),
             _fmt(summary.mean_big_omega),

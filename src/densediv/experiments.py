@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,13 +38,10 @@ from .generate import (
     collect_moments,
     count_members_multi,
 )
-from .specfun import (
-    SolverConfig,
-    TabulatedFunction,
-    _rough_main_term,
-    mertens_product,
-    tabulate_buchstab,
-)
+
+# specfun loads only in phi_approx_scan, its one user here.
+if TYPE_CHECKING:
+    from .specfun import TabulatedFunction
 
 __all__ = [
     "CoeffEstimate",
@@ -144,7 +142,7 @@ def empirical_coeff(query: CountQuery, count: int) -> CoeffEstimate:
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
     t = family.t
-    t_float = family.t_num / family.t_den
+    t_float = family.t_float
     c_hat = count * (math.log(query.x) + math.log(t_float)) / query.x
     c_theta = leading_coeff_asymptotic(t_float)
     if query.q == 1:
@@ -172,10 +170,6 @@ def _validate_grid(xs: list[int]) -> None:
         raise DomainError(f"grid max {xs[-1]} exceeds the {_MAX_X} ceiling")
 
 
-def _t_float(family: ThetaFamily) -> float:
-    return family.t_num / family.t_den
-
-
 def mean_omega_experiment(
     t: Fraction | int | str, xs: list[int], threads: int = 1
 ) -> ExperimentReport:
@@ -189,7 +183,7 @@ def mean_omega_experiment(
     """
     _validate_grid(xs)
     family = ThetaFamily.dense(t)
-    tf = _t_float(family)
+    tf = family.t_float
     rows: list[ReportRow] = []
     gaps: list[float] = []
     for x in xs:
@@ -230,7 +224,7 @@ def concentration_experiment(
     if xi < 1.0:
         raise DomainError(f"xi must be >= 1, got {xi}")
     family = ThetaFamily.dense(t)
-    tf = _t_float(family)
+    tf = family.t_float
     expected = expected_distinct_factors(x, tf)
     summary = collect_moments(family, x, xi=xi, expected=expected, threads=threads)
     fraction = summary.exceed_fraction
@@ -270,7 +264,7 @@ def cq_structure_experiment(
     if x < 1 or x > _MAX_X:
         raise DomainError(f"x must be in [1, {_MAX_X}], got {x}")
     family = ThetaFamily.dense(t)
-    tf = _t_float(family)
+    tf = family.t_float
     if any(q > tf for q in qs):
         raise DomainError(f"every q must be <= t={tf}, got {qs}")
     counts = count_members_multi(family, x, [1] + list(qs), threads=threads)
@@ -316,6 +310,13 @@ def phi_approx_scan(
     regime y >= 50 and x/y >= 10^3 at 25% relative error; everything else
     is report-only.  The y value is carried in the t column.
     """
+    from .specfun import (
+        SolverConfig,
+        _rough_main_term,
+        mertens_product,
+        tabulate_buchstab,
+    )
+
     _validate_grid(x_grid)
     if not y_grid or not all(y >= 2 for y in y_grid):
         raise DomainError(f"y grid values must be >= 2, got {y_grid}")
@@ -422,7 +423,11 @@ def tau_normal_order_experiment(x: int, threads: int = 1) -> ExperimentReport:
             ThetaFamily.practical(), x, n_min=x // 2, stats=True
         )
     ])
-    measured = float(np.median(ratios, overwrite_input=True))
+    # np.median's float, the mean of the middle one or two ratios after a
+    # partial sort, without the numpy.ma import that np.median costs.
+    middle = [(len(ratios) - 1) // 2, len(ratios) // 2]
+    ratios.partition(middle)
+    measured = float(ratios[middle].mean())
     predicted = DENSITY_SCALE * math.log(2.0)
     row = ReportRow(
         x, 0.0, 0, measured, predicted, _rel_err(measured, predicted),
@@ -448,7 +453,7 @@ def count_ratio_experiment(
     if len(xs) < 2:
         raise ConfigurationError("need at least two grid points")
     family = ThetaFamily.dense(t)
-    tf = _t_float(family)
+    tf = family.t_float
     log_t = math.log(tf)
     rows: list[ReportRow] = []
     ratios: list[float] = []

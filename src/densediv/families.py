@@ -91,6 +91,15 @@ class ThetaFamily:
             raise DomainError(f"family {self.kind!r} has no ratio bound t")
         return Fraction(self.t_num, self.t_den)
 
+    @property
+    def t_float(self) -> float:
+        """t as the nearest float (0.0 for the families without t); a t past
+        the float range raises DomainError."""
+        try:
+            return self.t_num / self.t_den
+        except OverflowError:
+            raise DomainError("ratio bound t exceeds the float range") from None
+
     def label(self) -> str:
         if self.kind == "dense":
             t = self.t

@@ -13,15 +13,19 @@ One production traversal and one reference:
   threshold rule is nondecreasing along divisibility chains) in blocks
   drawn depth first.  It yields each block with the range of its
   childless leaves n*p, those with p^2 > x // n and p at least the
-  largest prime of n, which it never builds as rows.  Counts, moment
+  largest prime of n, which it never builds as rows.  Every prime count
+  of the walk and its tallies, pi(min(theta(n), x // n)) for the
+  admissible primes, pi(isqrt(x // n)) for the leaf split, the leaves
+  above n_min and the divisor filters, reads one bit-packed
+  arith.prime_counter over the walk's primes.  Counts, moment
   histograms and the identity sums tally those ranges in bulk; member
   columns, the tau-order experiment, the weight series and the identity
   sums' take-back below theta_min read ``_member_chunks``, which expands
   them with the walk's own builder ``_children``; member_columns sorts
-  them by n, the others read them unsorted.  The walk's columns are int64 for every accepted query (the
-  sieve cap keeps x below 2^62, and sigma columns stop at x < 2^60); a
-  dense threshold n*t_num past int64 is formed in Python ints for the few
-  rows that need it.
+  them by n, the others read them unsorted.  The walk's columns are
+  int64 for every accepted query (the sieve cap keeps x below 2^62, and
+  sigma columns stop at x < 2^60); a dense threshold n*t_num past int64
+  is formed in Python ints for the few rows that need it.
 - ``iter_members`` is a plain pure-Python DFS over arbitrary-precision
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .arith import (
     SpfTable,
     divisor_ratio_bound,
     factorize,
+    prime_counter,
     primes_up_to,
 )
 from .errors import DomainError, ResourceCapError
@@ -251,11 +256,20 @@ def _theta_at_most(family: ThetaFamily, n: np.ndarray, sigma, cap) -> np.ndarray
     return out
 
 
-def _admissible_hi(
-    family: ThetaFamily, x: int, primes: np.ndarray, n: np.ndarray, sigma
-) -> np.ndarray:
-    """Per-node number of primes admissible as the next (>= last) factor."""
-    return np.searchsorted(primes, _theta_at_most(family, n, sigma, x // n), "right")
+def _admissible_hi(family: ThetaFamily, pi, n: np.ndarray, sigma, quot) -> np.ndarray:
+    """Per-node number of primes admissible as the next (>= last) factor:
+    pi(min(theta(n), quot)), with quot = x // n and pi a prime_counter."""
+    return pi(_theta_at_most(family, n, sigma, quot))
+
+
+def _isqrt(v: np.ndarray, x: int) -> np.ndarray:
+    """Exact floor square roots of int64 values 0 <= v <= x < 2^62.  The
+    float64 root is exact below 2^52 and off by at most one above."""
+    r = np.sqrt(v).astype(np.int64)
+    if x >= 2**52:
+        r -= r * r > v
+        r += (r + 1) * (r + 1) <= v
+    return r
 
 
 class _Histogram:
@@ -338,22 +352,25 @@ def _children(blk, lo, cnt, primes) -> Iterator[dict[str, np.ndarray]]:
 
 def _frontier(
     family: ThetaFamily, x: int, stats: bool = False, sigma: bool = False
-) -> tuple[np.ndarray, Iterator[tuple]]:
-    """(primes, blocks) for a walk over the members n <= x.  The primes are
-    sieved here, and a prime bound past SIEVE_LIMIT_CAP is refused first.
+) -> tuple[np.ndarray, Callable, Iterator[tuple]]:
+    """(primes, pi, blocks) for a walk over the members n <= x.  The primes
+    are sieved here, and a prime bound past SIEVE_LIMIT_CAP is refused
+    first.  pi is their prime_counter, the walk's one prime count: every
+    count of primes below a bound, here and in the tallies, reads it.
 
     blocks yields every built block once, as (level, blk, mid, hi): the
     rows of blk have big omega level, and the unbuilt leaves of row i are
-    n[i]*primes[j] for j in [mid[i], hi[i]), one level deeper.  A child
-    n*p, p at least the largest prime of n, is a leaf exactly when
-    p^2 > x // n (then n*p*p' > x for every p' >= p): with
-    s = pi(sqrt(x // n)), when j >= max(s, last).  A row whose largest
-    prime has p^2 > x // n has s <= last, so mid <= last: all its children
-    are leaves, its repeat n*p at j == last among them.  Every other leaf
-    has a new prime.  The stack holds a _children generator over the rows
-    with children of each level; each step draws the next block from the
-    top one, which keeps the live rows near depth * _CHUNK.  A caller that
-    needs the leaves builds them with _children too (_member_chunks).
+    n[i]*primes[j] for j in [mid[i], hi[i]), one level deeper, with
+    hi = pi(min(theta(n), x // n)).  A child n*p, p at least the largest
+    prime of n, is a leaf exactly when p^2 > x // n (then n*p*p' > x for
+    every p' >= p): with s = pi(isqrt(x // n)), when j >= max(s, last).
+    A row whose largest prime has p^2 > x // n has s <= last, so
+    mid <= last: all its children are leaves, its repeat n*p at j == last
+    among them.  Every other leaf has a new prime.  The stack holds a
+    _children generator over the rows with children of each level; each
+    step draws the next block from the top one, which keeps the live rows
+    near depth * _CHUNK.  A caller that needs the leaves builds them with
+    _children too (_member_chunks).
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
@@ -368,9 +385,7 @@ def _frontier(
     if sigma and x >= _SIGMA_X_CAP:
         raise ResourceCapError(f"x={x} exceeds the sigma-column cap 2^60")
     primes = primes_up_to(bound)
-    # The cap bounds x below 2^62, so x // n and the squares of the primes
-    # <= sqrt(x) (the only ones with p^2 <= x // n) fit in int64.
-    prime_sq = primes[: np.searchsorted(primes, math.isqrt(x), side="right")] ** 2
+    pi = prime_counter(primes, bound)
 
     def blocks() -> Iterator[tuple]:
         # Root n = 1: last = -1 marks "no prime used yet".  No column is
@@ -389,11 +404,18 @@ def _frontier(
                 stack.pop()
                 continue
             n, last = blk["n"], blk["last"]
-            hi = _admissible_hi(family, x, primes, n, blk.get("sigma"))
-            # j >= max(s, last) with s = pi(sqrt(x // n)): p^2 > x // n,
+            quot = x // n  # below 2^62, as the sieve cap bounds x
+            hi = _admissible_hi(family, pi, n, blk.get("sigma"), quot)
+            # j >= max(s, last) with s = pi(isqrt(x // n)): p^2 > x // n,
             # hence a leaf.  s <= last exactly when p_last^2 > x // n.
-            s = np.searchsorted(prime_sq, x // n, side="right")
-            mid = np.minimum(np.maximum(s, last), hi)
+            # Each array is dropped once spent, so few of a block's size are
+            # live at a time and only the block and its bounds pass the yield.
+            sqrt_quot = _isqrt(quot, x)
+            del quot
+            mid = pi(sqrt_quot)
+            del sqrt_quot
+            np.maximum(mid, last, out=mid)
+            np.minimum(mid, hi, out=mid)
             yield level, blk, mid, hi
             # Only the rows with children wait on the stack.
             rows = np.flatnonzero(mid > np.maximum(last, 0))
@@ -402,17 +424,18 @@ def _frontier(
                 kids = {k: v[rows] for k, v in blk.items()}
                 stack.append((level + 1, _children(kids, lo, mid[rows] - lo, primes)))
 
-    return primes, blocks()
+    return primes, pi, blocks()
 
 
 def _leaves_above(
-    primes: np.ndarray, n_min: int, n: np.ndarray, mid: np.ndarray, hi: np.ndarray
+    pi, n_min: int, n: np.ndarray, mid: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lo, cnt): the leaves n*primes[j] > n_min of a block's rows are those
-    with j in [lo, lo + cnt), as p > n_min // n."""
+    with j in [lo, lo + cnt), as p > n_min // n: j >= pi(n_min // n), which
+    is at least hi once n_min // n passes the prime bound."""
     lo = mid
     if n_min:
-        lo = np.maximum(mid, np.searchsorted(primes, n_min // n, "right"))
+        lo = np.maximum(mid, pi(n_min // n))
     return lo, np.maximum(hi - lo, 0)
 
 
@@ -433,7 +456,7 @@ def _member_chunks(
     leaves of row i start at j = max(mid[i], pi(n_min // n[i])), so no leaf
     n*p <= n_min is formed.
     """
-    primes, blocks = _frontier(family, x, stats=stats, sigma=sigma)
+    primes, pi, blocks = _frontier(family, x, stats=stats, sigma=sigma)
     # The practical walk carries sigma for its thresholds; the chunks carry
     # only the columns asked for, and their leaves derive no others.
     keys = ["n", "last", *(("sigma", "pp") if sigma else ())]
@@ -446,21 +469,23 @@ def _member_chunks(
             yield level, cols
         elif keep.any():
             yield level, {k: v[keep] for k, v in cols.items()}
-        lo, cnt = _leaves_above(primes, n_min, n, mid, hi)
+        lo, cnt = _leaves_above(pi, n_min, n, mid, hi)
         for child in _children(cols, lo, cnt, primes):
             yield level + 1, child
 
 
-def _tally_counts(q: int, primes, n, mid, hi) -> int:
+def _tally_counts(q: int, primes, pi, n, mid, hi) -> int:
     """The rows n and their leaves n*primes[j], j in [mid, hi), that q
-    divides."""
+    divides; pi is the walk's prime_counter over primes."""
     leaves = hi - mid
     if q == 1:
         return len(n) + int(leaves.sum())
     # q | n*p  iff  r | p  with r = q / gcd(q, n): a row and all its leaves
     # count when r = 1, and only the leaf p = r when r is a prime in range.
+    # The only candidate is j = pi(r - 1), the primes below r: at least hi
+    # once r passes the prime bound.
     r = q // np.gcd(n, q)
-    idx = np.searchsorted(primes, r)
+    idx = pi(r - 1)
     hit = (idx >= mid) & (idx < hi)
     return int((leaves[r == 1] + 1).sum()) + int(
         np.count_nonzero(primes[idx[hit]] == r[hit])
@@ -482,13 +507,13 @@ def count_members_multi(
         raise DomainError(f"x must be >= 1, got {x}")
     if any(q < 1 for q in qs):
         raise DomainError("every divisor filter q must be >= 1")
-    primes, blocks = _frontier(family, x)
+    primes, pi, blocks = _frontier(family, x)
     # q > x divides no member; skipping it keeps every q in int64 range.
     live_qs = [(k, q) for k, q in enumerate(qs) if q <= x]
     counts = [0] * len(qs)
     for _, blk, mid, hi in blocks:
         for k, q in live_qs:
-            counts[k] += _tally_counts(q, primes, blk["n"], mid, hi)
+            counts[k] += _tally_counts(q, primes, pi, blk["n"], mid, hi)
     return counts
 
 
@@ -516,7 +541,7 @@ def collect_moments(
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    _, blocks = _frontier(family, x, stats=True)
+    _, _, blocks = _frontier(family, x, stats=True)
     hist_omega = _Histogram()
     hist_tau = _Histogram()
     hist_big: dict[int, int] = {}
@@ -563,12 +588,12 @@ def member_columns(
         raise DomainError(f"n_min must be >= 0, got {n_min}")
     sigma = "sigma" in names
     width = len({"n", *names}) + 2
-    primes, blocks = _frontier(family, x, sigma=sigma)
+    _, pi, blocks = _frontier(family, x, sigma=sigma)
     size = 0
     for _, blk, mid, hi in blocks:
         n = blk["n"]
         size += int(np.count_nonzero(n > n_min))
-        size += int(_leaves_above(primes, n_min, n, mid, hi)[1].sum())
+        size += int(_leaves_above(pi, n_min, n, mid, hi)[1].sum())
         if size * width > _COLUMN_CELL_CAP:
             raise ResourceCapError(
                 f"more than {_COLUMN_CELL_CAP // width} members in ({n_min}, {x}]:"

@@ -247,7 +247,7 @@ def _rough_sum(
             if rec.n % q == 0 and thr >= theta_min:
                 total += rough_count(x // rec.n, thr, table)
         return total
-    primes, blocks = _frontier(family, x)
+    primes, pi, blocks = _frontier(family, x)
     total = 0
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
@@ -257,7 +257,7 @@ def _rough_sum(
         theta = _theta_at_most(
             family, n, blk.get("sigma"), np.maximum(quot, theta_min)
         )
-        total += _tally_counts(q, primes, n, mid, hi)
+        total += _tally_counts(q, primes, pi, n, mid, hi)
         low = (n % q == 0) & (theta >= theta_min) & (theta < quot)
         xs.append(quot[low])
         ys.append(theta[low])

@@ -85,13 +85,24 @@ class TestSieve:
 
 
 class TestPrimeCounter:
-    @pytest.mark.parametrize("limit", [1, 2, 3, 127, 128, 129, 1000, 65537])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 127, 128, 129, 1000, 65537])
     def test_every_value(self, limit):
         # 127..129 and 65537 sit at the ends of a 64-bit word of odd numbers.
+        # Above the limit pi stays pi(limit); below 2 it is 0.
         primes = primes_up_to(limit)
-        v = np.arange(limit + 1, dtype=np.int64)
+        v = np.arange(-3, limit + 300, dtype=np.int64)
         got = prime_counter(primes, limit)(v)
+        assert got.dtype == np.int64
         assert np.array_equal(got, np.searchsorted(primes, v, "right"))
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 1000])
+    def test_scalars_and_far_above(self, limit):
+        primes = primes_up_to(limit)
+        pi = prime_counter(primes, limit)
+        for v in (-1, 0, 1, 2, 3, limit, limit + 1, 2**62):
+            want = int(np.searchsorted(primes, v, "right"))
+            assert int(pi(v)) == int(pi(np.int64(v))) == want, v
+        assert pi(np.array([2**62, 2**63 - 1])).tolist() == [len(primes)] * 2
 
     def test_random_sample(self):
         limit = 10**7

@@ -126,6 +126,28 @@ class TestCount:
 
 
 class TestStats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--family", "dense", "--t", "1e400", "--x", "100"],
+            ["experiment", "mean-omega", "--t", "1e400", "--xs", "1000"],
+            ["experiment", "concentration", "--t", "1e400", "--xs", "1000"],
+            ["experiment", "count-ratio", "--t", "1e400", "--xs", "100,1000"],
+            ["experiment", "cq-structure", "--t", "1e400", "--x", "1000",
+             "--qs", "3"],
+        ],
+        ids=["stats", "mean-omega", "concentration", "count-ratio", "cq-structure"],
+    )
+    def test_t_past_float_range_refused(self, capsys, argv):
+        # These print or use t as a float; a t past the float range ends in
+        # one error line, while count, which needs no float t, still runs.
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, [])
+        assert err == "error: ratio bound t exceeds the float range\n"
+        code, out, _ = run(capsys, ["count", "--family", "dense", "--t", "1e400",
+                                    "--x", "100"])
+        assert (code, out) == (0, ["100"])
+
     def test_dense_row(self, capsys):
         code, out, _ = run(capsys, ["stats", "--family", "dense", "--t", "2", "--x", "1000"])
         assert code == 0
@@ -807,6 +829,31 @@ def test_count_imports_only_what_it_runs():
     assert not loaded & {
         "densediv.experiments", "densediv.identities", "densediv.specfun"
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", *DENSE2, "--x", "1000"],
+        ["experiment", "tau-order", "--x", "10000"],
+        ["identity", "--check", "phi0", *DENSE2, "--x", "1000"],
+        ["enumerate", *DENSE2, "--x", "1000000", "--out", os.devnull],
+        ["experiment", "phi-scan", "--xs", "1000", "--ys", "10"],
+    ],
+    ids=["stats", "tau-order", "phi0", "enumerate", "phi-scan"],
+)
+def test_ops_load_no_heavy_modules(argv):
+    # Each op is mostly process start, so an import that creeps in costs
+    # more than a walk change can win back: np.median alone loads numpy.ma
+    # (11-14 ms).  Of these ops only phi-scan reads specfun.
+    proc, loaded = _cli_imports(*argv)
+    assert proc.returncode == 0
+    assert not {
+        name for name in loaded
+        if name == "numpy.ma" or name.startswith("numpy.ma.")
+        or name.split(".")[0] in ("concurrent", "multiprocessing")
+    }
+    assert ("densediv.specfun" in loaded) == (argv[1] == "phi-scan")
 
 
 def test_dfun_loads_no_process_pool():

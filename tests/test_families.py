@@ -7,6 +7,7 @@ import pytest
 
 from densediv import (
     ConfigurationError,
+    DomainError,
     FAMILY_KINDS,
     ThetaFamily,
     factor_stats,
@@ -52,6 +53,14 @@ class TestThetaFamily:
         assert practical.threshold_floor(12, st.sigma) == 29  # sigma(12)+1
         assert ThetaFamily.shifted_one().threshold_floor(10, 0) == 11
         assert ThetaFamily.shifted_two().threshold_floor(10, 0) == 12
+
+    def test_t_float(self):
+        assert ThetaFamily.dense(Fraction(5, 2)).t_float == 2.5
+        # Only the quotient must fit: the numerator alone is past the range.
+        assert ThetaFamily.dense(Fraction(2 * 10**400 + 1, 10**400)).t_float == 2.0
+        assert ThetaFamily.practical().t_float == 0.0
+        with pytest.raises(DomainError, match="float range"):
+            ThetaFamily.dense("1e400").t_float
 
     def test_dense_requires_ratio(self):
         with pytest.raises(ConfigurationError):

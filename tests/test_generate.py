@@ -17,6 +17,7 @@ from densediv import (
     DomainError,
     ResourceCapError,
     ThetaFamily,
+    check_partition_identity,
     collect_moments,
     count_members,
     count_members_multi,
@@ -29,7 +30,7 @@ from densediv import (
     member_columns,
     multiple_vanishing_threshold,
 )
-from densediv.arith import primes_up_to
+from densediv.arith import prime_counter, primes_up_to
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
@@ -87,7 +88,7 @@ def _members_from_blocks(family, x):
     """Multiset of (n, omega, big omega, tau) over every row the collapsed
     frontier yields and every leaf n*primes[j], j in [mid, hi), that it
     tallies; the leaf at j == last is the repeat of the row's largest prime."""
-    primes, blocks = generate._frontier(family, x, stats=True)
+    primes, _, blocks = generate._frontier(family, x, stats=True)
     out = Counter()
     for level, blk, mid, hi in blocks:
         cols = [blk[k].tolist() for k in ("n", "omega", "tau", "e", "last")]
@@ -219,7 +220,7 @@ class TestCollapsedFrontier:
         # p^2 > x // n is a leaf: a row whose largest prime p has
         # p^2 > x // n is yielded but never expanded, its repeat n*p tallied
         # as a leaf.  30204 and 30922 when such rows are expanded.
-        _, blocks = generate._frontier(family, 10**7)
+        _, _, blocks = generate._frontier(family, 10**7)
         assert sum(len(blk["n"]) for _, blk, _, _ in blocks) <= 17_000
 
     @pytest.mark.parametrize("x", [1, 8, 9, 26, 27, 125, 126, 10**5, 10**7])
@@ -229,7 +230,7 @@ class TestCollapsedFrontier:
     def test_one_leaf_rule(self, family, x):
         # A row's children are all leaves (mid <= last) exactly when its
         # largest prime p has p^2 > x // n; the root has a child unless x = 1.
-        primes, blocks = generate._frontier(family, x)
+        primes, _, blocks = generate._frontier(family, x)
         for _, blk, mid, hi in blocks:
             n, last = blk["n"], blk["last"]
             p = primes[np.maximum(last, 0)]
@@ -273,7 +274,8 @@ class TestCollapsedFrontier:
         # The admissible bound min(theta(n), x // n) of the frontier.
         family = ThetaFamily.dense(10**12)
         n = np.array([1, 2, 6, 1000, 999_983], dtype=np.int64)
-        hi = generate._admissible_hi(family, 10**6, primes_up_to(10**6), n, None)
+        pi = prime_counter(primes_up_to(10**6), 10**6)
+        hi = generate._admissible_hi(family, pi, n, None, 10**6 // n)
         assert hi.tolist() == [78498, 41538, 15225, 168, 0]
         # t >= x: every n <= x is a member.
         assert count_members_multi(family, 10**5, [1]) == [100000]
@@ -289,6 +291,60 @@ class TestCollapsedFrontier:
         x = 10**10
         assert count_members_multi(PRACTICAL, x, [1]) == [582798892]
         assert 582798892 * math.log(x) / x == pytest.approx(1.33607, rel=0.01)
+
+
+# x with x // n = p^2 - 1, p^2 and p^2 + 1 for the rows n = 1, 2, 6 and the
+# primes p <= 13: where the leaf split pi(isqrt(x // n)) moves by one.
+SQUARE_EDGE_XS = sorted({
+    n * (p * p + d)
+    for n in (1, 2, 6)
+    for p in (2, 3, 5, 7, 11, 13)
+    for d in (-1, 0, 1)
+})
+
+
+class TestOnePiSource:
+    """Every prime count of the walk and its tallies reads one prime_counter:
+    the admissible bound, the leaf split, the leaves above n_min and the
+    divisor filter, each against the references at the square edges."""
+
+    @pytest.mark.parametrize(
+        "family", [*COLLAPSE_FAMILIES, INT64_UNSAFE], ids=_family_id
+    )
+    def test_tallies_at_square_edges(self, family):
+        for x in SQUARE_EDGE_XS:
+            recs = list(iter_members(family, x))
+            # A prime q past the prime bound divides no member; its filter
+            # reads pi above the counter's limit.
+            bound = generate._prime_limit(family, x)
+            big = next(p for p in itertools.count(bound + 1) if is_prime(p))
+            qs = [1, 2, 3, 7, big]
+            want = [sum(r.n % q == 0 for r in recs) for q in qs]
+            assert count_members_multi(family, x, qs) == want, x
+            s = collect_moments(family, x, 1.0, 2.0)
+            assert s.histogram_omega == Counter(r.omega for r in recs), x
+            assert s.histogram_big_omega == Counter(r.big_omega for r in recs), x
+            assert s.histogram_tau == Counter(r.tau for r in recs), x
+            for n_min in (0, x // 7, x // 2, x - 1):
+                ns, taus = member_columns(family, x, ("n", "tau"), n_min=n_min)
+                above = sorted((r.n, r.tau) for r in recs if r.n > n_min)
+                assert list(zip(ns.tolist(), taus.tolist())) == above, (x, n_min)
+            result = check_partition_identity(family, x)
+            assert (result.lhs, result.passed) == (x, True), x
+
+    def test_isqrt_exact(self):
+        # Past 2^52 the float root can round up at k^2 - 1; below it is exact.
+        ks = [1, 2, 3, 2**26 - 1, 2**26, 2**26 + 1, 94906265, 3037000499, 2**31 - 1]
+        ks += np.random.default_rng(7).integers(1, 2**31, 50).tolist()
+        v = np.array(
+            [k * k + d for k in ks for d in (-1, 0, 1) if 0 <= k * k + d < 2**62],
+            dtype=np.int64,
+        )
+        want = [math.isqrt(int(a)) for a in v]
+        assert generate._isqrt(v, 2**62 - 1).tolist() == want
+        small = v[v < 2**52]
+        got = generate._isqrt(small, 2**52 - 1).tolist()
+        assert got == [math.isqrt(int(a)) for a in small]
 
 
 class TestMemberColumns:
@@ -376,7 +432,7 @@ class TestMemberChunks:
         frontier = generate._frontier
 
         def counted(*args, **kwargs):
-            primes, blocks = frontier(*args, **kwargs)
+            primes, pi, blocks = frontier(*args, **kwargs)
             rows.append(0)
 
             def counting():
@@ -384,7 +440,7 @@ class TestMemberChunks:
                     rows[-1] += len(block[1]["n"])
                     yield block
 
-            return primes, counting()
+            return primes, pi, counting()
 
         monkeypatch.setattr(generate, "_frontier", counted)
         (ns,) = member_columns(PRACTICAL, 10**7, ("n",))
