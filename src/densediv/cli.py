@@ -94,22 +94,27 @@ def _fmt(value: float | int) -> str:
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write each line as it arrives, to stdout or to a temp file renamed to out."""
+    """Write each line as it arrives, to stdout or to a temp file renamed to
+    out.  An out that exists and is no regular file (a device such as
+    /dev/null, a pipe) is written in place: a rename would replace the node."""
     if out is None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
         return
-    tmp = f"{out}.tmp.{os.getpid()}"
+    in_place = os.path.exists(out) and not os.path.isfile(out)
+    tmp = out if in_place else f"{out}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(f"{line}\n" for line in lines)
-        os.replace(tmp, out)
+        if not in_place:
+            os.replace(tmp, out)
     except OSError as exc:
         raise ConfigurationError(
             f"cannot write {out}: {exc.strerror or exc}"
         ) from None
     finally:
-        with contextlib.suppress(OSError):  # gone once renamed
-            os.remove(tmp)
+        if not in_place:
+            with contextlib.suppress(OSError):  # gone once renamed
+                os.remove(tmp)
 
 
 def _csv_blocks(row: str, columns) -> Iterator[str]:

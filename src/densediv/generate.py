@@ -262,13 +262,12 @@ def _admissible_hi(family: ThetaFamily, pi, n: np.ndarray, sigma, quot) -> np.nd
     return pi(_theta_at_most(family, n, sigma, quot))
 
 
-def _isqrt(v: np.ndarray, x: int) -> np.ndarray:
-    """Exact floor square roots of int64 values 0 <= v <= x < 2^62.  The
-    float64 root is exact below 2^52 and off by at most one above."""
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of int64 values 0 <= v < 2^62: the float64
+    root, off by at most one past 2^52, corrected by one step each way."""
     r = np.sqrt(v).astype(np.int64)
-    if x >= 2**52:
-        r -= r * r > v
-        r += (r + 1) * (r + 1) <= v
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
     return r
 
 
@@ -410,7 +409,7 @@ def _frontier(
             # hence a leaf.  s <= last exactly when p_last^2 > x // n.
             # Each array is dropped once spent, so few of a block's size are
             # live at a time and only the block and its bounds pass the yield.
-            sqrt_quot = _isqrt(quot, x)
+            sqrt_quot = _isqrt(quot)
             del quot
             mid = pi(sqrt_quot)
             del sqrt_quot

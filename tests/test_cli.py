@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -448,6 +449,23 @@ class TestOutputFile:
         left = [p.name for p in tmp_path.rglob("*")]  # no temp litter
         assert left == ([] if where == "missing-dir" else ["o.csv"])
 
+    def test_pipe_target_written_in_place(self, capsys, tmp_path):
+        # A rename over a device or a pipe would replace the node itself
+        # (run as root, /dev/null), so such a target is written in place.
+        target = tmp_path / "pipe"
+        os.mkfifo(target)
+        reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(
+                capsys, ["count", *DENSE2, "--x", "20", "--out", str(target)]
+            )
+            assert (code, out) == (0, [])
+            assert stat.S_ISFIFO(os.stat(target).st_mode)
+            assert os.read(reader, 64) == b"9\n"
+        finally:
+            os.close(reader)
+        assert os.listdir(tmp_path) == ["pipe"]  # no temp litter
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -837,7 +855,7 @@ def test_count_imports_only_what_it_runs():
         ["stats", *DENSE2, "--x", "1000"],
         ["experiment", "tau-order", "--x", "10000"],
         ["identity", "--check", "phi0", *DENSE2, "--x", "1000"],
-        ["enumerate", *DENSE2, "--x", "1000000", "--out", os.devnull],
+        ["enumerate", *DENSE2, "--x", "1000000"],
         ["experiment", "phi-scan", "--xs", "1000", "--ys", "10"],
     ],
     ids=["stats", "tau-order", "phi0", "enumerate", "phi-scan"],
