@@ -5,8 +5,9 @@ Subcommands: ``enumerate``, ``count``, ``stats``, ``wfun``, ``dfun``,
 machine-readable (CSV on stdout or ``--out``), ends with a newline, and is a
 pure function of the argument vector: reals are printed with 12 significant
 digits, integers in full, and no timestamps or versions enter the data
-stream (version goes to stderr behind ``--verbose``).  ``--out`` writes
-atomically via a temp file and rename.
+stream (version goes to stderr behind ``--verbose``).  ``--out`` replaces a
+regular or missing target atomically, via a temp file and rename, and writes
+any other target (a device, a pipe) in place.
 
 Exit status: 0 on success, 1 on computation failure (range/domain errors,
 a failed exact identity, or a failed experiment gate), 2 on usage errors.
@@ -221,7 +222,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     from .generate import count_members_multi
 
     family = _family_from_args(args)
-    count = count_members_multi(family, args.x, [args.q], threads=args.threads)[0]
+    count = count_members_multi(family, args.x, [args.q])[0]
     _emit([str(count)], args.out)
     return 0
 
@@ -231,9 +232,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     family = _family_from_args(args)
     expected = _expected_omega(family, args.x)
-    summary = collect_moments(
-        family, args.x, xi=args.xi, expected=expected, threads=args.threads
-    )
+    summary = collect_moments(family, args.x, xi=args.xi, expected=expected)
     header = (
         "x,t,count,mean_omega,mean_big_omega,variance_omega,"
         "mean_tau,mean_log_tau,expected_omega,exceed_fraction"
@@ -397,36 +396,32 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
 
     name = args.name
-    threads = args.threads
     if name == "mean-omega":
         _require(args, "t", "xs")
-        report = mean_omega_experiment(parse_t(args.t), args.xs, threads)
+        report = mean_omega_experiment(parse_t(args.t), args.xs)
     elif name == "concentration":
         _require(args, "t", "xs")
         if args.xi < 1.0:
             raise ConfigurationError(f"--xi must be >= 1 for concentration, got {args.xi}")
-        parts = [
-            concentration_experiment(parse_t(args.t), x, args.xi, threads)
-            for x in args.xs
-        ]
+        parts = [concentration_experiment(parse_t(args.t), x, args.xi) for x in args.xs]
         verdict = "fail" if any(p.failed for p in parts) else "pass"
         rows = tuple(row for part in parts for row in part.rows)
         report = ExperimentReport("concentration", rows, verdict)
     elif name == "cq-structure":
         _require(args, "t", "x", "qs")
-        report = cq_structure_experiment(parse_t(args.t), args.x, args.qs, threads)
+        report = cq_structure_experiment(parse_t(args.t), args.x, args.qs)
     elif name == "phi-scan":
         _require(args, "xs", "ys")
         report = phi_approx_scan(args.xs, args.ys)
     elif name == "margenstern":
         _require(args, "xs")
-        report = margenstern_tables(args.xs, threads)
+        report = margenstern_tables(args.xs)
     elif name == "tau-order":
         _require(args, "x")
-        report = tau_normal_order_experiment(args.x, threads)
+        report = tau_normal_order_experiment(args.x)
     else:  # count-ratio
         _require(args, "t", "xs")
-        report = count_ratio_experiment(parse_t(args.t), args.xs, threads)
+        report = count_ratio_experiment(parse_t(args.t), args.xs)
     lines = _report_json(report) if args.json else _report_lines(report)
     _emit(lines, args.out)
     print(f"experiment {report.name}: {report.verdict}", file=sys.stderr)
@@ -456,7 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write output atomically to this file")
+    common.add_argument(
+        "--out", help="write output to this file: a regular or missing file is "
+        "replaced atomically, any other target (a device, a pipe) in place",
+    )
     common.add_argument(
         "--threads", type=int, default=1,
         help="accepted for compatibility; has no effect (counting is serial)",

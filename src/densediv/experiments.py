@@ -170,9 +170,7 @@ def _validate_grid(xs: list[int]) -> None:
         raise DomainError(f"grid max {xs[-1]} exceeds the {_MAX_X} ceiling")
 
 
-def mean_omega_experiment(
-    t: Fraction | int | str, xs: list[int], threads: int = 1
-) -> ExperimentReport:
+def mean_omega_experiment(t: Fraction | int | str, xs: list[int]) -> ExperimentReport:
     """Mean distinct-factor count vs. its predicted value along a grid.
 
     Per x: measured mean of omega over members <= x (mean of Omega in a
@@ -188,9 +186,7 @@ def mean_omega_experiment(
     gaps: list[float] = []
     for x in xs:
         predicted = expected_distinct_factors(x, tf)
-        summary = collect_moments(
-            family, x, xi=4.0, expected=predicted, threads=threads
-        )
+        summary = collect_moments(family, x, xi=4.0, expected=predicted)
         measured = summary.mean_omega
         rows.append(
             ReportRow(
@@ -210,7 +206,7 @@ def mean_omega_experiment(
 
 
 def concentration_experiment(
-    t: Fraction | int | str, x: int, xi: float, threads: int = 1
+    t: Fraction | int | str, x: int, xi: float
 ) -> ExperimentReport:
     """Fraction of members whose omega deviates more than xi standard scales.
 
@@ -226,7 +222,7 @@ def concentration_experiment(
     family = ThetaFamily.dense(t)
     tf = family.t_float
     expected = expected_distinct_factors(x, tf)
-    summary = collect_moments(family, x, xi=xi, expected=expected, threads=threads)
+    summary = collect_moments(family, x, xi=xi, expected=expected)
     fraction = summary.exceed_fraction
     bound = min(1.0, 3.0 / (xi * xi))
     loglog = math.log(math.log(x))
@@ -250,7 +246,7 @@ def concentration_experiment(
 
 
 def cq_structure_experiment(
-    t: Fraction | int | str, x: int, qs: list[int], threads: int = 1
+    t: Fraction | int | str, x: int, qs: list[int]
 ) -> ExperimentReport:
     """Structure of divisor-filtered count coefficients across primes q.
 
@@ -267,7 +263,7 @@ def cq_structure_experiment(
     tf = family.t_float
     if any(q > tf for q in qs):
         raise DomainError(f"every q must be <= t={tf}, got {qs}")
-    counts = count_members_multi(family, x, [1] + list(qs), threads=threads)
+    counts = count_members_multi(family, x, [1] + list(qs))
     if counts[0] == 0:
         raise DomainError(f"no members at all below {x}")
     c1 = empirical_coeff(CountQuery(x, family, 1), counts[0]).c_hat
@@ -345,7 +341,7 @@ def phi_approx_scan(
     return ExperimentReport("phi-scan", tuple(rows), verdict)
 
 
-def margenstern_tables(xs: list[int], threads: int = 1) -> ExperimentReport:
+def margenstern_tables(xs: list[int]) -> ExperimentReport:
     """Growth tables for the practical-number family along a grid.
 
     Per x: the member count, the mean distinct-factor count against
@@ -370,9 +366,7 @@ def margenstern_tables(xs: list[int], threads: int = 1) -> ExperimentReport:
     omega_ratio = 0.0
     for x in xs:
         reference = DENSITY_SCALE * math.log(math.log(x))
-        summary = collect_moments(
-            family, x, xi=4.0, expected=reference, threads=threads
-        )
+        summary = collect_moments(family, x, xi=4.0, expected=reference)
         rows.append(
             ReportRow(x, 0.0, 0, float(summary.count), 0.0, 0.0, "count")
         )
@@ -403,7 +397,7 @@ def margenstern_tables(xs: list[int], threads: int = 1) -> ExperimentReport:
     )
 
 
-def tau_normal_order_experiment(x: int, threads: int = 1) -> ExperimentReport:
+def tau_normal_order_experiment(x: int) -> ExperimentReport:
     """Median divisor-count exponent over large practical members.
 
     measured = median of ``ln tau(n) / ln ln n`` over members in (x/2, x];
@@ -440,9 +434,7 @@ def tau_normal_order_experiment(x: int, threads: int = 1) -> ExperimentReport:
     return ExperimentReport("tau-order", (row,), verdict)
 
 
-def count_ratio_experiment(
-    t: Fraction | int | str, xs: list[int], threads: int = 1
-) -> ExperimentReport:
+def count_ratio_experiment(t: Fraction | int | str, xs: list[int]) -> ExperimentReport:
     """Member counts in units of their two-sided envelope along a grid.
 
     Per x: ``r = count * ln(x t) / (x ln t)``, which the two-sided bounds
@@ -458,7 +450,7 @@ def count_ratio_experiment(
     rows: list[ReportRow] = []
     ratios: list[float] = []
     for x in xs:
-        count = count_members_multi(family, x, [1], threads=threads)[0]
+        count = count_members_multi(family, x, [1])[0]
         r = count * (math.log(x) + log_t) / (x * log_t)
         rows.append(ReportRow(x, tf, 0, r, 1.0, _rel_err(r, 1.0), "count_ratio"))
         ratios.append(r)

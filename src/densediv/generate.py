@@ -30,9 +30,8 @@ One production traversal and one reference:
   integers, yielding one record per member: the reference oracle the
   frontier is tested against.
 
-``threads`` has no effect.  A query whose prime bound exceeds 2^31, or
-that asks for sigma columns at x >= 2^60, is refused (ResourceCapError)
-before any sieving.
+A query whose prime bound exceeds 2^31, or that asks for sigma columns
+at x >= 2^60, is refused (ResourceCapError) before any sieving.
 """
 
 from __future__ import annotations
@@ -256,12 +255,6 @@ def _theta_at_most(family: ThetaFamily, n: np.ndarray, sigma, cap) -> np.ndarray
     return out
 
 
-def _admissible_hi(family: ThetaFamily, pi, n: np.ndarray, sigma, quot) -> np.ndarray:
-    """Per-node number of primes admissible as the next (>= last) factor:
-    pi(min(theta(n), quot)), with quot = x // n and pi a prime_counter."""
-    return pi(_theta_at_most(family, n, sigma, quot))
-
-
 def _isqrt(v: np.ndarray) -> np.ndarray:
     """Exact floor square roots of int64 values 0 <= v < 2^62: the float64
     root, off by at most one past 2^52, corrected by one step each way."""
@@ -404,7 +397,8 @@ def _frontier(
                 continue
             n, last = blk["n"], blk["last"]
             quot = x // n  # below 2^62, as the sieve cap bounds x
-            hi = _admissible_hi(family, pi, n, blk.get("sigma"), quot)
+            # hi = pi(min(theta(n), x // n)) primes are admissible next.
+            hi = pi(_theta_at_most(family, n, blk.get("sigma"), quot))
             # j >= max(s, last) with s = pi(isqrt(x // n)): p^2 > x // n,
             # hence a leaf.  s <= last exactly when p_last^2 > x // n.
             # Each array is dropped once spent, so few of a block's size are
@@ -498,10 +492,8 @@ def count_members_multi(
     family: ThetaFamily,
     x: int,
     qs: list[int],
-    threads: int = 1,
 ) -> list[int]:
-    """Counts of members n <= x with q | n, for each q in qs, in one pass.
-    threads has no effect on the walk or the result."""
+    """Counts of members n <= x with q | n, for each q in qs, in one pass."""
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     if any(q < 1 for q in qs):
@@ -516,9 +508,9 @@ def count_members_multi(
     return counts
 
 
-def count_members(query: CountQuery, threads: int = 1) -> int:
+def count_members(query: CountQuery) -> int:
     """Exact |{members n <= x : q | n}| for the query's family."""
-    return count_members_multi(query.family, query.x, [query.q], threads=threads)[0]
+    return count_members_multi(query.family, query.x, [query.q])[0]
 
 
 def collect_moments(
@@ -526,13 +518,11 @@ def collect_moments(
     x: int,
     xi: float,
     expected: float,
-    threads: int = 1,
 ) -> MomentSummary:
     """One enumeration pass filling every MomentSummary field.
 
     expected and xi define the exceedance rule |omega - expected| >
-    xi*sqrt(max(ln ln x, 0)); both are supplied by the caller.  threads is
-    as in count_members_multi.
+    xi*sqrt(max(ln ln x, 0)); both are supplied by the caller.
 
     A leaf of a row n adds big omega + 1.  A new-prime leaf adds omega + 1
     and doubles tau; the repeat leaf n*p of a row with mid == last keeps

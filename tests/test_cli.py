@@ -1,9 +1,10 @@
-"""Command-line interface tests: output fixtures, exit codes, atomic file
-output, and worker-count invariance via in-process main() calls, plus
+"""Command-line interface tests: output fixtures, exit codes, file output,
+and --threads/--engine invariance via in-process main() calls, plus
 subprocess checks of the process entry point (imports, flush, closed pipe)."""
 
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -751,17 +752,62 @@ class TestAtScale:
         )
 
 
+THREADS = ("--threads", ["1", "4"])
+ENGINES = ("--engine", ["auto", "python", "numpy"])
+
+
 class TestThreadInvariance:
-    def test_count_and_stats(self, capsys):
-        base = ["count", "--family", "practical", "--x", "50000"]
-        _, one, _ = run(capsys, base + ["--threads", "1"])
-        _, four, _ = run(capsys, base + ["--threads", "4"])
-        assert one == four
-        base = ["stats", "--family", "dense", "--t", "2", "--x", "50000",
-                "--engine", "python"]
-        _, one, _ = run(capsys, base + ["--threads", "1"])
-        _, four, _ = run(capsys, base + ["--threads", "4"])
-        assert one == four
+    # Only the CLI accepts --threads and --engine: every value it accepts
+    # gives the same exit status, stdout and stderr.
+    @pytest.mark.parametrize(
+        "argv,flag,values",
+        [
+            pytest.param(
+                ["count", "--family", "practical", "--x", "50000"], *THREADS,
+                id="count-threads",
+            ),
+            pytest.param(
+                ["stats", *DENSE2, "--x", "50000", "--engine", "python"], *THREADS,
+                id="stats-threads",
+            ),
+            pytest.param(
+                ["experiment", "mean-omega", "--t", "2", "--xs", "1000,20000"],
+                *THREADS, id="mean-omega-threads",
+            ),
+            pytest.param(
+                ["experiment", "concentration", "--t", "2", "--xs", "1000,20000"],
+                *THREADS, id="concentration-threads",
+            ),
+            pytest.param(
+                ["experiment", "cq-structure", "--t", "5", "--x", "20000",
+                 "--qs", "2,3,5"],
+                *THREADS, id="cq-structure-threads",
+            ),
+            pytest.param(
+                ["experiment", "margenstern", "--xs", "20,100,20000"], *THREADS,
+                id="margenstern-threads",
+            ),
+            pytest.param(
+                ["experiment", "tau-order", "--x", "20000"], *THREADS,
+                id="tau-order-threads",
+            ),
+            pytest.param(
+                ["experiment", "count-ratio", "--t", "2", "--xs", "20,40,20000"],
+                *THREADS, id="count-ratio-threads",
+            ),
+            pytest.param(
+                ["count", *DENSE2, "--x", "50000", "--q", "3"], *ENGINES,
+                id="count-engine",
+            ),
+            pytest.param(
+                ["stats", "--family", "practical", "--x", "50000"], *ENGINES,
+                id="stats-engine",
+            ),
+        ],
+    )
+    def test_same_bytes(self, capsys, argv, flag, values):
+        first, *rest = [run(capsys, argv + [flag, value]) for value in values]
+        assert first[1] and all(other == first for other in rest)
 
 
 def test_weight_series_and_phi_scan_build_no_factor_table(capsys, monkeypatch):
@@ -906,6 +952,24 @@ def test_public_names_resolve():
     assert set(densediv.__all__) <= set(dir(densediv))
     with pytest.raises(AttributeError):
         densediv.no_such_name
+
+
+def test_no_public_callable_takes_threads_or_engine():
+    # --threads and --engine are compatibility flags of the CLI alone; no
+    # library function or public method accepts either.
+    for name in densediv.__all__:
+        value = getattr(densediv, name)
+        targets = [(name, value)]
+        if inspect.isclass(value):
+            targets += [
+                (f"{name}.{attr}", getattr(value, attr))
+                for attr in vars(value) if not attr.startswith("_")
+            ]
+        for label, obj in targets:
+            # The errors take a message and have no signature of their own.
+            if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception)):
+                params = inspect.signature(obj).parameters
+                assert not {"threads", "engine"} & set(params), label
 
 
 def test_process_entry_flushes_and_renames(capsys, capped_cli, tmp_path, csv_fill):

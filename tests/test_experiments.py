@@ -249,9 +249,6 @@ class TestDeterminism:
         a = margenstern_tables([20, 100])
         b = margenstern_tables([20, 100])
         assert a == b
-        c = mean_omega_experiment(2, [1000], threads=3)
-        d = mean_omega_experiment(2, [1000], threads=1)
-        assert c == d
 
     def test_report_type(self):
         report = count_ratio_experiment(2, [20, 40])
