@@ -6,8 +6,9 @@ machine-readable (CSV on stdout or ``--out``), ends with a newline, and is a
 pure function of the argument vector: reals are printed with 12 significant
 digits, integers in full, and no timestamps or versions enter the data
 stream (version goes to stderr behind ``--verbose``).  ``--out`` replaces a
-regular or missing target atomically, via a temp file and rename, and writes
-any other target (a device, a pipe) in place.
+regular, missing or symlinked target atomically, via a temp file and rename,
+and writes any other target (a device, a pipe) in place; a symlink keeps
+pointing at its target, which gets the bytes.
 
 Exit status: 0 on success, 1 on computation failure (range/domain errors,
 a failed exact identity, or a failed experiment gate), 2 on usage errors.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import itertools
 import math
@@ -85,8 +87,10 @@ def _parse_float_list(text: str) -> list[float]:
         raise ConfigurationError(f"not a number list: {text!r}") from None
 
 
-def _fmt(value: float | int) -> str:
-    """Full precision for integers, 12 significant digits for reals."""
+def _fmt(value: float | int | str) -> str:
+    """Strings as given, integers in full, reals at 12 significant digits."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -96,18 +100,21 @@ def _fmt(value: float | int) -> str:
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
     """Write each line as it arrives, to stdout or to a temp file renamed to
-    out.  An out that exists and is no regular file (a device such as
-    /dev/null, a pipe) is written in place: a rename would replace the node."""
+    out.  Symlinks in out are resolved first, so the rename replaces the file
+    a link names (or creates it, for a dangling link) and the link stays.  An
+    out that exists and is no regular file (a device such as /dev/null, a
+    pipe) is written in place: a rename would replace the node."""
     if out is None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
         return
-    in_place = os.path.exists(out) and not os.path.isfile(out)
-    tmp = out if in_place else f"{out}.tmp.{os.getpid()}"
+    path = os.path.realpath(out)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(f"{line}\n" for line in lines)
         if not in_place:
-            os.replace(tmp, out)
+            os.replace(tmp, path)
     except OSError as exc:
         raise ConfigurationError(
             f"cannot write {out}: {exc.strerror or exc}"
@@ -175,11 +182,7 @@ def _family_from_args(args: argparse.Namespace) -> ThetaFamily:
         return ThetaFamily.dense(parse_t(args.t))
     if getattr(args, "t", None) is not None:
         raise ConfigurationError("--t only applies to the dense family")
-    if kind == "practical":
-        return ThetaFamily.practical()
-    if kind == "shifted1":
-        return ThetaFamily.shifted_one()
-    return ThetaFamily.shifted_two()
+    return ThetaFamily(kind)
 
 
 def _expected_omega(family: ThetaFamily, x: int) -> float:
@@ -233,25 +236,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     expected = _expected_omega(family, args.x)
     summary = collect_moments(family, args.x, xi=args.xi, expected=expected)
-    header = (
-        "x,t,count,mean_omega,mean_big_omega,variance_omega,"
-        "mean_tau,mean_log_tau,expected_omega,exceed_fraction"
-    )
-    row = ",".join(
-        [
-            str(args.x),
-            _fmt(family.t_float),
-            str(summary.count),
-            _fmt(summary.mean_omega),
-            _fmt(summary.mean_big_omega),
-            _fmt(summary.variance_omega),
-            _fmt(summary.mean_tau),
-            _fmt(summary.sum_log_tau / summary.count),
-            _fmt(expected),
-            _fmt(summary.exceed_fraction),
-        ]
-    )
-    _emit([header, row], args.out)
+    columns = {
+        "x": args.x,
+        "t": family.t_float,
+        "count": summary.count,
+        "mean_omega": summary.mean_omega,
+        "mean_big_omega": summary.mean_big_omega,
+        "variance_omega": summary.variance_omega,
+        "mean_tau": summary.mean_tau,
+        "mean_log_tau": summary.sum_log_tau / summary.count,
+        "expected_omega": expected,
+        "exceed_fraction": summary.exceed_fraction,
+    }
+    _emit([",".join(columns), ",".join(map(_fmt, columns.values()))], args.out)
     return 0
 
 
@@ -285,17 +282,7 @@ def _cmd_dfun(args: argparse.Namespace) -> int:
 def _cmd_constants(args: argparse.Namespace) -> int:
     from .constants import constants_bundle
 
-    bundle = constants_bundle()
-    fields = (
-        ("gamma", bundle.gamma),
-        ("C", bundle.C),
-        ("C_log2", bundle.C_log2),
-        ("exp_shifted_prime", bundle.exp_shifted_prime),
-        ("exp_twin", bundle.exp_twin),
-        ("exp_shifted_prime_e", bundle.exp_shifted_prime_e),
-        ("exp_twin_e", bundle.exp_twin_e),
-        ("e_log2", bundle.e_log2),
-    )
+    fields = dataclasses.asdict(constants_bundle()).items()
     if args.json:
         body = ", ".join(f'"{name}": {value:.12g}' for name, value in fields)
         _emit(["{" + body + "}"], args.out)
@@ -359,11 +346,11 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _report_lines(report: ExperimentReport) -> list[str]:
-    lines = ["x,t,q,measured,predicted,rel_err,metric"]
+    from .experiments import ReportRow
+
+    lines = [",".join(field.name for field in dataclasses.fields(ReportRow))]
     lines.extend(
-        f"{row.x},{_fmt(row.t)},{row.q},{_fmt(row.measured)},"
-        f"{_fmt(row.predicted)},{_fmt(row.rel_err)},{row.metric}"
-        for row in report.rows
+        ",".join(map(_fmt, dataclasses.astuple(row))) for row in report.rows
     )
     return lines
 
@@ -452,8 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--out", help="write output to this file: a regular or missing file is "
-        "replaced atomically, any other target (a device, a pipe) in place",
+        "--out", help="write output to this file: a regular, missing or "
+        "symlinked file is replaced atomically (a symlink keeps pointing at its "
+        "target), any other target (a device, a pipe) is written in place",
     )
     common.add_argument(
         "--threads", type=int, default=1,

@@ -17,16 +17,6 @@ from dataclasses import dataclass
 from .arith import is_prime
 from .errors import ConfigurationError, DomainError
 
-__all__ = [
-    "EULER_GAMMA",
-    "DENSITY_SCALE",
-    "ConstantsBundle",
-    "constants_bundle",
-    "expected_distinct_factors",
-    "leading_coeff_asymptotic",
-    "prime_multiple_coeff",
-    "semiprime_multiple_coeff",
-]
 
 #: Euler--Mascheroni constant, stored as a literal (not computed).
 EULER_GAMMA = 0.5772156649015329

@@ -43,19 +43,6 @@ from .generate import (
 if TYPE_CHECKING:
     from .specfun import TabulatedFunction
 
-__all__ = [
-    "CoeffEstimate",
-    "ReportRow",
-    "ExperimentReport",
-    "mean_omega_experiment",
-    "concentration_experiment",
-    "cq_structure_experiment",
-    "phi_approx_scan",
-    "margenstern_tables",
-    "tau_normal_order_experiment",
-    "count_ratio_experiment",
-    "empirical_coeff",
-]
 
 #: Denominator floor for relative errors against near-zero predictions.
 _REL_EPS = 1e-12

@@ -51,7 +51,7 @@ from .arith import (
     prime_counter,
     primes_up_to,
 )
-from .errors import DomainError, ResourceCapError
+from .errors import ConfigurationError, DomainError, ResourceCapError
 from .families import ThetaFamily
 
 # Most rows per block that _children builds, for the walk and the leaves.
@@ -567,7 +567,8 @@ def member_columns(
     family: ThetaFamily, x: int, names: tuple[str, ...], n_min: int = 0
 ) -> tuple[np.ndarray, ...]:
     """int64 columns over the members n_min < n <= x, ascending in n, one per
-    name in names, each from MEMBER_COLUMNS (big_omega: the chunk's level).
+    name in names, each from MEMBER_COLUMNS (big_omega: the chunk's level;
+    any other name is refused up front with ConfigurationError).
     A counting walk sizes the columns, so _member_chunks fills them in place,
     and refuses (ResourceCapError) past _COLUMN_CELL_CAP cells before any
     leaf is built; sigma at x >= 2^60 is refused before any sieving."""
@@ -575,6 +576,9 @@ def member_columns(
         raise DomainError(f"x must be >= 1, got {x}")
     if n_min < 0:
         raise DomainError(f"n_min must be >= 0, got {n_min}")
+    for name in names:
+        if name not in MEMBER_COLUMNS:
+            raise ConfigurationError(f"unknown member column {name!r}")
     sigma = "sigma" in names
     width = len({"n", *names}) + 2
     _, pi, blocks = _frontier(family, x, sigma=sigma)

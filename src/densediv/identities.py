@@ -64,18 +64,6 @@ from .generate import (
     iter_members,
 )
 
-__all__ = [
-    "SeriesTerm",
-    "CheckResult",
-    "series_term",
-    "check_partition_identity",
-    "check_shifted_partition_identity",
-    "weight_series_partial_sum",
-    "check_weight_shift",
-    "weighted_log_moment_sum",
-    "log_moment_gap",
-]
-
 
 @dataclass(frozen=True)
 class SeriesTerm:

@@ -42,16 +42,6 @@ from .arith import sieve_primes
 from .constants import DENSITY_SCALE, EULER_GAMMA
 from .errors import ConfigurationError, DomainError, ResourceCapError
 
-__all__ = [
-    "BUCHSTAB_LIMIT",
-    "GRID_POINTS_CAP",
-    "TabulatedFunction",
-    "SolverConfig",
-    "tabulate_buchstab",
-    "tabulate_density_kernel",
-    "mertens_product",
-    "rough_count_approx",
-]
 
 #: Limit of Buchstab's function: e^{-gamma}.
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)

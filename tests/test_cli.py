@@ -1,9 +1,12 @@
 """Command-line interface tests: output fixtures, exit codes, file output,
-and --threads/--engine invariance via in-process main() calls, plus
-subprocess checks of the process entry point (imports, flush, closed pipe)."""
+and --threads/--engine invariance via in-process main() calls, subprocess
+checks of the process entry point (imports, flush, closed pipe), and
+package-wide checks (the one export list, no unused imports)."""
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -30,6 +33,7 @@ from conftest import CONSOLE_SCRIPT, csv_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
+PACKAGE = ROOT / "src" / "densediv"
 
 
 DENSE2 = ["--family", "dense", "--t", "2"]
@@ -466,6 +470,23 @@ class TestOutputFile:
         finally:
             os.close(reader)
         assert os.listdir(tmp_path) == ["pipe"]  # no temp litter
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling"])
+    def test_symlink_target_replaced_through_link(self, capsys, tmp_path, dangling):
+        # The rename replaces the file the link names, not the link: the
+        # link survives and its target (created, if dangling) gets the bytes.
+        target = tmp_path / "target.csv"
+        if not dangling:
+            target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        code, out, _ = run(
+            capsys, ["count", *DENSE2, "--x", "100", "--out", str(link)]
+        )
+        assert (code, out) == (0, [])
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert target.read_text() == "29\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
 
 
 class TestExitCodes:
@@ -952,6 +973,40 @@ def test_public_names_resolve():
     assert set(densediv.__all__) <= set(dir(densediv))
     with pytest.raises(AttributeError):
         densediv.no_such_name
+    # _EXPORTS is the one list of public names: no submodule keeps its own.
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            module = importlib.import_module(f"densediv.{path.stem}")
+            assert not hasattr(module, "__all__"), path.name
+
+
+def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Each name an import statement binds, with its line; statements
+    marked ``# noqa`` are left out."""
+    names = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {
+        name: line
+        for name, line in _imported_names(tree, source.splitlines()).items()
+        if name not in used
+    }
+    assert not unused, f"{path.name}: imported and never used: {unused}"
 
 
 def test_no_public_callable_takes_threads_or_engine():

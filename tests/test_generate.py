@@ -14,6 +14,7 @@ import pytest
 
 import densediv.generate as generate
 from densediv import (
+    ConfigurationError,
     CountQuery,
     DomainError,
     ResourceCapError,
@@ -383,9 +384,16 @@ class TestMemberColumns:
         with pytest.raises(AssertionError, match="primes_up_to"):
             member_columns(DENSE2, 2**60 - 1, ("n", "sigma"))
 
-    def test_domain_error(self):
+    def test_domain_error(self, monkeypatch):
         with pytest.raises(DomainError):
             member_columns(DENSE2, 0, ("n",))
+        # An unknown column name is refused before any sieving.
+        def refuse(limit):
+            raise AssertionError(f"primes_up_to({limit}) called")
+
+        monkeypatch.setattr(generate, "primes_up_to", refuse)
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            member_columns(DENSE2, 100, ("n", "bogus"))
 
 
 class TestMemberChunks:
