@@ -100,15 +100,16 @@ def _fmt(value: float | int | str) -> str:
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
     """Write each line as it arrives, to stdout or to a temp file renamed to
-    out.  Symlinks in out are resolved first, so the rename replaces the file
-    a link names (or creates it, for a dangling link) and the link stays.  An
-    out that exists and is no regular file (a device such as /dev/null, a
-    pipe) is written in place: a rename would replace the node."""
+    out.  An out that exists and is no regular file (a device such as
+    /dev/null, a pipe, /dev/fd/N) is written in place: a rename would replace
+    the node.  Otherwise symlinks in out are resolved, so the rename replaces
+    the file a link names (or creates it, for a dangling link) and the link
+    stays."""
     if out is None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
         return
-    path = os.path.realpath(out)
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    in_place = os.path.exists(out) and not os.path.isfile(out)
+    path = out if in_place else os.path.realpath(out)
     tmp = path if in_place else f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:

@@ -471,6 +471,21 @@ class TestOutputFile:
             os.close(reader)
         assert os.listdir(tmp_path) == ["pipe"]  # no temp litter
 
+    def test_fd_pipe_target_written_in_place(self, capsys):
+        # /dev/fd/N resolves through a /proc magic link to "pipe:[N]", which
+        # names no file: such a target must be written as given, in place.
+        reader, writer = os.pipe()
+        try:
+            code, out, _ = run(
+                capsys,
+                ["count", *DENSE2, "--x", "20", "--out", f"/dev/fd/{writer}"],
+            )
+            assert (code, out) == (0, [])
+            assert os.read(reader, 64) == b"9\n"
+        finally:
+            os.close(reader)
+            os.close(writer)
+
     @pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling"])
     def test_symlink_target_replaced_through_link(self, capsys, tmp_path, dangling):
         # The rename replaces the file the link names, not the link: the
