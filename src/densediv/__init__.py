@@ -31,7 +31,6 @@ _EXPORTS = {
             "DENSITY_SCALE", "EULER_GAMMA", "ConstantsBundle",
             "constants_bundle", "expected_distinct_factors",
             "leading_coeff_asymptotic", "prime_multiple_coeff",
-            "semiprime_multiple_coeff",
         )),
         ("errors", (
             "ConfigurationError", "DensedivError", "DomainError",
@@ -52,7 +51,7 @@ _EXPORTS = {
         ("generate", (
             "CountQuery", "MemberRecord", "MomentSummary", "collect_moments",
             "count_members", "count_members_multi", "deviation_bound",
-            "iter_members", "member_columns", "multiple_vanishing_threshold",
+            "iter_members", "member_columns",
         )),
         ("identities", (
             "CheckResult", "SeriesTerm", "check_partition_identity",

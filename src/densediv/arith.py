@@ -180,7 +180,7 @@ class FactorStats:
     """Multiplicative statistics of one integer.
 
     omega/big_omega count distinct/with-multiplicity prime factors; tau and
-    sigma are the divisor count and divisor sum; p_min is math.inf for n = 1.
+    sigma are the divisor count and divisor sum; p_max is 1 for n = 1.
     """
 
     omega: int
@@ -188,7 +188,6 @@ class FactorStats:
     tau: int
     sigma: int
     p_max: int
-    p_min: int | float
 
 
 def factorize(n: int, table: SpfTable) -> PrimePowerFactorization:
@@ -211,7 +210,7 @@ def factorize(n: int, table: SpfTable) -> PrimePowerFactorization:
 
 
 def factor_stats(f: PrimePowerFactorization) -> FactorStats:
-    """Exact omega, big-omega, tau, sigma and extreme prime factors of f.n."""
+    """Exact omega, big-omega, tau, sigma and largest prime factor of f.n."""
     omega = len(f.factors)
     big_omega = 0
     tau = 1
@@ -221,9 +220,8 @@ def factor_stats(f: PrimePowerFactorization) -> FactorStats:
         tau *= e + 1
         sigma *= (p ** (e + 1) - 1) // (p - 1)
     p_max = f.factors[-1][0] if f.factors else 1
-    p_min: int | float = f.factors[0][0] if f.factors else math.inf
     return FactorStats(
-        omega=omega, big_omega=big_omega, tau=tau, sigma=sigma, p_max=p_max, p_min=p_min
+        omega=omega, big_omega=big_omega, tau=tau, sigma=sigma, p_max=p_max
     )
 
 

@@ -232,11 +232,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .generate import collect_moments
+    from .generate import collect_moments, deviation_bound
 
     family = _family_from_args(args)
     expected = _expected_omega(family, args.x)
-    summary = collect_moments(family, args.x, xi=args.xi, expected=expected)
+    summary = collect_moments(family, args.x)
     columns = {
         "x": args.x,
         "t": family.t_float,
@@ -247,7 +247,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "mean_tau": summary.mean_tau,
         "mean_log_tau": summary.sum_log_tau / summary.count,
         "expected_omega": expected,
-        "exceed_fraction": summary.exceed_fraction,
+        "exceed_fraction": summary.exceed_fraction(
+            expected, deviation_bound(args.x, args.xi)
+        ),
     }
     _emit([",".join(columns), ",".join(map(_fmt, columns.values()))], args.out)
     return 0

@@ -133,17 +133,3 @@ def prime_multiple_coeff(q: int, t: float, c_theta: float) -> float:
     if q > t:
         raise DomainError(f"formula requires q <= t, got q={q}, t={t}")
     return (c_theta + DENSITY_SCALE * math.log(q)) / q
-
-
-def semiprime_multiple_coeff(p: int, q: int, t: float, c_theta: float) -> float:
-    """Main term of the coefficient for members divisible by primes p and q.
-
-    Evaluates ``(c_theta + C ln(pq)) / (pq)``, valid for ``p <= q <= t``.
-    """
-    if not is_prime(p) or not is_prime(q):
-        raise ConfigurationError(f"p and q must be prime, got p={p}, q={q}")
-    if not (p <= q <= t):
-        raise DomainError(
-            f"formula requires p <= q <= t, got p={p}, q={q}, t={t}"
-        )
-    return (c_theta + DENSITY_SCALE * math.log(p * q)) / (p * q)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arith import check_sieve_bound, rough_counts
+from .arith import check_sieve_bound, is_prime, rough_counts
 from .constants import (
     DENSITY_SCALE,
     expected_distinct_factors,
@@ -37,6 +37,7 @@ from .generate import (
     _member_chunks,
     collect_moments,
     count_members_multi,
+    deviation_bound,
 )
 
 # specfun loads only in phi_approx_scan, its one user here.
@@ -173,7 +174,7 @@ def mean_omega_experiment(t: Fraction | int | str, xs: list[int]) -> ExperimentR
     gaps: list[float] = []
     for x in xs:
         predicted = expected_distinct_factors(x, tf)
-        summary = collect_moments(family, x, xi=4.0, expected=predicted)
+        summary = collect_moments(family, x)
         measured = summary.mean_omega
         rows.append(
             ReportRow(
@@ -209,8 +210,8 @@ def concentration_experiment(
     family = ThetaFamily.dense(t)
     tf = family.t_float
     expected = expected_distinct_factors(x, tf)
-    summary = collect_moments(family, x, xi=xi, expected=expected)
-    fraction = summary.exceed_fraction
+    summary = collect_moments(family, x)
+    fraction = summary.exceed_fraction(expected, deviation_bound(x, xi))
     bound = min(1.0, 3.0 / (xi * xi))
     loglog = math.log(math.log(x))
     tail_start = _BIG_OMEGA_TAIL_FACTOR * loglog
@@ -242,7 +243,8 @@ def cq_structure_experiment(
     converging part shared by both coefficients, so this is the sharpest
     desk-scale view of the filtered-count structure.  Passes when every
     row's relative error is at most 0.30 and the measured values increase
-    with q.
+    with q.  qs must be primes <= t (DomainError past t) in strictly
+    ascending order (ConfigurationError, before any counting).
     """
     if x < 1 or x > _MAX_X:
         raise DomainError(f"x must be in [1, {_MAX_X}], got {x}")
@@ -250,6 +252,10 @@ def cq_structure_experiment(
     tf = family.t_float
     if any(q > tf for q in qs):
         raise DomainError(f"every q must be <= t={tf}, got {qs}")
+    if not all(map(is_prime, qs)):
+        raise ConfigurationError(f"every q must be prime, got {qs}")
+    if any(a >= b for a, b in zip(qs, qs[1:])):
+        raise ConfigurationError(f"qs must be strictly ascending, got {qs}")
     counts = count_members_multi(family, x, [1] + list(qs))
     if counts[0] == 0:
         raise DomainError(f"no members at all below {x}")
@@ -353,7 +359,7 @@ def margenstern_tables(xs: list[int]) -> ExperimentReport:
     omega_ratio = 0.0
     for x in xs:
         reference = DENSITY_SCALE * math.log(math.log(x))
-        summary = collect_moments(family, x, xi=4.0, expected=reference)
+        summary = collect_moments(family, x)
         rows.append(
             ReportRow(x, 0.0, 0, float(summary.count), 0.0, 0.0, "count")
         )

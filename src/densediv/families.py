@@ -100,12 +100,6 @@ class ThetaFamily:
         except OverflowError:
             raise DomainError("ratio bound t exceeds the float range") from None
 
-    def label(self) -> str:
-        if self.kind == "dense":
-            t = self.t
-            return f"dense(t={t.numerator}/{t.denominator})" if t.denominator != 1 else f"dense(t={t.numerator})"
-        return self.kind
-
     # -- exact threshold comparisons ------------------------------------
 
     def threshold_floor(self, n: int, sigma_n: int) -> int:

@@ -37,20 +37,12 @@ at x >= 2^60, is refused (ResourceCapError) before any sieving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .arith import (
-    SIEVE_LIMIT_CAP,
-    SpfTable,
-    divisor_ratio_bound,
-    factorize,
-    prime_counter,
-    primes_up_to,
-)
+from .arith import SIEVE_LIMIT_CAP, prime_counter, primes_up_to
 from .errors import ConfigurationError, DomainError, ResourceCapError
 from .families import ThetaFamily
 
@@ -104,15 +96,11 @@ class MomentSummary:
 
     Every integer moment derives exactly from the histograms, so no result
     depends on the order in which members are tallied.
-    exceed_count counts members with |omega - expected| > deviation_bound,
-    where deviation_bound = xi * sqrt(max(ln ln x, 0)) is fixed up front.
     """
 
-    expected: float
-    deviation_bound: float
-    histogram_omega: dict[int, int] = field(default_factory=dict)
-    histogram_big_omega: dict[int, int] = field(default_factory=dict)
-    histogram_tau: dict[int, int] = field(default_factory=dict)
+    histogram_omega: dict[int, int]
+    histogram_big_omega: dict[int, int]
+    histogram_tau: dict[int, int]
 
     @property
     def count(self) -> int:
@@ -138,12 +126,10 @@ class MomentSummary:
     def sum_log_tau(self) -> float:
         return math.fsum(v * math.log(k) for k, v in self.histogram_tau.items())
 
-    @property
-    def exceed_count(self) -> int:
+    def exceed_count(self, expected: float, bound: float) -> int:
+        """Members with |omega - expected| > bound."""
         return sum(
-            v
-            for k, v in self.histogram_omega.items()
-            if abs(k - self.expected) > self.deviation_bound
+            v for k, v in self.histogram_omega.items() if abs(k - expected) > bound
         )
 
     @property
@@ -163,9 +149,8 @@ class MomentSummary:
         mean = self.mean_omega
         return self.sum_omega_sq / self.count - mean * mean
 
-    @property
-    def exceed_fraction(self) -> float:
-        return self.exceed_count / self.count
+    def exceed_fraction(self, expected: float, bound: float) -> float:
+        return self.exceed_count(expected, bound) / self.count
 
 
 def deviation_bound(x: int, xi: float) -> float:
@@ -222,18 +207,6 @@ def iter_members(family: ThetaFamily, x: int) -> Iterator[MemberRecord]:
                 m *= p
                 pp = pp * p + 1
                 e += 1
-
-
-def multiple_vanishing_threshold(
-    m: int, t_num: int, t_den: int, table: SpfTable
-) -> Fraction:
-    """Smallest x at which a member of dense(t) divisible by m can exist:
-    max(m, F(m)/t) with F the divisor-ratio bound.  Below this threshold the
-    count of such members is exactly zero."""
-    if t_den < 1 or t_num < 2 * t_den:
-        raise DomainError(f"ratio bound must satisfy t >= 2, got {t_num}/{t_den}")
-    bound = divisor_ratio_bound(factorize(m, table))
-    return max(Fraction(m), Fraction(bound * t_den, t_num))
 
 
 # ---- frontier engine ----
@@ -513,16 +486,8 @@ def count_members(query: CountQuery) -> int:
     return count_members_multi(query.family, query.x, [query.q])[0]
 
 
-def collect_moments(
-    family: ThetaFamily,
-    x: int,
-    xi: float,
-    expected: float,
-) -> MomentSummary:
-    """One enumeration pass filling every MomentSummary field.
-
-    expected and xi define the exceedance rule |omega - expected| >
-    xi*sqrt(max(ln ln x, 0)); both are supplied by the caller.
+def collect_moments(family: ThetaFamily, x: int) -> MomentSummary:
+    """One enumeration pass filling every MomentSummary histogram.
 
     A leaf of a row n adds big omega + 1.  A new-prime leaf adds omega + 1
     and doubles tau; the repeat leaf n*p of a row with mid == last keeps
@@ -552,8 +517,6 @@ def collect_moments(
             hist_omega.add(omega[rep])
             hist_tau.add(tau[rep] // (e + 1) * (e + 2))
     return MomentSummary(
-        expected=expected,
-        deviation_bound=deviation_bound(x, xi),
         histogram_omega=hist_omega.as_dict(),
         histogram_big_omega=hist_big,
         histogram_tau=hist_tau.as_dict(),

@@ -1,7 +1,8 @@
 """Command-line interface tests: output fixtures, exit codes, file output,
 and --threads/--engine invariance via in-process main() calls, subprocess
 checks of the process entry point (imports, flush, closed pipe), and
-package-wide checks (the one export list, no unused imports)."""
+package-wide checks (the one export list, no unused imports, no unread
+private names)."""
 
 import ast
 import contextlib
@@ -642,11 +643,15 @@ class TestExitCodes:
               "--N", "1e8", "--s", "1.5"], 1),
             (["identity", "--check", "mu0", "--family", "shifted2",
               "--N", "536870911"], 1),
+            # qs out of order, refused before the counting walk
+            (["experiment", "cq-structure", "--t", "5", "--x", "1000",
+              "--qs", "3,2"], 2),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
              "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
              "enumerate-sigma-2e18", "enumerate-cells-1e12",
-             "lambda0-dense2-2e8", "mu0-practical-1e8", "mu0-shifted2-2^29-1"],
+             "lambda0-dense2-2e8", "mu0-practical-1e8", "mu0-shifted2-2^29-1",
+             "cq-structure-qs-descending"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         capped_cli(argv, code)
@@ -1022,6 +1027,50 @@ def test_no_unused_imports(path):
         if name not in used
     }
     assert not unused, f"{path.name}: imported and never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each undecorated module-level function, class or assignment whose
+    name starts with one underscore, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [] if node.decorator_list else [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _package_reads() -> set[str]:
+    """Every name the package reads: Name loads, attributes, import aliases."""
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reads.add(node.name)
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    reads = _package_reads()
+    unread = {
+        name: line
+        for name, line in _private_definitions(ast.parse(path.read_text())).items()
+        if name not in reads
+    }
+    assert not unread, f"{path.name}: defined and never read: {unread}"
 
 
 def test_no_public_callable_takes_threads_or_engine():

@@ -26,7 +26,6 @@ from densediv import (
     expected_distinct_factors,
     leading_coeff_asymptotic,
     prime_multiple_coeff,
-    semiprime_multiple_coeff,
 )
 
 
@@ -109,17 +108,6 @@ class TestCoeffFormulas:
             prime_multiple_coeff(4, 10.0, c_theta)
         with pytest.raises(DomainError):
             prime_multiple_coeff(3, 2.0, c_theta)
-
-    def test_semiprime_multiple(self):
-        c_theta = leading_coeff_asymptotic(10.0)
-        got = semiprime_multiple_coeff(2, 3, 10.0, c_theta)
-        assert got == pytest.approx(
-            (c_theta + DENSITY_SCALE * math.log(6)) / 6, rel=1e-15
-        )
-        with pytest.raises(ConfigurationError):
-            semiprime_multiple_coeff(4, 5, 10.0, c_theta)
-        with pytest.raises(DomainError):
-            semiprime_multiple_coeff(3, 2, 10.0, c_theta)
 
 
 class TestEmpiricalCoeff:

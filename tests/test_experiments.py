@@ -27,7 +27,7 @@ from densediv import (
     tabulate_buchstab,
     tau_normal_order_experiment,
 )
-from densediv import specfun
+from densediv import experiments, specfun
 
 
 class TestMeanOmega:
@@ -114,11 +114,20 @@ class TestCqStructure:
         assert report.verdict == "pass"
         assert "skipping q=2" in capsys.readouterr().err
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("counting walk started")
+
+        # Every refusal comes before the counting walk.
+        monkeypatch.setattr(experiments, "count_members_multi", walk)
         with pytest.raises(DomainError):
             cq_structure_experiment(2, 100, [3])  # q exceeds t
         with pytest.raises(DomainError):
             cq_structure_experiment(2, 10**10, [2])
+        for qs, match in (([1], "prime"), ([4], "prime"), ([3, 2], "ascending"),
+                          ([2, 2], "ascending")):
+            with pytest.raises(ConfigurationError, match=match):
+                cq_structure_experiment(5, 1000, qs)
 
 
 @pytest.fixture(scope="module")

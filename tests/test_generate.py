@@ -30,7 +30,6 @@ from densediv import (
     is_prime,
     iter_members,
     member_columns,
-    multiple_vanishing_threshold,
 )
 from densediv.arith import prime_counter, primes_up_to
 
@@ -69,10 +68,11 @@ def _assert_matches_reference(family, x, qs, xis=(0.5, 1.0, 4.0), expected=2.0):
     recs = list(iter_members(family, x))
     got = count_members_multi(family, x, qs)
     assert got == [sum(r.n % q == 0 for r in recs) for q in qs]
+    s = collect_moments(family, x)
     for xi in xis:
-        s = collect_moments(family, x, xi, expected)
         bound = deviation_bound(x, xi)
-        assert s.exceed_count == sum(abs(r.omega - expected) > bound for r in recs)
+        want = sum(abs(r.omega - expected) > bound for r in recs)
+        assert s.exceed_count(expected, bound) == want
     assert s.count == len(recs)
     assert s.histogram_omega == Counter(r.omega for r in recs)
     assert s.histogram_big_omega == Counter(r.big_omega for r in recs)
@@ -247,7 +247,7 @@ class TestCollapsedFrontier:
         # t >= x admits every n <= x; the prime sieve stops at x, not sqrt(x t).
         family = ThetaFamily.dense(10**12)
         assert count_members_multi(family, 10**5, [1, 7]) == [100000, 14285]
-        assert collect_moments(family, 10**5, 1.0, 2.0).count == 100000
+        assert collect_moments(family, 10**5).count == 100000
 
     def test_theta_at_most(self):
         # min(theta(n), cap) equals the Python-int value on both sides of the
@@ -317,7 +317,7 @@ class TestOnePiSource:
             qs = [1, 2, 3, 7, big]
             want = [sum(r.n % q == 0 for r in recs) for q in qs]
             assert count_members_multi(family, x, qs) == want, x
-            s = collect_moments(family, x, 1.0, 2.0)
+            s = collect_moments(family, x)
             assert s.histogram_omega == Counter(r.omega for r in recs), x
             assert s.histogram_big_omega == Counter(r.big_omega for r in recs), x
             assert s.histogram_tau == Counter(r.tau for r in recs), x
@@ -460,27 +460,9 @@ class TestMemberChunks:
         assert len(member_columns(DENSE2, 10**6, names, n_min=1)[0]) == 91_471
 
 
-class TestVanishingThreshold:
-    def test_spot_values(self, table):
-        # F(9) = 27 so no dense-2 member below 27/2 is divisible by 9.
-        assert multiple_vanishing_threshold(9, 2, 1, table) == Fraction(27, 2)
-        assert multiple_vanishing_threshold(1, 2, 1, table) == 1
-        assert multiple_vanishing_threshold(6, 2, 1, table) == 6  # F(6)/2 = 6
-
-    def test_counts_vanish_below(self, table):
-        threshold = multiple_vanishing_threshold(9, 2, 1, table)
-        below = int(threshold)  # 13
-        assert count_members(CountQuery(x=below, family=DENSE2, q=9)) == 0
-        assert count_members(CountQuery(x=18, family=DENSE2, q=9)) == 1
-
-    def test_ratio_validated(self, table):
-        with pytest.raises(DomainError):
-            multiple_vanishing_threshold(9, 3, 2, table)
-
-
 class TestMoments:
     def test_histograms_consistent(self):
-        s = collect_moments(PRACTICAL, 20_000, 4.0, 2.0)
+        s = collect_moments(PRACTICAL, 20_000)
         assert sum(s.histogram_omega.values()) == s.count
         assert sum(s.histogram_big_omega.values()) == s.count
         assert sum(k * v for k, v in s.histogram_omega.items()) == s.sum_omega
@@ -495,14 +477,13 @@ class TestMoments:
     def test_exceedance_extremes(self):
         # A wide band flags nothing; a zero band at expected 0 flags every
         # member except n = 1 (the only member with no prime factor).
-        wide = collect_moments(DENSE2, 10_000, xi=100.0, expected=2.0)
-        assert wide.exceed_count == 0
-        tight = collect_moments(DENSE2, 10_000, xi=0.0, expected=0.0)
-        assert tight.exceed_count == tight.count - 1
-        assert tight.exceed_fraction == pytest.approx(1 - 1 / tight.count)
+        s = collect_moments(DENSE2, 10_000)
+        assert s.exceed_count(2.0, deviation_bound(10_000, 100.0)) == 0
+        assert s.exceed_count(0.0, 0.0) == s.count - 1
+        assert s.exceed_fraction(0.0, 0.0) == pytest.approx(1 - 1 / s.count)
 
     def test_matches_brute(self, table):
-        s = collect_moments(DENSE52, 2000, 4.0, 2.0)
+        s = collect_moments(DENSE52, 2000)
         stats = [
             factor_stats(factorize(rec.n, table))
             for rec in iter_members(DENSE52, 2000)
@@ -516,7 +497,7 @@ class TestMoments:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            collect_moments(DENSE2, 0, 4.0, 2.0)
+            collect_moments(DENSE2, 0)
 
 
 class TestDivisorCounts:

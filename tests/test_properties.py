@@ -63,7 +63,7 @@ def test_frontier_equals_reference_tallies(table, family, x, qs):
         dict(Counter(rec.tau for rec in records)),
     )
     assert count_members_multi(family, x, qs) == counts
-    summary = collect_moments(family, x, 1.0, 0.0)
+    summary = collect_moments(family, x)
     assert (
         summary.histogram_omega,
         summary.histogram_big_omega,
