@@ -30,16 +30,14 @@ _EXPORTS = {
         ("constants", (
             "DENSITY_SCALE", "EULER_GAMMA", "ConstantsBundle",
             "constants_bundle", "expected_distinct_factors",
-            "leading_coeff_asymptotic", "prime_multiple_coeff",
         )),
         ("errors", (
             "ConfigurationError", "DensedivError", "DomainError",
-            "EstimateUndefinedError", "ResourceCapError", "SieveRangeError",
+            "ResourceCapError", "SieveRangeError",
         )),
         ("experiments", (
-            "CoeffEstimate", "ExperimentReport", "ReportRow",
-            "concentration_experiment", "count_ratio_experiment",
-            "cq_structure_experiment", "empirical_coeff",
+            "ExperimentReport", "ReportRow", "concentration_experiment",
+            "count_ratio_experiment", "cq_structure_experiment",
             "margenstern_tables", "mean_omega_experiment", "phi_approx_scan",
             "tau_normal_order_experiment",
         )),
@@ -49,9 +47,9 @@ _EXPORTS = {
             "is_practical_by_subset_sums", "parse_t",
         )),
         ("generate", (
-            "CountQuery", "MemberRecord", "MomentSummary", "collect_moments",
-            "count_members", "count_members_multi", "deviation_bound",
-            "iter_members", "member_columns",
+            "MemberRecord", "MomentSummary", "collect_moments",
+            "count_members_multi", "deviation_bound", "iter_members",
+            "member_columns",
         )),
         ("identities", (
             "CheckResult", "SeriesTerm", "check_partition_identity",

@@ -1,12 +1,9 @@
-"""Closed-form constants and coefficient formulas for dense-divisor counts.
+"""Closed-form constants for dense-divisor counts.
 
 The central constant is ``C = 1/(1 - e^{-gamma})``: it multiplies ``ln ln x``
 in the expected number of distinct prime factors of a member, and scales the
 leading coefficient of the member-count asymptotics.  The module also carries
-the exponent constants quoted for shifted-prime / twin corollaries and the
-plug-in formulas for the leading coefficients of divisor-filtered counts
-(``experiments.empirical_coeff`` measures those coefficients from exact
-counts).
+the exponent constants quoted for shifted-prime / twin corollaries.
 """
 
 from __future__ import annotations
@@ -14,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 
 #: Euler--Mascheroni constant, stored as a literal (not computed).
@@ -102,34 +98,3 @@ def expected_distinct_factors(x: float, t: float) -> float:
         raise DomainError(f"t must be >= 2, got {t}")
     c = DENSITY_SCALE
     return c * math.log(math.log(x)) - (c - 1.0) * math.log(math.log(t))
-
-
-def leading_coeff_asymptotic(t: float) -> float:
-    """Main term ``C (ln t - gamma)`` of the unfiltered count coefficient.
-
-    The neglected correction decays like ``exp(-sqrt(ln t))``; for small t
-    (near 2) it is numerically large, so callers compare differences of
-    coefficients rather than absolute values whenever possible.
-    """
-    if t < 2.0:
-        raise DomainError(f"t must be >= 2, got {t}")
-    return DENSITY_SCALE * (math.log(t) - EULER_GAMMA)
-
-
-def prime_multiple_coeff(q: int, t: float, c_theta: float) -> float:
-    """Main term of the coefficient for members divisible by a prime q.
-
-    Evaluates ``(c_theta + C ln q) / q``, valid in the regime ``q <= t``.
-
-    Raises
-    ------
-    ConfigurationError
-        If q is not prime.
-    DomainError
-        If q > t (outside the formula's regime).
-    """
-    if not is_prime(q):
-        raise ConfigurationError(f"q must be prime, got {q}")
-    if q > t:
-        raise DomainError(f"formula requires q <= t, got q={q}, t={t}")
-    return (c_theta + DENSITY_SCALE * math.log(q)) / q

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-All inherit ValueError so callers can catch broadly; the CLI maps them to
-exit status 1 (computation/range failures) while argparse handles usage
-errors with status 2.
+All inherit ValueError so callers can catch broadly.  The CLI maps a
+ConfigurationError to exit status 2, as argparse does its usage errors, and
+every other error here to status 1 (computation/range failures).
 """
 
 from __future__ import annotations
@@ -26,7 +26,3 @@ class ResourceCapError(DensedivError):
 
 class DomainError(DensedivError):
     """Arguments violate a formula's validity regime."""
-
-
-class EstimateUndefinedError(DensedivError):
-    """An empirical estimate is requested where it is undefined (count 0)."""

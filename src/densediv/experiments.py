@@ -24,16 +24,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .arith import check_sieve_bound, is_prime, rough_counts
-from .constants import (
-    DENSITY_SCALE,
-    expected_distinct_factors,
-    leading_coeff_asymptotic,
-    prime_multiple_coeff,
-)
-from .errors import ConfigurationError, DomainError, EstimateUndefinedError
+from .constants import DENSITY_SCALE, expected_distinct_factors
+from .errors import ConfigurationError, DomainError
 from .families import ThetaFamily
 from .generate import (
-    CountQuery,
     _member_chunks,
     collect_moments,
     count_members_multi,
@@ -91,56 +85,6 @@ class ExperimentReport:
     def rows_for(self, metric: str) -> list[ReportRow]:
         """All rows carrying the given metric label, in grid order."""
         return [row for row in self.rows if row.metric == metric]
-
-
-@dataclass(frozen=True)
-class CoeffEstimate:
-    """Empirical vs. formula leading coefficient for one divisor filter.
-
-    ``c_hat = count * ln(x*t) / x`` is the measured coefficient implied by an
-    exact count; ``c_formula`` is the closed-form main term for the same
-    (q, t); ``rel_err`` compares the two.
-    """
-
-    q: int
-    t: Fraction
-    x: int
-    c_hat: float
-    c_formula: float
-    rel_err: float
-
-
-def empirical_coeff(query: CountQuery, count: int) -> CoeffEstimate:
-    """Turn an exact divisor-filtered count into a measured coefficient.
-
-    ``c_hat = count * ln(x*t) / x`` mirrors the asymptotic shape
-    ``count ~ c * x / ln(x*t)``.  The reference ``c_formula`` is the q = 1
-    main term for q = 1 and the prime-multiple main term for prime q.  The
-    query's family must be dense (DomainError: the normalization needs t);
-    count == 0 has no estimate (EstimateUndefinedError), and a negative
-    count or a q that is neither 1 nor prime is a ConfigurationError.
-    """
-    family = query.family
-    if family.kind != "dense":
-        raise DomainError("empirical coefficients require a dense family")
-    if count == 0:
-        raise EstimateUndefinedError(
-            f"no members <= {query.x} divisible by {query.q}"
-        )
-    if count < 0:
-        raise ConfigurationError(f"count must be >= 0, got {count}")
-    t = family.t
-    t_float = family.t_float
-    c_hat = count * (math.log(query.x) + math.log(t_float)) / query.x
-    c_theta = leading_coeff_asymptotic(t_float)
-    if query.q == 1:
-        c_formula = c_theta
-    else:
-        c_formula = prime_multiple_coeff(query.q, t_float, c_theta)
-    rel_err = abs(c_hat - c_formula) / c_formula
-    return CoeffEstimate(
-        q=query.q, t=t, x=query.x, c_hat=c_hat, c_formula=c_formula, rel_err=rel_err
-    )
 
 
 def _rel_err(measured: float, predicted: float) -> float:
@@ -243,23 +187,27 @@ def cq_structure_experiment(
     converging part shared by both coefficients, so this is the sharpest
     desk-scale view of the filtered-count structure.  Passes when every
     row's relative error is at most 0.30 and the measured values increase
-    with q.  qs must be primes <= t (DomainError past t) in strictly
-    ascending order (ConfigurationError, before any counting).
+    with q.  Each coefficient is ``c_hat = count * ln(x t) / x``, from the
+    asymptotic shape ``count ~ c * x / ln(x t)``.  Before any counting, qs
+    must be primes in strictly ascending order (ConfigurationError), then
+    each at most t (DomainError), so a non-prime q is refused the same way
+    at every t.
     """
     if x < 1 or x > _MAX_X:
         raise DomainError(f"x must be in [1, {_MAX_X}], got {x}")
     family = ThetaFamily.dense(t)
     tf = family.t_float
-    if any(q > tf for q in qs):
-        raise DomainError(f"every q must be <= t={tf}, got {qs}")
     if not all(map(is_prime, qs)):
         raise ConfigurationError(f"every q must be prime, got {qs}")
     if any(a >= b for a, b in zip(qs, qs[1:])):
         raise ConfigurationError(f"qs must be strictly ascending, got {qs}")
+    if any(q > tf for q in qs):
+        raise DomainError(f"every q must be <= t={tf}, got {qs}")
     counts = count_members_multi(family, x, [1] + list(qs))
     if counts[0] == 0:
         raise DomainError(f"no members at all below {x}")
-    c1 = empirical_coeff(CountQuery(x, family, 1), counts[0]).c_hat
+    log_xt = math.log(x) + math.log(tf)
+    c1 = counts[0] * log_xt / x
     rows: list[ReportRow] = [ReportRow(x, tf, 1, 0.0, 0.0, 0.0, "coeff_gap")]
     ok = True
     previous = 0.0
@@ -270,8 +218,7 @@ def cq_structure_experiment(
                 file=sys.stderr,
             )
             continue
-        c_q = empirical_coeff(CountQuery(x, family, q), count).c_hat
-        measured = q * c_q - c1
+        measured = q * (count * log_xt / x) - c1
         predicted = DENSITY_SCALE * math.log(q)
         rel = _rel_err(measured, predicted)
         rows.append(ReportRow(x, tf, q, measured, predicted, rel, "coeff_gap"))

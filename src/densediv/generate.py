@@ -75,21 +75,6 @@ class MemberRecord:
     p_max: int
 
 
-@dataclass(frozen=True)
-class CountQuery:
-    """Count members n <= x with q | n (q = 1 means unrestricted)."""
-
-    x: int
-    family: ThetaFamily
-    q: int = 1
-
-    def __post_init__(self) -> None:
-        if self.x < 1:
-            raise DomainError(f"x must be >= 1, got {self.x}")
-        if self.q < 1:
-            raise DomainError(f"q must be >= 1, got {self.q}")
-
-
 @dataclass
 class MomentSummary:
     """Exact integer histograms of omega, big omega and tau over a member set.
@@ -479,11 +464,6 @@ def count_members_multi(
         for k, q in live_qs:
             counts[k] += _tally_counts(q, primes, pi, blk["n"], mid, hi)
     return counts
-
-
-def count_members(query: CountQuery) -> int:
-    """Exact |{members n <= x : q | n}| for the query's family."""
-    return count_members_multi(query.family, query.x, [query.q])[0]
 
 
 def collect_moments(family: ThetaFamily, x: int) -> MomentSummary:

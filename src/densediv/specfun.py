@@ -62,7 +62,7 @@ _QUADRATURES = ("trapezoid", "simpson")
 class TabulatedFunction:
     """Uniformly sampled function with linear interpolation.
 
-    Evaluation below ``u_min`` returns ``below_value``.  Evaluation above
+    Evaluation below ``u_min`` returns 0.0.  Evaluation above
     the last grid point follows the tail rule: ``tail_value`` itself when
     ``tail_kind == "constant"``, or the decaying curve ``tail_value/(u+1)``
     when ``tail_kind == "decay"``.  Linear interpolation is used everywhere
@@ -73,8 +73,6 @@ class TabulatedFunction:
     u_min: float
     step: float
     values: np.ndarray
-    name: str
-    below_value: float = 0.0
     tail_kind: str = "constant"
     tail_value: float = 0.0
 
@@ -100,7 +98,7 @@ class TabulatedFunction:
 
     def __call__(self, u: float) -> float:
         if u < self.u_min:
-            return self.below_value
+            return 0.0
         pos = (u - self.u_min) / self.step
         last = len(self.values) - 1
         if pos >= last:
@@ -192,8 +190,6 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
         u_min=1.0,
         step=h,
         values=w,
-        name="buchstab",
-        below_value=0.0,
         tail_kind="constant",
         tail_value=BUCHSTAB_LIMIT,
     )
@@ -408,8 +404,6 @@ def tabulate_density_kernel(
         u_min=0.0,
         step=g,
         values=d,
-        name="density_kernel",
-        below_value=0.0,
         tail_kind="decay",
         tail_value=DENSITY_SCALE,
     )

@@ -1,4 +1,4 @@
-"""Constant-bundle and coefficient-formula tests.
+"""Constant-bundle tests.
 
 Every bundle field is recomputed inline from gamma so a regression in the
 derivations cannot hide; the quotable decimal expansions are frozen as
@@ -6,26 +6,19 @@ literals.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 
 from densediv import (
     ConfigurationError,
-    CountQuery,
     DENSITY_SCALE,
     DensedivError,
     DomainError,
     EULER_GAMMA,
-    EstimateUndefinedError,
     ResourceCapError,
     SieveRangeError,
-    ThetaFamily,
     constants_bundle,
-    empirical_coeff,
     expected_distinct_factors,
-    leading_coeff_asymptotic,
-    prime_multiple_coeff,
 )
 
 
@@ -88,67 +81,6 @@ class TestExpectedDistinctFactors:
             expected_distinct_factors(100.0, 1.5)
 
 
-class TestCoeffFormulas:
-    def test_leading_coeff(self):
-        c = DENSITY_SCALE
-        assert leading_coeff_asymptotic(2.0) == pytest.approx(
-            c * (math.log(2) - EULER_GAMMA), rel=1e-15
-        )
-        assert leading_coeff_asymptotic(2.0) > 0
-        with pytest.raises(DomainError):
-            leading_coeff_asymptotic(1.9)
-
-    def test_prime_multiple(self):
-        c_theta = leading_coeff_asymptotic(2.0)
-        got = prime_multiple_coeff(2, 2.0, c_theta)
-        assert got == pytest.approx(
-            (c_theta + DENSITY_SCALE * math.log(2)) / 2, rel=1e-15
-        )
-        with pytest.raises(ConfigurationError):
-            prime_multiple_coeff(4, 10.0, c_theta)
-        with pytest.raises(DomainError):
-            prime_multiple_coeff(3, 2.0, c_theta)
-
-
-class TestEmpiricalCoeff:
-    DENSE2 = ThetaFamily.dense(2)
-
-    def test_unfiltered(self):
-        query = CountQuery(x=100_000, family=self.DENSE2)
-        est = empirical_coeff(query, 26_000)
-        assert est.c_hat == pytest.approx(
-            26_000 * math.log(200_000) / 100_000, rel=1e-15
-        )
-        assert est.c_formula == pytest.approx(
-            leading_coeff_asymptotic(2.0), rel=1e-15
-        )
-        assert est.rel_err == pytest.approx(
-            abs(est.c_hat - est.c_formula) / est.c_formula, rel=1e-15
-        )
-        assert (est.q, est.t, est.x) == (1, Fraction(2), 100_000)
-
-    def test_prime_filtered(self):
-        query = CountQuery(x=100_000, family=self.DENSE2, q=2)
-        est = empirical_coeff(query, 20_000)
-        assert est.c_formula == pytest.approx(
-            prime_multiple_coeff(2, 2.0, leading_coeff_asymptotic(2.0)),
-            rel=1e-15,
-        )
-
-    def test_rejections(self):
-        dense_query = CountQuery(x=1000, family=self.DENSE2)
-        with pytest.raises(DomainError):
-            empirical_coeff(
-                CountQuery(x=1000, family=ThetaFamily.practical()), 100
-            )
-        with pytest.raises(EstimateUndefinedError):
-            empirical_coeff(dense_query, 0)
-        with pytest.raises(ConfigurationError):
-            empirical_coeff(dense_query, -5)
-        with pytest.raises(ConfigurationError):
-            empirical_coeff(CountQuery(x=1000, family=self.DENSE2, q=6), 10)
-
-
 class TestErrorTaxonomy:
     def test_hierarchy(self):
         for exc in (
@@ -156,7 +88,6 @@ class TestErrorTaxonomy:
             DomainError,
             SieveRangeError,
             ResourceCapError,
-            EstimateUndefinedError,
         ):
             assert issubclass(exc, DensedivError)
             assert issubclass(exc, ValueError)

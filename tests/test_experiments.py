@@ -124,10 +124,12 @@ class TestCqStructure:
             cq_structure_experiment(2, 100, [3])  # q exceeds t
         with pytest.raises(DomainError):
             cq_structure_experiment(2, 10**10, [2])
-        for qs, match in (([1], "prime"), ([4], "prime"), ([3, 2], "ascending"),
-                          ([2, 2], "ascending")):
+        # A non-prime q is refused as such whether or not it exceeds t.
+        for t, qs, match in ((5, [1], "prime"), (5, [4], "prime"),
+                             (3, [4], "prime"), (5, [3, 2], "ascending"),
+                             (5, [2, 2], "ascending")):
             with pytest.raises(ConfigurationError, match=match):
-                cq_structure_experiment(5, 1000, qs)
+                cq_structure_experiment(t, 1000, qs)
 
 
 @pytest.fixture(scope="module")

@@ -15,13 +15,11 @@ import pytest
 import densediv.generate as generate
 from densediv import (
     ConfigurationError,
-    CountQuery,
     DomainError,
     ResourceCapError,
     ThetaFamily,
     check_partition_identity,
     collect_moments,
-    count_members,
     count_members_multi,
     deviation_bound,
     factor_stats,
@@ -149,22 +147,20 @@ class TestIterMembers:
 
 class TestCounts:
     def test_spot_values(self):
-        assert count_members(CountQuery(x=20, family=DENSE2)) == 9
-        assert count_members(CountQuery(x=20, family=DENSE2, q=2)) == 8
-        assert count_members(CountQuery(x=20, family=DENSE2, q=3)) == 3
-        assert count_members(CountQuery(x=20, family=PRACTICAL)) == 9
+        assert count_members_multi(DENSE2, 20, [1, 2, 3]) == [9, 8, 3]
+        assert count_members_multi(PRACTICAL, 20, [1]) == [9]
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f"{f.kind}{f.t_num}_{f.t_den}" if f.kind == "dense" else f.kind)
     def test_matches_enumeration(self, family):
         x = 3000
         expect = sum(1 for _ in iter_members(family, x))
-        assert count_members(CountQuery(x=x, family=family)) == expect
+        assert count_members_multi(family, x, [1]) == [expect]
 
     def test_multi_matches_single(self):
         qs = [1, 3, 4]
         multi = count_members_multi(DENSE52, 50_000, qs)
         for q, c in zip(qs, multi):
-            assert count_members(CountQuery(x=50_000, family=DENSE52, q=q)) == c
+            assert count_members_multi(DENSE52, 50_000, [q]) == [c]
 
 
 class TestCollapsedFrontier:

@@ -47,8 +47,6 @@ class TestTabulatedFunction:
             u_min=1.0,
             step=0.5,
             values=np.array([1.0, 2.0, 4.0]),
-            name="demo",
-            below_value=-1.0,
             tail_kind="constant",
             tail_value=9.0,
         )
@@ -65,7 +63,7 @@ class TestTabulatedFunction:
 
     def test_below_and_tails(self):
         f = self.make()
-        assert f(0.5) == -1.0
+        assert f(0.5) == 0.0
         assert f(3.0) == 9.0
         g = self.make(tail_kind="decay", tail_value=6.0)
         assert g(5.0) == 1.0
@@ -111,9 +109,7 @@ class TestSolverConfig:
         cfg = SolverConfig(step=1e-3, max_abscissa=1e9)
         with pytest.raises(ResourceCapError):
             tabulate_buchstab(cfg)
-        w = TabulatedFunction(
-            u_min=1.0, step=1.0, values=np.ones(2), name="w"
-        )
+        w = TabulatedFunction(u_min=1.0, step=1.0, values=np.ones(2))
         with pytest.raises(ResourceCapError):
             tabulate_density_kernel(cfg, w)
         n_max = specfun.GRID_POINTS_CAP
@@ -250,7 +246,7 @@ def clamp_table():
     """
     values = np.full(801, 0.5)
     values[-2:] = [1e4 / 3, 1e3 / 7]
-    return TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
+    return TabulatedFunction(u_min=1.0, step=0.01, values=values)
 
 
 def short_clamp_table():
@@ -259,7 +255,7 @@ def short_clamp_table():
     grid point, so only the pos clamp keeps it at w_last."""
     values = clamp_table().values
     return TabulatedFunction(
-        u_min=1.0, step=(8.0 - 5e-10) / 800, values=values, name="w"
+        u_min=1.0, step=(8.0 - 5e-10) / 800, values=values
     )
 
 
@@ -318,7 +314,7 @@ class TestDensityKernel:
         # one split (129 to 256) and nested splits (over 1000) all run.
         rng = np.random.default_rng(20240)
         values = 10.0 ** rng.uniform(-8.0, 8.0, 2401)
-        w = TabulatedFunction(u_min=1.0, step=0.01, values=values, name="w")
+        w = TabulatedFunction(u_min=1.0, step=0.01, values=values)
         cfg = SolverConfig(step=0.01, max_abscissa=25.0)
         new = tabulate_density_kernel(cfg, w).values
         ref = reference_density_kernel(cfg, w)
