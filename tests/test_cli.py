@@ -649,12 +649,16 @@ class TestExitCodes:
             # a non-prime q past t is refused as non-prime, as below t
             (["experiment", "cq-structure", "--t", "3", "--x", "1000",
               "--qs", "4"], 2),
+            # a prime q past t is still refused as past t
+            (["experiment", "cq-structure", "--t", "3", "--x", "1000",
+              "--qs", "5"], 1),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
              "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
              "enumerate-sigma-2e18", "enumerate-cells-1e12",
              "lambda0-dense2-2e8", "mu0-practical-1e8", "mu0-shifted2-2^29-1",
-             "cq-structure-qs-descending", "cq-structure-qs-4-past-t"],
+             "cq-structure-qs-descending", "cq-structure-qs-4-past-t",
+             "cq-structure-qs-5-past-t"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         capped_cli(argv, code)
@@ -1215,20 +1219,34 @@ def test_light_ops_load_no_build_machinery(argv):
     assert not loaded & {"subprocess", "shlex"}
 
 
-def test_constants_loads_no_numpy():
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        ([], (
+            b"gamma                0.577215664902\n"
+            b"C                    2.28029101651\n"
+            b"C_log2               1.58057728895\n"
+            b"exp_shifted_prime    3.01711224322\n"
+            b"exp_twin             8.32230915581\n"
+            b"exp_shifted_prime_e  3.16479524025\n"
+            b"exp_twin_e           9.53667754145\n"
+            b"e_log2               1.88416938536\n"
+        )),
+        (["--json"], (
+            b'{"gamma": 0.577215664902, "C": 2.28029101651, '
+            b'"C_log2": 1.58057728895, "exp_shifted_prime": 3.01711224322, '
+            b'"exp_twin": 8.32230915581, '
+            b'"exp_shifted_prime_e": 3.16479524025, '
+            b'"exp_twin_e": 9.53667754145, "e_log2": 1.88416938536}\n'
+        )),
+    ],
+    ids=["text", "json"],
+)
+def test_constants_loads_no_numpy(argv, stdout):
     # The closed forms need only math, so the benchmark's setup op starts
     # without numpy.
-    proc, loaded = _cli_imports("constants")
-    assert proc.returncode == 0 and proc.stdout == (
-        b"gamma                0.577215664902\n"
-        b"C                    2.28029101651\n"
-        b"C_log2               1.58057728895\n"
-        b"exp_shifted_prime    3.01711224322\n"
-        b"exp_twin             8.32230915581\n"
-        b"exp_shifted_prime_e  3.16479524025\n"
-        b"exp_twin_e           9.53667754145\n"
-        b"e_log2               1.88416938536\n"
-    )
+    proc, loaded = _cli_imports("constants", *argv)
+    assert proc.returncode == 0 and proc.stdout == stdout
     assert not loaded & {"numpy", "densediv.arith"}
 
 

@@ -16,8 +16,10 @@ from densediv import (
     ExperimentReport,
     ResourceCapError,
     SolverConfig,
+    ThetaFamily,
     concentration_experiment,
     count_ratio_experiment,
+    count_members_multi,
     cq_structure_experiment,
     margenstern_tables,
     mean_omega_experiment,
@@ -107,6 +109,19 @@ class TestCqStructure:
         )
         assert rows[1].measured == pytest.approx(1.430546, abs=1e-5)
         assert report.verdict == "pass"
+
+    def test_coefficients_from_counts(self):
+        # Each coefficient is count * ln(x t) / x, so every row equals the
+        # same float operations applied to the exact counts.
+        x, qs = 100_000, [2, 3, 5, 7]
+        counts = count_members_multi(ThetaFamily.dense(7), x, [1] + qs)
+        log_xt = math.log(x) + math.log(7.0)
+        c1 = counts[0] * log_xt / x
+        rows = cq_structure_experiment(7, x, qs).rows_for("coeff_gap")
+        assert [row.q for row in rows] == [1] + qs
+        for row, q, count in zip(rows[1:], qs, counts[1:]):
+            assert row.measured == q * (count * log_xt / x) - c1
+            assert row.predicted == DENSITY_SCALE * math.log(q)
 
     def test_zero_count_skipped(self, capsys):
         report = cq_structure_experiment(2, 1, [2])

@@ -156,6 +156,12 @@ class TestCounts:
         expect = sum(1 for _ in iter_members(family, x))
         assert count_members_multi(family, x, [1]) == [expect]
 
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            count_members_multi(DENSE2, 0, [1])
+        with pytest.raises(DomainError):
+            count_members_multi(DENSE2, 20, [1, 0])
+
     def test_multi_matches_single(self):
         qs = [1, 3, 4]
         multi = count_members_multi(DENSE52, 50_000, qs)
