@@ -20,13 +20,13 @@ from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRang
 # memory (16 MB at the cap) and its sieve O(x^{3/4}) time.
 ROUGH_COUNTS_CAP = 10**12
 
-# Largest bound for sieve_primes, the prime source of the weight series,
-# Mertens products and phi-scan.  The weight series at the cap (dense t=2,
-# N = 1.5e8) peak at about 450 MB RSS: the sieve's bytes and its primes.
+# Largest prime bound (check_sieve_bound) of the odd-number sieve of the
+# weight series, Mertens products and phi-scan.  The weight series at the
+# cap (dense t=2, N = 1.5e8) peak near 450 MB RSS, set by prefix arrays.
 PRIME_SIEVE_CAP = 3 * 10**8
 
 # Largest limit of an int32 SpfTable, and largest prime bound of a frontier
-# walk (one byte per integer sieved: 2 GB at the cap).
+# walk (one byte per odd number sieved: 1 GB at the cap).
 SIEVE_LIMIT_CAP = 2**31
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3e24.
@@ -71,54 +71,37 @@ def build_spf_table(limit: int) -> SpfTable:
     return SpfTable(limit=limit, spf=spf, primes=primes)
 
 
-def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending array (int64) of all primes <= limit; empty for limit < 2.
+def prime_counter(limit: int) -> tuple[np.ndarray, Callable]:
+    """(primes, pi) from one sieve of the odd numbers <= limit, a byte each.
 
-    Raises ResourceCapError if the sieve (limit + 1 bytes) or the primes
-    cannot be allocated.
+    primes is the ascending int64 array of the primes <= limit, read off
+    the flags in one array, with the slot of 1 standing for the prime 2.
+    pi(v) equals np.searchsorted(primes, v, "right") for int64 v, an array
+    or a scalar, so pi(limit) above the limit.  Its words are the flags
+    packed: bit b of word w marks 128*w + 2*b + 1 as prime, before[w]
+    counts the odd primes below word w, and pi(v) adds the bits of v's word
+    up to v (np.bitwise_count) and the prime 2; limit/8 bytes in all.
+    Raises ResourceCapError if the sieve or the primes cannot be allocated.
     """
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
     try:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        return np.flatnonzero(sieve).astype(np.int64, copy=False)
+        flags = np.zeros(64 * (limit // 128 + 1), dtype=bool)
+        flags[1 : (limit + 1) // 2] = True  # the odd numbers 3..limit
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            if flags[p >> 1]:
+                flags[p * p >> 1 :: p] = False
+        words = np.packbits(flags, bitorder="little").view("<u8")
+        flags[0] = limit >= 2  # the slot of 1 reads as the prime 2, unpacked
+        primes = np.flatnonzero(flags)
+        del flags
+        before = np.cumsum(np.bitwise_count(words), dtype=np.int64)
     except MemoryError:
         raise ResourceCapError(
-            f"out of memory sieving the primes up to {limit} "
-            f"(the sieve alone asks for {limit + 1} bytes)"
+            f"out of memory sieving the primes up to {limit} (the sieve of "
+            f"the odd numbers alone asks for {64 * (limit // 128 + 1)} bytes)"
         ) from None
-
-
-def check_sieve_bound(bound, what: str) -> None:
-    """Refuse a prime bound past PRIME_SIEVE_CAP (ResourceCapError)."""
-    if bound > PRIME_SIEVE_CAP:
-        raise ResourceCapError(
-            f"{what}={bound} exceeds the prime-sieve cap {PRIME_SIEVE_CAP}"
-        )
-
-
-def sieve_primes(bound, what: str) -> np.ndarray:
-    """Ascending primes <= bound (a real number), sieved afresh once
-    check_sieve_bound passes."""
-    check_sieve_bound(bound, what)
-    return primes_up_to(math.floor(bound))
-
-
-def prime_counter(primes: np.ndarray, limit: int) -> Callable:
-    """pi as a bit-packed lookup: from the ascending primes <= limit, a pi(v)
-    equal to np.searchsorted(primes, v, "right") for int64 v, an array or a
-    scalar: the number of primes <= min(v, limit), so pi(limit) above the
-    limit.  Bit b of word w marks 128*w + 2*b + 1 as prime and before[w]
-    counts the odd primes below word w; pi(v) adds the bits of v's word up
-    to v (np.bitwise_count) and the prime 2.  limit/8 bytes in all."""
-    flags = np.zeros(64 * (limit // 128 + 1), dtype=bool)
-    flags[primes[1:] >> 1] = True
-    words = np.packbits(flags, bitorder="little").view("<u8")
-    before = np.cumsum(np.bitwise_count(words), dtype=np.int64)
+    primes <<= 1
+    primes += 1
+    primes[:1] = 2
     before -= np.bitwise_count(words)
     top = max(limit - 1, 0)
 
@@ -139,7 +122,20 @@ def prime_counter(primes: np.ndarray, limit: int) -> Callable:
         out += two
         return out
 
-    return pi
+    return primes, pi
+
+
+def primes_up_to(limit: int) -> np.ndarray:
+    """Ascending array (int64) of all primes <= limit; empty for limit < 2."""
+    return prime_counter(limit)[0]
+
+
+def check_sieve_bound(bound, what: str) -> None:
+    """Refuse a prime bound past PRIME_SIEVE_CAP (ResourceCapError)."""
+    if bound > PRIME_SIEVE_CAP:
+        raise ResourceCapError(
+            f"{what}={bound} exceeds the prime-sieve cap {PRIME_SIEVE_CAP}"
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -279,9 +275,9 @@ def rough_counts(x: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     and S_k[X] stops changing once p_k >= sqrt(x).  Each query is read at
     stage pi(min(Y, sqrt(x))), in one sweep with the queries sorted by
     stage.  Y >= X gives 1 and X < 1 gives 0.  O(x^{3/4}) time; memory is
-    O(sqrt(x)) for the tables plus a prime sieve up to max(sqrt(x), Y_i)
-    over the queries with Y_i < X_i, whose prime_counter gives pi(Y) and
-    the stage count pi(sqrt(x)).
+    O(sqrt(x)) for the tables plus one odd-number sieve (prime_counter) up
+    to max(sqrt(x), Y_i) over the queries with Y_i < X_i, whose primes and
+    pi words give the sieving primes, pi(Y) and the stage count pi(sqrt(x)).
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -298,8 +294,7 @@ def rough_counts(x: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if int(Xa.max()) > x or np.any(x // (x // Xa) != Xa):
         raise DomainError(f"every X must be a floor quotient x // k of x={x}")
     limit = max(r, int(Ya.max()))
-    primes = primes_up_to(limit)
-    pi = prime_counter(primes, limit)
+    primes, pi = prime_counter(limit)
     pi_y = pi(Ya)
     n_sieve = int(pi(r))
     stage = np.minimum(pi_y, n_sieve)

@@ -23,6 +23,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -546,12 +547,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_common(args)
         return args.handler(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DensedivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # One short line: integers past 20 digits in 6-digit e-notation.
+        text = re.sub(r"(?<![\d.])\d{21,}(?![\d.])",
+                      lambda m: f"{Decimal(m[0]):.5e}", str(exc))
+        print(f"error: {text}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigurationError) else 1
 
 
 def run() -> int:

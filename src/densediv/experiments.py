@@ -96,8 +96,8 @@ def _validate_grid(xs: list[int]) -> None:
         raise ConfigurationError("x grid must be nonempty")
     if any(x < 1 for x in xs):
         raise DomainError(f"grid values must be >= 1, got {xs}")
-    if list(xs) != sorted(xs):
-        raise ConfigurationError(f"x grid must be ascending, got {xs}")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ConfigurationError(f"x grid must be strictly ascending, got {xs}")
     if xs[-1] > _MAX_X:
         raise DomainError(f"grid max {xs[-1]} exceeds the {_MAX_X} ceiling")
 

@@ -16,13 +16,14 @@ One production traversal and one reference:
   largest prime of n, which it never builds as rows.  Every prime count
   of the walk and its tallies, pi(min(theta(n), x // n)) for the
   admissible primes, pi(isqrt(x // n)) for the leaf split, the leaves
-  above n_min and the divisor filters, reads one bit-packed
-  arith.prime_counter over the walk's primes.  Counts, moment
-  histograms and the identity sums tally those ranges in bulk; member
-  columns, the tau-order experiment, the weight series and the identity
-  sums' take-back below theta_min read ``_member_chunks``, which expands
-  them with the walk's own builder ``_children``; member_columns sorts
-  them by n, the others read them unsorted.  The walk's columns are
+  above n_min and the divisor filters, reads the bit-packed pi of
+  arith.prime_counter, whose one sieve of the odd numbers gives the
+  walk's primes and pi's words.  Counts, moment histograms and the
+  identity sums tally those ranges in bulk; member columns, the
+  tau-order experiment, the weight series and the identity sums'
+  take-back below theta_min read ``_member_chunks``, which expands them
+  with the walk's own builder ``_children``; member_columns sorts them by
+  n, the others read them unsorted.  The walk's columns are
   int64 for every accepted query (the sieve cap keeps x below 2^62, and
   sigma columns stop at x < 2^60); a dense threshold n*t_num past int64
   is formed in Python ints for the few rows that need it.
@@ -303,9 +304,9 @@ def _children(blk, lo, cnt, primes) -> Iterator[dict[str, np.ndarray]]:
 def _frontier(
     family: ThetaFamily, x: int, stats: bool = False, sigma: bool = False
 ) -> tuple[np.ndarray, Callable, Iterator[tuple]]:
-    """(primes, pi, blocks) for a walk over the members n <= x.  The primes
-    are sieved here, and a prime bound past SIEVE_LIMIT_CAP is refused
-    first.  pi is their prime_counter, the walk's one prime count: every
+    """(primes, pi, blocks) for a walk over the members n <= x.  One
+    prime_counter sieve gives the primes and pi, after a prime bound past
+    SIEVE_LIMIT_CAP is refused.  pi is the walk's one prime count: every
     count of primes below a bound, here and in the tallies, reads it.
 
     blocks yields every built block once, as (level, blk, mid, hi): the
@@ -334,8 +335,7 @@ def _frontier(
     sigma = sigma or family.kind == "practical"
     if sigma and x >= _SIGMA_X_CAP:
         raise ResourceCapError(f"x={x} exceeds the sigma-column cap 2^60")
-    primes = primes_up_to(bound)
-    pi = prime_counter(primes, bound)
+    primes, pi = prime_counter(bound)
 
     def blocks() -> Iterator[tuple]:
         # Root n = 1: last = -1 marks "no prime used yet".  No column is
@@ -427,7 +427,7 @@ def _member_chunks(
 
 def _tally_counts(q: int, primes, pi, n, mid, hi) -> int:
     """The rows n and their leaves n*primes[j], j in [mid, hi), that q
-    divides; pi is the walk's prime_counter over primes."""
+    divides; pi counts the primes, both from the walk's prime_counter."""
     leaves = hi - mid
     if q == 1:
         return len(n) + int(leaves.sum())

@@ -49,9 +49,9 @@ from .arith import (
     factorize,
     is_prime,
     prime_counter,
+    primes_up_to,
     rough_count,
     rough_counts,
-    sieve_primes,
 )
 from .constants import EULER_GAMMA
 from .errors import ConfigurationError, DomainError, ResourceCapError, SieveRangeError
@@ -142,9 +142,10 @@ def _weight_chunks(family: ThetaFamily, s: float, limit: int) -> Iterator[tuple]
     The member m = 2^k <= limit (2 <= theta(1) for every rule) is checked
     before any sieve or walk.  That bounds the limit below 2^29, so a
     first walk always finishes quickly and finds the largest threshold,
-    whatever the chunk order; sieve_primes refuses it past the cap, by
-    its exact value.  Else the primes up to it are sieved once, and a
-    second walk yields the terms."""
+    whatever the chunk order; check_sieve_bound refuses it past the cap,
+    by its exact value.  Else one odd-number sieve (prime_counter) up to
+    it gives the primes and their pi words, and a second walk yields the
+    terms."""
     m = 1 << (limit.bit_length() - 1)
     check_sieve_bound(family.threshold_floor(m, 2 * m - 1), "threshold")
     # The practical threshold reads sigma, of the leaves too.
@@ -155,8 +156,8 @@ def _weight_chunks(family: ThetaFamily, s: float, limit: int) -> Iterator[tuple]
         # the chunk's largest threshold, exact in Python ints.
         sig = int(chunk["sigma"].max()) if sigma else None
         top = max(top, family.threshold_floor(int(chunk["n"].max()), sig))
-    primes = sieve_primes(top, "threshold")
-    pi = prime_counter(primes, top)
+    check_sieve_bound(top, "threshold")
+    primes, pi = prime_counter(top)
     prod_pad, mu_pad = _prime_weight_arrays(s, primes)
     for _, chunk in _member_chunks(family, limit, sigma=sigma):
         n = chunk["n"]
@@ -373,7 +374,8 @@ def log_moment_gap(n: int, t: Fraction) -> float:
     if t < 2:
         raise DomainError(f"t must be >= 2, got {t}")
     thr = n * t.numerator // t.denominator
-    primes = sieve_primes(thr, "n*t").astype(np.float64)
+    check_sieve_bound(thr, "n*t")
+    primes = primes_up_to(thr).astype(np.float64)
     mu = float(np.sum(np.log(primes) / (primes - 1.0))) - math.log(n)
     target = math.log(t.numerator / t.denominator) - EULER_GAMMA
     return abs(mu - target)

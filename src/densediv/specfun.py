@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .arith import sieve_primes
+from .arith import check_sieve_bound, primes_up_to
 from .constants import DENSITY_SCALE, EULER_GAMMA
 from .errors import ConfigurationError, DomainError, ResourceCapError
 
@@ -423,7 +423,8 @@ def mertens_product(y: float) -> float:
     """
     if not y >= 2.0:
         raise DomainError(f"y must be >= 2, got {y}")
-    return float(np.multiply.reduce(1.0 - 1.0 / sieve_primes(y, "y")))
+    check_sieve_bound(y, "y")
+    return float(np.multiply.reduce(1.0 - 1.0 / primes_up_to(math.floor(y))))
 
 
 def rough_count_approx(x: float, y: float, w: TabulatedFunction) -> float:

@@ -52,10 +52,15 @@ class TestSieve:
         assert len(t.primes) == 25
         assert t.primes[-1] == 97
 
-    def test_primes_match_reference_sieve(self, table):
-        ref = primes_up_to(10_000)
-        got = table.primes[table.primes <= 10_000]
-        assert np.array_equal(ref, got)
+    @pytest.mark.parametrize(
+        "limit", [0, 1, 2, 3, 4, 127, 128, 129, 1001, 10_000, 65537, 2_000_010]
+    )
+    def test_primes_match_reference_sieve(self, table, limit):
+        # The odd-number sieve against the table's separate sieve, at the
+        # ends of a 64-bit word of odd numbers and at the table limit.
+        got = primes_up_to(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, table.primes[table.primes <= limit])
 
     def test_spf_values(self, table):
         assert table.spf[2] == 2
@@ -72,8 +77,9 @@ class TestSieve:
         assert list(primes_up_to(2)) == [2]
 
     def test_primes_up_to_keeps_one_copy(self):
-        # The 10 MB bool sieve plus one int64 array of the 664,579 primes
-        # (5.3 MB); a second copy of the primes would lift the peak to 20.6 MB.
+        # The 5 MB sieve of the odd numbers, pi's 0.6 MB of words and one
+        # int64 array of the 664,579 primes (5.3 MB) peak at 10.9 MB; a
+        # second copy of the primes would lift the peak past 16 MB.
         tracemalloc.start()
         try:
             primes = primes_up_to(10**7)
@@ -81,36 +87,40 @@ class TestSieve:
         finally:
             tracemalloc.stop()
         assert len(primes) == 664_579
-        assert peak < 18_000_000
+        assert peak < 13_000_000
 
 
 class TestPrimeCounter:
+    """pi against np.searchsorted over the session table's primes, which
+    come from a separate sieve."""
+
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 127, 128, 129, 1000, 65537])
-    def test_every_value(self, limit):
+    def test_every_value(self, table, limit):
         # 127..129 and 65537 sit at the ends of a 64-bit word of odd numbers.
         # Above the limit pi stays pi(limit); below 2 it is 0.
-        primes = primes_up_to(limit)
+        ref = table.primes[table.primes <= limit]
         v = np.arange(-3, limit + 300, dtype=np.int64)
-        got = prime_counter(primes, limit)(v)
+        primes, pi = prime_counter(limit)
+        got = pi(v)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.searchsorted(primes, v, "right"))
+        assert np.array_equal(got, np.searchsorted(ref, v, "right"))
+        assert np.array_equal(primes, ref)
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 1000])
-    def test_scalars_and_far_above(self, limit):
-        primes = primes_up_to(limit)
-        pi = prime_counter(primes, limit)
+    def test_scalars_and_far_above(self, table, limit):
+        ref = table.primes[table.primes <= limit]
+        pi = prime_counter(limit)[1]
         for v in (-1, 0, 1, 2, 3, limit, limit + 1, 2**62):
-            want = int(np.searchsorted(primes, v, "right"))
+            want = int(np.searchsorted(ref, v, "right"))
             assert int(pi(v)) == int(pi(np.int64(v))) == want, v
-        assert pi(np.array([2**62, 2**63 - 1])).tolist() == [len(primes)] * 2
+        assert pi(np.array([2**62, 2**63 - 1])).tolist() == [len(ref)] * 2
 
-    def test_random_sample(self):
-        limit = 10**7
-        primes = primes_up_to(limit)
+    def test_random_sample(self, table):
+        limit = table.limit
         v = np.random.default_rng(20211).integers(0, limit, 200_000, endpoint=True)
         v[:2] = 0, limit
-        got = prime_counter(primes, limit)(v)
-        assert np.array_equal(got, np.searchsorted(primes, v, "right"))
+        got = prime_counter(limit)[1](v)
+        assert np.array_equal(got, np.searchsorted(table.primes, v, "right"))
 
 
 class TestIsPrime:

@@ -552,8 +552,8 @@ class TestExitCodes:
         def refuse(limit):
             raise AssertionError("sieve started")
 
-        monkeypatch.setattr(densediv.arith, "primes_up_to", refuse)
-        monkeypatch.setattr(densediv.generate, "primes_up_to", refuse)
+        monkeypatch.setattr(densediv.arith, "prime_counter", refuse)
+        monkeypatch.setattr(densediv.generate, "prime_counter", refuse)
         code, out, err = run(
             capsys,
             ["identity", "--check", "phi0", "--family", "dense", "--t", "2",
@@ -568,7 +568,7 @@ class TestExitCodes:
         def refuse(limit):
             raise AssertionError("sieve started")
 
-        monkeypatch.setattr(densediv.generate, "primes_up_to", refuse)
+        monkeypatch.setattr(densediv.generate, "prime_counter", refuse)
         code, out, err = run(
             capsys,
             ["enumerate", "--family", "dense", "--t", "2",
@@ -576,6 +576,24 @@ class TestExitCodes:
         )
         assert (code, out) == (1, [])
         assert err == "error: x=2000000000000000000 exceeds the sigma-column cap 2^60\n"
+
+    @pytest.mark.parametrize(
+        "x, shown",
+        [
+            ("1" + "0" * 19, "1" + "0" * 19),
+            ("1" + "0" * 20, "1.00000e+20"),
+            ("123456" + "9" * 395, "1.23457e+400"),
+        ],
+    )
+    def test_long_integers_shortened(self, capsys, x, shown):
+        # Integers of more than 20 digits are named in e-notation, rounded.
+        code, out, err = run(
+            capsys,
+            ["identity", "--check", "phi0", "--family", "dense", "--t", "2",
+             "--x", x],
+        )
+        assert (code, out) == (1, [])
+        assert err == f"error: x={shown} exceeds the identity cap 1000000000000\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -590,8 +608,8 @@ class TestExitCodes:
         def refuse(limit):
             raise AssertionError("sieve started")
 
-        monkeypatch.setattr(densediv.arith, "primes_up_to", refuse)
-        monkeypatch.setattr(densediv.generate, "primes_up_to", refuse)
+        monkeypatch.setattr(densediv.arith, "prime_counter", refuse)
+        monkeypatch.setattr(densediv.generate, "prime_counter", refuse)
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, [])
         assert err.startswith("error:") and err.count("\n") == 1
@@ -652,13 +670,31 @@ class TestExitCodes:
             # a prime q past t is still refused as past t
             (["experiment", "cq-structure", "--t", "3", "--x", "1000",
               "--qs", "5"], 1),
+            # integers past 20 digits are named in e-notation
+            (["identity", "--check", "phi0", "--family", "dense", "--t", "2",
+              "--x", "1e400"], 1),
+            (["identity", "--check", "phik", "--family", "dense", "--t", "2",
+              "--x", "1e400", "--qs", "2"], 1),
+            (["identity", "--check", "lambda0", "--family", "dense", "--t", "2",
+              "--N", "1e400"], 1),
+            (["identity", "--check", "muapprox", "--family", "dense",
+              "--t", "1e400", "--x", "10"], 1),
+            (["experiment", "cq-structure", "--t", "3", "--x", "1e400",
+              "--qs", "2"], 1),
+            (["count", "--family", "dense", "--t", "2", "--x", "1e400"], 1),
+            # a repeated grid point
+            (["experiment", "count-ratio", "--t", "2", "--xs", "100000,100000"], 2),
+            (["experiment", "margenstern", "--xs", "1000,1000"], 2),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
              "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
              "enumerate-sigma-2e18", "enumerate-cells-1e12",
              "lambda0-dense2-2e8", "mu0-practical-1e8", "mu0-shifted2-2^29-1",
              "cq-structure-qs-descending", "cq-structure-qs-4-past-t",
-             "cq-structure-qs-5-past-t"],
+             "cq-structure-qs-5-past-t", "phi0-x-1e400", "phik-x-1e400",
+             "lambda0-N-1e400", "muapprox-t-1e400", "cq-structure-x-1e400",
+             "count-x-1e400", "count-ratio-xs-repeated",
+             "margenstern-xs-repeated"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         capped_cli(argv, code)

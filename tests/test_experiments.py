@@ -182,16 +182,16 @@ class TestPhiScan:
 
     def test_sieves_each_y_once(self, monkeypatch, w):
         bounds = []
-        sieve = specfun.sieve_primes
+        sieve = specfun.primes_up_to
 
-        def counted(bound, what):
-            bounds.append(bound)
-            return sieve(bound, what)
+        def counted(limit):
+            bounds.append(limit)
+            return sieve(limit)
 
-        monkeypatch.setattr(specfun, "sieve_primes", counted)
+        monkeypatch.setattr(specfun, "primes_up_to", counted)
         xs, ys = [10**3, 10**4, 10**5, 10**6], [100.0, 1000.7, 10_000.0]
         report = phi_approx_scan(xs, ys, w=w)
-        assert sorted(bounds) == ys
+        assert sorted(bounds) == [100, 1000, 10_000]
         assert len(report.rows_for("rough_count")) == 12
 
     def test_validation(self, w):
@@ -268,6 +268,25 @@ class TestCountRatio:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             count_ratio_experiment(2, [100])
+
+
+class TestGrid:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda xs: mean_omega_experiment(2, xs),
+            lambda xs: phi_approx_scan(xs, [10.0]),
+            margenstern_tables,
+            lambda xs: count_ratio_experiment(2, xs),
+        ],
+        ids=["mean-omega", "phi-scan", "margenstern", "count-ratio"],
+    )
+    def test_repeated_point_refused(self, run):
+        # A repeated x would pass count-ratio's stability gate trivially
+        # and leave margenstern's fit with too few distinct points.
+        for xs in ([1000, 1000], [100, 1000, 1000], [100, 100, 1000]):
+            with pytest.raises(ConfigurationError, match="strictly ascending"):
+                run(xs)
 
 
 class TestDeterminism:

@@ -29,7 +29,7 @@ from densediv import (
     iter_members,
     member_columns,
 )
-from densediv.arith import prime_counter, primes_up_to
+from densediv.arith import prime_counter
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
@@ -272,7 +272,7 @@ class TestCollapsedFrontier:
         # The admissible bound min(theta(n), x // n) of the frontier.
         family = ThetaFamily.dense(10**12)
         n = np.array([1, 2, 6, 1000, 999_983], dtype=np.int64)
-        pi = prime_counter(primes_up_to(10**6), 10**6)
+        pi = prime_counter(10**6)[1]
         hi = pi(generate._theta_at_most(family, n, None, 10**6 // n))
         assert hi.tolist() == [78498, 41538, 15225, 168, 0]
         # t >= x: every n <= x is a member.
@@ -378,12 +378,12 @@ class TestMemberColumns:
         # Robin's bound keeps sigma(n) in int64 only for n < 2^60: a sigma
         # column past it is refused before any sieving.
         def refuse(limit):
-            raise AssertionError(f"primes_up_to({limit}) called")
+            raise AssertionError(f"prime_counter({limit}) called")
 
-        monkeypatch.setattr(generate, "primes_up_to", refuse)
+        monkeypatch.setattr(generate, "prime_counter", refuse)
         with pytest.raises(ResourceCapError, match="sigma"):
             member_columns(DENSE2, 2**60, ("n", "sigma"))
-        with pytest.raises(AssertionError, match="primes_up_to"):
+        with pytest.raises(AssertionError, match="prime_counter"):
             member_columns(DENSE2, 2**60 - 1, ("n", "sigma"))
 
     def test_domain_error(self, monkeypatch):
@@ -391,9 +391,9 @@ class TestMemberColumns:
             member_columns(DENSE2, 0, ("n",))
         # An unknown column name is refused before any sieving.
         def refuse(limit):
-            raise AssertionError(f"primes_up_to({limit}) called")
+            raise AssertionError(f"prime_counter({limit}) called")
 
-        monkeypatch.setattr(generate, "primes_up_to", refuse)
+        monkeypatch.setattr(generate, "prime_counter", refuse)
         with pytest.raises(ConfigurationError, match="'bogus'"):
             member_columns(DENSE2, 100, ("n", "bogus"))
 
