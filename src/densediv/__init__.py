@@ -22,10 +22,9 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("arith", (
-            "FactorStats", "PrimePowerFactorization", "SpfTable",
-            "build_spf_table", "divisor_ratio_bound", "factor_stats",
-            "factorize", "is_prime", "primes_up_to", "rough_count",
-            "rough_counts",
+            "FactorStats", "SpfTable", "build_spf_table",
+            "divisor_ratio_bound", "factor_stats", "factorize", "is_prime",
+            "primes_up_to", "rough_count", "rough_counts",
         )),
         ("constants", (
             "DENSITY_SCALE", "EULER_GAMMA", "ConstantsBundle",

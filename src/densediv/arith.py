@@ -81,10 +81,17 @@ def prime_counter(limit: int) -> tuple[np.ndarray, Callable]:
     packed: bit b of word w marks 128*w + 2*b + 1 as prime, before[w]
     counts the odd primes below word w, and pi(v) adds the bits of v's word
     up to v (np.bitwise_count) and the prime 2; limit/8 bytes in all.
-    Raises ResourceCapError if the sieve or the primes cannot be allocated.
+    The peak, at np.flatnonzero, is the sieve, its words and 8 bytes a
+    prime (pi(L) <= L/ln L * (1 + 1.2762/ln L), Dusart); one buffer that
+    size is reserved first, so a limit whose peak cannot be held raises
+    ResourceCapError before the sieve starts.
     """
+    sieve = 64 * (limit // 128 + 1)
+    ln = math.log(max(limit, 2))
+    peak = sieve + sieve // 8 + 8 * math.ceil(limit / ln * (1 + 1.2762 / ln))
     try:
-        flags = np.zeros(64 * (limit // 128 + 1), dtype=bool)
+        np.empty(peak, dtype=np.uint8)  # freed untouched: no page is mapped
+        flags = np.zeros(sieve, dtype=bool)
         flags[1 : (limit + 1) // 2] = True  # the odd numbers 3..limit
         for p in range(3, math.isqrt(limit) + 1, 2):
             if flags[p >> 1]:
@@ -96,8 +103,8 @@ def prime_counter(limit: int) -> tuple[np.ndarray, Callable]:
         before = np.cumsum(np.bitwise_count(words), dtype=np.int64)
     except MemoryError:
         raise ResourceCapError(
-            f"out of memory sieving the primes up to {limit} (the sieve of "
-            f"the odd numbers alone asks for {64 * (limit // 128 + 1)} bytes)"
+            f"out of memory sieving the primes up to {limit} ({peak} bytes "
+            f"reserved for the sieve, its words and the primes)"
         ) from None
     primes <<= 1
     primes += 1
@@ -164,30 +171,22 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PrimePowerFactorization:
-    """n as an ascending tuple of (prime, exponent) pairs; empty for n = 1."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class FactorStats:
     """Multiplicative statistics of one integer.
 
     omega/big_omega count distinct/with-multiplicity prime factors; tau and
-    sigma are the divisor count and divisor sum; p_max is 1 for n = 1.
+    sigma are the divisor count and divisor sum.
     """
 
     omega: int
     big_omega: int
     tau: int
     sigma: int
-    p_max: int
 
 
-def factorize(n: int, table: SpfTable) -> PrimePowerFactorization:
-    """Factor n using the smallest-prime-factor table (1 <= n <= limit)."""
+def factorize(n: int, table: SpfTable) -> tuple[tuple[int, int], ...]:
+    """n as the ascending tuple of its (prime, exponent) pairs, from the
+    smallest-prime-factor table (1 <= n <= limit); empty for n = 1."""
     if n < 1:
         raise SieveRangeError(f"n must be positive, got {n}")
     if n > table.limit:
@@ -202,35 +201,34 @@ def factorize(n: int, table: SpfTable) -> PrimePowerFactorization:
             m //= p
             e += 1
         factors.append((p, e))
-    return PrimePowerFactorization(n=n, factors=tuple(factors))
+    return tuple(factors)
 
 
-def factor_stats(f: PrimePowerFactorization) -> FactorStats:
-    """Exact omega, big-omega, tau, sigma and largest prime factor of f.n."""
-    omega = len(f.factors)
+def factor_stats(factors: tuple[tuple[int, int], ...]) -> FactorStats:
+    """Exact omega, big-omega, tau and sigma of the integer whose ascending
+    (prime, exponent) pairs are factors, as factorize returns them."""
     big_omega = 0
     tau = 1
     sigma = 1
-    for p, e in f.factors:
+    for p, e in factors:
         big_omega += e
         tau *= e + 1
         sigma *= (p ** (e + 1) - 1) // (p - 1)
-    p_max = f.factors[-1][0] if f.factors else 1
     return FactorStats(
-        omega=omega, big_omega=big_omega, tau=tau, sigma=sigma, p_max=p_max
+        omega=len(factors), big_omega=big_omega, tau=tau, sigma=sigma
     )
 
 
-def divisor_ratio_bound(f: PrimePowerFactorization) -> int:
-    """The functional F(n) = max over j of p_j^2 * p_{j+1} * ... * p_k, with
-    the prime factors listed ascending with multiplicity.
+def divisor_ratio_bound(factors: tuple[tuple[int, int], ...]) -> int:
+    """The functional F(n) = max over j of p_j^2 * p_{j+1} * ... * p_k, over
+    factorize's pairs of n, the primes listed ascending with multiplicity.
 
     F(n)/n equals the largest ratio of consecutive divisors of n, so n has
     all divisor ratios <= t exactly when F(n) <= n*t.  F(1) = 1 (empty max).
     """
     best = 1
     suffix = 1
-    for p, e in reversed(f.factors):
+    for p, e in reversed(factors):
         for _ in range(e):
             cand = p * p * suffix
             if cand > best:

@@ -376,7 +376,6 @@ def _report_json(report: ExperimentReport) -> list[str]:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import (
-        ExperimentReport,
         concentration_experiment,
         count_ratio_experiment,
         cq_structure_experiment,
@@ -394,10 +393,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _require(args, "t", "xs")
         if args.xi < 1.0:
             raise ConfigurationError(f"--xi must be >= 1 for concentration, got {args.xi}")
-        parts = [concentration_experiment(parse_t(args.t), x, args.xi) for x in args.xs]
-        verdict = "fail" if any(p.failed for p in parts) else "pass"
-        rows = tuple(row for part in parts for row in part.rows)
-        report = ExperimentReport("concentration", rows, verdict)
+        report = concentration_experiment(parse_t(args.t), args.xs, args.xi)
     elif name == "cq-structure":
         _require(args, "t", "x", "qs")
         report = cq_structure_experiment(parse_t(args.t), args.x, args.qs)
@@ -556,7 +552,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> int:
-    """Process entry point (``python -m densediv.cli`` and the ``densediv``
+    """Process entry point (``python -m densediv.cli``, and through
+    ``densediv.__main__`` ``python -m densediv`` and the ``densediv``
     console script): main() with the import-time heap frozen and a stdout
     closed by its reader handled; returns the exit status."""
     # Objects made by the imports live until exit, so neither the run's

@@ -138,43 +138,46 @@ def mean_omega_experiment(t: Fraction | int | str, xs: list[int]) -> ExperimentR
 
 
 def concentration_experiment(
-    t: Fraction | int | str, x: int, xi: float
+    t: Fraction | int | str, xs: list[int], xi: float
 ) -> ExperimentReport:
     """Fraction of members whose omega deviates more than xi standard scales.
 
-    measured = fraction with ``|omega - E| > xi sqrt(ln ln x)``; the gate is
-    ``min(1, 3/xi^2)`` (the 3 pinned by calibration).  Two report-only rows
-    carry the variance of omega (reference ``3 ln ln x``) and the tail
-    fraction with ``Omega >= 3 ln ln x``.
+    Per x of the grid: measured = fraction with ``|omega - E| > xi sqrt(ln
+    ln x)`` against the gate ``min(1, 3/xi^2)`` (the 3 pinned by
+    calibration), and two report-only rows with the variance of omega
+    (reference ``3 ln ln x``) and the tail fraction with ``Omega >= 3 ln ln
+    x``.  Rows come in grid order; fails when any x exceeds its gate.
     """
-    if x < 1 or x > _MAX_X:
-        raise DomainError(f"x must be in [1, {_MAX_X}], got {x}")
+    _validate_grid(xs)
     if xi < 1.0:
         raise DomainError(f"xi must be >= 1, got {xi}")
     family = ThetaFamily.dense(t)
     tf = family.t_float
-    expected = expected_distinct_factors(x, tf)
-    summary = collect_moments(family, x)
-    fraction = summary.exceed_fraction(expected, deviation_bound(x, xi))
     bound = min(1.0, 3.0 / (xi * xi))
-    loglog = math.log(math.log(x))
-    tail_start = _BIG_OMEGA_TAIL_FACTOR * loglog
-    tail = sum(
-        v for k, v in summary.histogram_big_omega.items() if k >= tail_start
-    ) / summary.count
-    rows = (
-        ReportRow(
-            x, tf, 0, fraction, bound, _rel_err(fraction, bound),
-            "exceedance_fraction",
-        ),
-        ReportRow(
-            x, tf, 0, summary.variance_omega, 3.0 * loglog,
-            _rel_err(summary.variance_omega, 3.0 * loglog), "variance_omega",
-        ),
-        ReportRow(x, tf, 0, tail, 0.0, 0.0, "big_omega_tail_fraction"),
-    )
-    verdict = "pass" if fraction <= bound else "fail"
-    return ExperimentReport("concentration", rows, verdict)
+    rows: list[ReportRow] = []
+    ok = True
+    for x in xs:
+        expected = expected_distinct_factors(x, tf)
+        summary = collect_moments(family, x)
+        fraction = summary.exceed_fraction(expected, deviation_bound(x, xi))
+        loglog = math.log(math.log(x))
+        tail = sum(
+            v for k, v in summary.histogram_big_omega.items()
+            if k >= _BIG_OMEGA_TAIL_FACTOR * loglog
+        ) / summary.count
+        rows += [
+            ReportRow(
+                x, tf, 0, fraction, bound, _rel_err(fraction, bound),
+                "exceedance_fraction",
+            ),
+            ReportRow(
+                x, tf, 0, summary.variance_omega, 3.0 * loglog,
+                _rel_err(summary.variance_omega, 3.0 * loglog), "variance_omega",
+            ),
+            ReportRow(x, tf, 0, tail, 0.0, 0.0, "big_omega_tail_fraction"),
+        ]
+        ok = ok and fraction <= bound
+    return ExperimentReport("concentration", tuple(rows), "pass" if ok else "fail")
 
 
 def cq_structure_experiment(
@@ -256,6 +259,8 @@ def phi_approx_scan(
     _validate_grid(x_grid)
     if not y_grid or not all(y >= 2 for y in y_grid):
         raise DomainError(f"y grid values must be >= 2, got {y_grid}")
+    if any(a >= b for a, b in zip(y_grid, y_grid[1:])):
+        raise ConfigurationError(f"y grid must be strictly ascending, got {y_grid}")
     check_sieve_bound(max(y_grid), "y")
     if w is None:
         w = tabulate_buchstab(SolverConfig())
@@ -299,7 +304,7 @@ def margenstern_tables(xs: list[int]) -> ExperimentReport:
         raise ConfigurationError("need at least two grid points for the fit")
     if xs[0] < 3:
         raise DomainError(f"grid values must be >= 3, where C ln ln x > 0; got {xs}")
-    family = ThetaFamily.practical()
+    family = ThetaFamily("practical")
     rows: list[ReportRow] = []
     loglog = []
     log_tau_density = []
@@ -354,7 +359,7 @@ def tau_normal_order_experiment(x: int) -> ExperimentReport:
         np.log(cols["tau"].astype(np.float64))
         / np.log(np.log(cols["n"].astype(np.float64)))
         for _, cols in _member_chunks(
-            ThetaFamily.practical(), x, n_min=x // 2, stats=True
+            ThetaFamily("practical"), x, n_min=x // 2, stats=True
         )
     ])
     # np.median's float, the mean of the middle one or two ratios after a

@@ -73,18 +73,6 @@ class ThetaFamily:
         frac = t if isinstance(t, Fraction) else parse_t(str(t))
         return cls(kind="dense", t_num=frac.numerator, t_den=frac.denominator)
 
-    @classmethod
-    def practical(cls) -> "ThetaFamily":
-        return cls(kind="practical")
-
-    @classmethod
-    def shifted_one(cls) -> "ThetaFamily":
-        return cls(kind="shifted1")
-
-    @classmethod
-    def shifted_two(cls) -> "ThetaFamily":
-        return cls(kind="shifted2")
-
     @property
     def t(self) -> Fraction:
         if self.kind != "dense":
@@ -123,12 +111,9 @@ def is_member(n: int, family: ThetaFamily, table: SpfTable) -> bool:
     the threshold of the product of all smaller-prime full powers."""
     from .arith import factorize
 
-    if n == 1:
-        return True
-    f = factorize(n, table)
     m = 1
     sigma_m = 1
-    for p, e in f.factors:
+    for p, e in factorize(n, table):
         if p > family.threshold_floor(m, sigma_m):
             return False
         m *= p**e

@@ -73,7 +73,6 @@ class MemberRecord:
     big_omega: int
     tau: int
     sigma: int
-    p_max: int
 
 
 @dataclass
@@ -166,7 +165,7 @@ def iter_members(family: ThetaFamily, x: int) -> Iterator[MemberRecord]:
     (primes ascending, exponents ascending; not ascending by n)."""
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    yield MemberRecord(1, 0, 0, 1, 1, 1)
+    yield MemberRecord(1, 0, 0, 1, 1)
     primes = primes_up_to(_prime_limit(family, x)).tolist()
     threshold_floor = family.threshold_floor
     nprimes = len(primes)
@@ -188,7 +187,7 @@ def iter_members(family: ThetaFamily, x: int) -> Iterator[MemberRecord]:
             pp = 1 + p
             e = 1
             while m <= x:
-                yield MemberRecord(m, om + 1, bo + e, tau * (e + 1), sig * pp, p)
+                yield MemberRecord(m, om + 1, bo + e, tau * (e + 1), sig * pp)
                 push((m, sig * pp, om + 1, bo + e, tau * (e + 1), i + 1))
                 m *= p
                 pp = pp * p + 1

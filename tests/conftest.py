@@ -98,7 +98,7 @@ def fresh_native(monkeypatch):
 
 
 # What the densediv console script runs.
-CONSOLE_SCRIPT = "import sys; from densediv.cli import run; sys.exit(run())"
+CONSOLE_SCRIPT = "import sys; from densediv.__main__ import main; sys.exit(main())"
 
 
 def csv_entry(min_x, console=False):

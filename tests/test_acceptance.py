@@ -50,7 +50,7 @@ from conftest import ACCEPTANCE_LINES
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE3 = ThetaFamily.dense(3)
-PRACTICAL = ThetaFamily.practical()
+PRACTICAL = ThetaFamily("practical")
 
 #: (label, stdout from --threads 1, stdout from --threads 4) per CLI run,
 #: accumulated by criteria 4-7 and compared byte-for-byte by criterion 9.

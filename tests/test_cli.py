@@ -36,6 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 PACKAGE = ROOT / "src" / "densediv"
 
+# The prime bound 2.1e9 passes the 2^31 cap, but the sieve and its primes
+# do not fit under the 2 GiB address-space limit.
+COUNT_SIEVE_2_1E9 = ["count", "--family", "dense", "--t", "1000000000000",
+                     "--x", "2100000000"]
+
 
 DENSE2 = ["--family", "dense", "--t", "2"]
 ENUMERATE_3E6 = ["enumerate", *DENSE2, "--x", "3000000"]
@@ -633,10 +638,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            # the prime bound 2.1e9 passes the 2^31 cap, but its 2.1 GB
-            # sieve does not fit under the 2 GiB address-space limit
-            (["count", "--family", "dense", "--t", "1000000000000",
-              "--x", "2100000000"], 1),
+            (COUNT_SIEVE_2_1E9, 1),
             (["dfun", "--vmax", "nan"], 2),
             (["dfun", "--vmax", "inf"], 2),
             (["dfun", "--vmax", "1e9"], 1),  # past the grid-point cap
@@ -685,6 +687,9 @@ class TestExitCodes:
             # a repeated grid point
             (["experiment", "count-ratio", "--t", "2", "--xs", "100000,100000"], 2),
             (["experiment", "margenstern", "--xs", "1000,1000"], 2),
+            (["experiment", "concentration", "--t", "2", "--xs", "1000,1000"], 2),
+            (["experiment", "concentration", "--t", "2", "--xs", "10000,1000"], 2),
+            (["experiment", "phi-scan", "--xs", "100000", "--ys", "100,100"], 2),
         ],
         ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
              "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
@@ -694,10 +699,13 @@ class TestExitCodes:
              "cq-structure-qs-5-past-t", "phi0-x-1e400", "phik-x-1e400",
              "lambda0-N-1e400", "muapprox-t-1e400", "cq-structure-x-1e400",
              "count-x-1e400", "count-ratio-xs-repeated",
-             "margenstern-xs-repeated"],
+             "margenstern-xs-repeated", "concentration-xs-repeated",
+             "concentration-xs-descending", "phi-scan-ys-repeated"],
     )
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
-        capped_cli(argv, code)
+        # The sieve's peak is reserved before it starts, so its refusal
+        # takes well under a second.
+        capped_cli(argv, code, timeout=10 if argv is COUNT_SIEVE_2_1E9 else 120)
 
     def test_verbose_banner(self, capsys):
         code, _, err = run(
@@ -1151,7 +1159,20 @@ def test_process_entry_flushes_and_renames(capsys, capped_cli, tmp_path, csv_fil
 
 def test_console_script_is_the_process_entry():
     project = (ROOT / "pyproject.toml").read_text()
-    assert '\n[project.scripts]\ndensediv = "densediv.cli:run"\n' in project
+    assert '\n[project.scripts]\ndensediv = "densediv.__main__:main"\n' in project
+    # The script runs the CLI as python -m densediv.cli does, so constants
+    # loads no numpy.
+    script = (
+        "import sys\nfrom densediv.__main__ import main\n"
+        "try:\n    main()\n"
+        "finally:\n    print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "constants"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith(b"gamma ")
+    assert proc.stderr == b"False\n"
 
 
 def _closes_after_one_line(command):

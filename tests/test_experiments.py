@@ -77,14 +77,14 @@ class TestMeanOmega:
 
 class TestConcentration:
     def test_wide_band_passes(self):
-        report = concentration_experiment(2, 10_000, 50.0)
+        report = concentration_experiment(2, [10_000], 50.0)
         frac = report.rows_for("exceedance_fraction")[0]
         assert frac.measured == 0.0
         assert frac.predicted == pytest.approx(3.0 / 2500.0, rel=1e-12)
         assert report.verdict == "pass"
 
     def test_variance_and_tail_rows(self):
-        report = concentration_experiment(2, 10_000, 4.0)
+        report = concentration_experiment(2, [10_000], 4.0)
         var = report.rows_for("variance_omega")[0]
         assert var.measured == pytest.approx(0.554588, abs=1e-5)
         assert var.predicted == pytest.approx(3 * math.log(math.log(10_000)), rel=1e-12)
@@ -93,9 +93,9 @@ class TestConcentration:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            concentration_experiment(2, 0, 4.0)
+            concentration_experiment(2, [0], 4.0)
         with pytest.raises(DomainError):
-            concentration_experiment(2, 1000, 0.5)
+            concentration_experiment(2, [1000], 0.5)
 
 
 class TestCqStructure:
@@ -275,11 +275,15 @@ class TestGrid:
         "run",
         [
             lambda xs: mean_omega_experiment(2, xs),
+            lambda xs: concentration_experiment(2, xs, 4.0),
             lambda xs: phi_approx_scan(xs, [10.0]),
+            # the same grids as y values, at one x
+            lambda ys: phi_approx_scan([100_000], ys),
             margenstern_tables,
             lambda xs: count_ratio_experiment(2, xs),
         ],
-        ids=["mean-omega", "phi-scan", "margenstern", "count-ratio"],
+        ids=["mean-omega", "concentration", "phi-scan", "phi-scan-ys",
+             "margenstern", "count-ratio"],
     )
     def test_repeated_point_refused(self, run):
         # A repeated x would pass count-ratio's stability gate trivially

@@ -48,17 +48,17 @@ class TestThetaFamily:
     def test_threshold_floor(self, table):
         dense = ThetaFamily.dense(Fraction(5, 2))
         assert dense.threshold_floor(5, 0) == 12  # floor(25/2)
-        practical = ThetaFamily.practical()
+        practical = ThetaFamily("practical")
         st = factor_stats(factorize(12, table))
         assert practical.threshold_floor(12, st.sigma) == 29  # sigma(12)+1
-        assert ThetaFamily.shifted_one().threshold_floor(10, 0) == 11
-        assert ThetaFamily.shifted_two().threshold_floor(10, 0) == 12
+        assert ThetaFamily("shifted1").threshold_floor(10, 0) == 11
+        assert ThetaFamily("shifted2").threshold_floor(10, 0) == 12
 
     def test_t_float(self):
         assert ThetaFamily.dense(Fraction(5, 2)).t_float == 2.5
         # Only the quotient must fit: the numerator alone is past the range.
         assert ThetaFamily.dense(Fraction(2 * 10**400 + 1, 10**400)).t_float == 2.0
-        assert ThetaFamily.practical().t_float == 0.0
+        assert ThetaFamily("practical").t_float == 0.0
         with pytest.raises(DomainError, match="float range"):
             ThetaFamily.dense("1e400").t_float
 
@@ -81,7 +81,7 @@ class TestMembershipOracles:
     def test_practical_against_subset_sums(self, table):
         for n in range(1, 3001):
             assert is_member(
-                n, ThetaFamily.practical(), table
+                n, ThetaFamily("practical"), table
             ) == is_practical_by_subset_sums(n), n
 
     def test_known_practical_prefix(self, table):
@@ -89,7 +89,7 @@ class TestMembershipOracles:
         known = [1, 2, 4, 6, 8, 12, 16, 18, 20, 24, 28, 30, 32, 36, 40, 42,
                  48, 54, 56, 60, 64, 66, 72, 78, 80, 84, 88, 90, 96, 100]
         got = [n for n in range(1, 101)
-               if is_member(n, ThetaFamily.practical(), table)]
+               if is_member(n, ThetaFamily("practical"), table)]
         assert got == known
 
     def test_known_two_dense_prefix(self, table):
@@ -110,20 +110,20 @@ class TestContainments:
 
     def test_two_dense_subset_of_practical(self, table):
         dense = ThetaFamily.dense(2)
-        practical = ThetaFamily.practical()
+        practical = ThetaFamily("practical")
         for n in range(1, 5001):
             if is_member(n, dense, table):
                 assert is_member(n, practical, table), n
 
     def test_shifted_one_subset_of_shifted_two(self, table):
-        one, two = ThetaFamily.shifted_one(), ThetaFamily.shifted_two()
+        one, two = ThetaFamily("shifted1"), ThetaFamily("shifted2")
         for n in range(1, 5001):
             if is_member(n, one, table):
                 assert is_member(n, two, table), n
 
     def test_members_above_one_are_even(self, table):
         # theta(1) = 2 for these families, so the first prime must be 2
-        for family in (ThetaFamily.dense(2), ThetaFamily.practical(),
-                       ThetaFamily.shifted_one()):
+        for family in (ThetaFamily.dense(2), ThetaFamily("practical"),
+                       ThetaFamily("shifted1")):
             for n in range(3, 2001, 2):
                 assert not is_member(n, family, table), (family.kind, n)

@@ -33,9 +33,9 @@ from densediv.arith import prime_counter
 
 DENSE2 = ThetaFamily.dense(2)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
-PRACTICAL = ThetaFamily.practical()
-SHIFTED1 = ThetaFamily.shifted_one()
-SHIFTED2 = ThetaFamily.shifted_two()
+PRACTICAL = ThetaFamily("practical")
+SHIFTED1 = ThetaFamily("shifted1")
+SHIFTED2 = ThetaFamily("shifted2")
 
 ALL_FAMILIES = [DENSE2, DENSE52, PRACTICAL, SHIFTED1, SHIFTED2]
 COLLAPSE_FAMILIES = [
@@ -132,12 +132,11 @@ class TestIterMembers:
     def test_record_fields(self, table):
         for rec in iter_members(DENSE2, 2000):
             st = factor_stats(factorize(rec.n, table))
-            assert (rec.omega, rec.big_omega, rec.tau, rec.sigma, rec.p_max) == (
+            assert (rec.omega, rec.big_omega, rec.tau, rec.sigma) == (
                 st.omega,
                 st.big_omega,
                 st.tau,
                 st.sigma,
-                st.p_max,
             ), rec.n
 
     def test_domain_error(self):

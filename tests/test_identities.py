@@ -37,7 +37,7 @@ from densediv.arith import PRIME_SIEVE_CAP
 DENSE2 = ThetaFamily.dense(2)
 DENSE3 = ThetaFamily.dense(3)
 DENSE52 = ThetaFamily.dense(Fraction(5, 2))
-PRACTICAL = ThetaFamily.practical()
+PRACTICAL = ThetaFamily("practical")
 
 # Families of the table-free parity checks: the four kinds, plus a dense t
 # whose thresholds need Python ints (n * t_num >= 2^63 for n >= 2).
@@ -45,8 +45,8 @@ SERIES_FAMILIES = [
     DENSE2,
     DENSE52,
     PRACTICAL,
-    ThetaFamily.shifted_one(),
-    ThetaFamily.shifted_two(),
+    ThetaFamily("shifted1"),
+    ThetaFamily("shifted2"),
     ThetaFamily.dense(Fraction(2**62 + 1, 2**61)),
 ]
 SERIES_IDS = ["dense2", "dense5_2", "practical", "shifted1", "shifted2", "dense_big"]
@@ -148,8 +148,8 @@ class TestFloorQuotientPath:
         [
             DENSE2,
             PRACTICAL,
-            ThetaFamily.shifted_one(),
-            ThetaFamily.shifted_two(),
+            ThetaFamily("shifted1"),
+            ThetaFamily("shifted2"),
             ThetaFamily.dense(Fraction(2**62 + 1, 2**61)),
         ],
         ids=["dense2", "practical", "shifted1", "shifted2", "dense_big"],

@@ -199,3 +199,14 @@ def test_csv_rows_only_on_contiguous_int64():
         assert list(cli._int_blocks((column,), refuse)) == want
     with pytest.raises(ValueError):  # columns of unequal length
         list(cli._int_blocks((base[:10], base[:9]), refuse))
+
+
+def test_every_c_source_is_package_data():
+    # A source missing from the wheel leaves _native without it, and its
+    # kernel silently falls back to numpy.
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        listed = tomllib.load(handle)["tool"]["setuptools"]["package-data"]
+    sources = glob.glob("*.c", root_dir=os.path.join(root, "src", "densediv"))
+    assert sources and set(sources) <= set(listed["densediv"])

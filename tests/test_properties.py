@@ -40,7 +40,7 @@ FAMILIES = st.one_of(
     st.fractions(min_value=2, max_value=50, max_denominator=100).map(ThetaFamily.dense),
     INT64_UNSAFE_T.map(ThetaFamily.dense),
     st.sampled_from(
-        [ThetaFamily.practical(), ThetaFamily.shifted_one(), ThetaFamily.shifted_two()]
+        [ThetaFamily("practical"), ThetaFamily("shifted1"), ThetaFamily("shifted2")]
     ),
 )
 XS = st.integers(min_value=1, max_value=10**5)
