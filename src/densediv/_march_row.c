@@ -9,6 +9,11 @@
  * floor; the caller passes w tables of fewer than 2^31 points only. */
 #include <stdint.h>
 
+#if defined(__AVX512F__) && defined(__GNUC__) && !defined(__clang__)
+/* gcc keeps 256-bit vectors by default; 512 runs both gathers 8 wide. */
+#pragma GCC target("prefer-vector-width=512")
+#endif
+
 /* numpy's float64 pairwise_sum: under 8 terms a plain loop, up to 128
  * eight accumulators, above that two halves split at a multiple of 8. */
 static double pairwise_sum(const double *a, int64_t n)

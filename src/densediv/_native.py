@@ -29,6 +29,8 @@ import shutil
 # vectorises the density-march fill only with -fvect-cost-model=dynamic
 # (-O3 does too, but builds in 2 to 3 times as long); -ffp-contract=off
 # and no fast-math keep each float operation as the numpy path does it.
+# The march's 512-bit vector preference is a pragma in _march_row.c, as
+# -mprefer-vector-width is an x86-only flag that other gcc targets reject.
 CFLAGS = (
     "-O2", "-march=native", "-fvect-cost-model=dynamic", "-fPIC", "-shared",
     "-ffp-contract=off",

@@ -455,10 +455,13 @@ def count_members_multi(
         raise DomainError(f"x must be >= 1, got {x}")
     if any(q < 1 for q in qs):
         raise DomainError("every divisor filter q must be >= 1")
-    primes, pi, blocks = _frontier(family, x)
-    # q > x divides no member; skipping it keeps every q in int64 range.
+    # q > x divides no member; skipping it keeps every q in int64 range,
+    # and with no q left there is nothing to sieve or walk.
     live_qs = [(k, q) for k, q in enumerate(qs) if q <= x]
     counts = [0] * len(qs)
+    if not live_qs:
+        return counts
+    primes, pi, blocks = _frontier(family, x)
     for _, blk, mid, hi in blocks:
         for k, q in live_qs:
             counts[k] += _tally_counts(q, primes, pi, blk["n"], mid, hi)

@@ -14,8 +14,11 @@ Two tabulated solutions of delay/Volterra equations:
   least ``_native.MARCH_MIN_CELLS`` cells, a small C loop
   (``_march_row.c``, built and loaded by ``_native``) marches whole shares
   of rows on threads: it fills each row's integrand, sums it in numpy's
-  pairwise order and adds the half cell.  The CLI starts that build
-  before it imports numpy, so it compiles while numpy loads.  Elsewhere,
+  pairwise order and adds the half cell.  gcc on an AVX-512 host builds
+  the fill and the sum with 512-bit vectors, so each w gather loads 8
+  lanes at once; cells are independent and each lane keeps its order, so
+  no float changes.  The CLI starts that build before it imports numpy,
+  so it compiles while numpy loads.  Elsewhere,
   or where no C compiler builds it, numpy passes fill each row and Python
   finishes it, serially; both give the same floats.
 
@@ -47,8 +50,9 @@ from .errors import ConfigurationError, DomainError, ResourceCapError
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
 
 #: Most grid points a tabulator builds.  The density march is O(N^2): at
-#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 5.7-5.9 s end to
-#: end on 2 CPUs of an x86-64 box (39 s with the serial numpy row fill).
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 3.0-3.3 s end to
+#: end on 2 CPUs of an AVX-512 x86-64 box (39 s with the serial numpy row
+#: fill).
 GRID_POINTS_CAP = 2**17
 
 # Most threads one density-kernel wave is split over.
@@ -62,6 +66,7 @@ _QUADRATURES = ("trapezoid", "simpson")
 class TabulatedFunction:
     """Uniformly sampled function with linear interpolation.
 
+    Every field is finite, and a NaN argument raises DomainError.
     Evaluation below ``u_min`` returns 0.0.  Evaluation above
     the last grid point follows the tail rule: ``tail_value`` itself when
     ``tail_kind == "constant"``, or the decaying curve ``tail_value/(u+1)``
@@ -77,8 +82,15 @@ class TabulatedFunction:
     tail_value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise ConfigurationError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ConfigurationError(
+                f"step must be positive and finite, got {self.step}"
+            )
+        if not (math.isfinite(self.u_min) and math.isfinite(self.tail_value)):
+            raise ConfigurationError(
+                f"u_min and tail_value must be finite, got {self.u_min}"
+                f" and {self.tail_value}"
+            )
         if len(self.values) < 2:
             raise ConfigurationError("need at least two grid values")
         if not np.all(np.isfinite(self.values)):
@@ -97,6 +109,8 @@ class TabulatedFunction:
         return self.u_min + self.step * np.arange(len(self.values))
 
     def __call__(self, u: float) -> float:
+        if math.isnan(u):
+            raise DomainError("u must be a number, got nan")
         if u < self.u_min:
             return 0.0
         pos = (u - self.u_min) / self.step
@@ -440,8 +454,8 @@ def rough_count_approx(x: float, y: float, w: TabulatedFunction) -> float:
     """
     if not y >= 2.0:
         raise DomainError(f"y must be >= 2, got {y}")
-    if math.isnan(x):
-        raise DomainError("x must be a number, got nan")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     return _rough_main_term(x, y, mertens_product(y), w)
 
 

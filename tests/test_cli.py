@@ -99,6 +99,15 @@ class TestCount:
         code, out, _ = run(capsys, ["count", "--family", "practical", "--x", "20"])
         assert (code, out) == (0, ["9"])
 
+    def test_q_past_x_counts_zero_past_the_sieve_cap(self, capsys):
+        # The prime bound of t = 1e12 at x = 3e9 passes the sieve cap, but
+        # q > x divides no member, so nothing is sieved.
+        code, out, err = run(
+            capsys, ["count", "--family", "dense", "--t", "1e12", "--x", "3e9",
+                     "--q", "4e9"]
+        )
+        assert (code, out, err) == (0, ["0"], "")
+
     def test_engines_agree(self, capsys):
         base = ["count", "--family", "dense", "--t", "5/2", "--x", "150000"]
         _, out_py, _ = run(capsys, base + ["--engine", "python"])

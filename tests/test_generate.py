@@ -161,6 +161,18 @@ class TestCounts:
         with pytest.raises(DomainError):
             count_members_multi(DENSE2, 20, [1, 0])
 
+    def test_every_q_past_x_walks_nothing(self, monkeypatch):
+        # No q <= x: zero counts without a sieve, even past the sieve cap.
+        def refuse(*args, **kwargs):
+            raise AssertionError("_frontier called")
+
+        monkeypatch.setattr(generate, "_frontier", refuse)
+        assert count_members_multi(PRACTICAL, 10**11, [2 * 10**11]) == [0]
+        family = ThetaFamily.dense(10**12)
+        assert count_members_multi(family, 3 * 10**9, [4 * 10**9, 2**70]) == [0, 0]
+        with pytest.raises(AssertionError):
+            count_members_multi(DENSE2, 20, [21, 20])
+
     def test_multi_matches_single(self):
         qs = [1, 3, 4]
         multi = count_members_multi(DENSE52, 50_000, qs)

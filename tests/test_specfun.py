@@ -82,6 +82,12 @@ class TestTabulatedFunction:
             self.make(values=np.array([1.0, math.nan]))
         with pytest.raises(ConfigurationError):
             self.make(tail_kind="linear")
+        for field in ("u_min", "step", "tail_value"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigurationError):
+                    self.make(**{field: bad})
+        with pytest.raises(DomainError):
+            self.make()(math.nan)
 
 
 class TestSolverConfig:
@@ -472,3 +478,6 @@ class TestRoughCountApprox:
             rough_count_approx(100.0, math.nan, w_table)
         with pytest.raises(DomainError):
             rough_count_approx(math.nan, 10.0, w_table)
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                rough_count_approx(bad, 10.0, w_table)
