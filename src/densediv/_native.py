@@ -5,9 +5,11 @@ A kernel is a C source next to this module, compiled at run time with the
 interpreter's C compiler (``sysconfig``'s CC) into a private temporary
 directory and loaded with ctypes.  ``start(source)`` launches the compiler
 in the background, so a CLI handler can start it before its heavy imports
-and the build runs on another CPU while numpy loads; ``kernel(...)`` waits
-for that build, loads it and caches it per process, or returns None on any
-failure (no compiler, a bad CC, a failed build or load).  Compiler output
+and the build runs on another CPU while numpy loads (``cli.run`` starts
+numpy's OpenBLAS with one thread, so no idle BLAS worker spins on that
+CPU); ``kernel(...)`` waits for that build, loads it and caches it per
+process, or returns None on any failure (no compiler, a bad CC, a failed
+build or load).  Compiler output
 is discarded and nothing is cached on disk; every caller has a numpy or
 Python path that prints the same bytes.  A build started but never loaded
 (an error, a refusal, a closed stdout) is killed at exit with its process
@@ -43,18 +45,20 @@ CSV_SOURCE = "_csv_rows.c"
 # Fewest quadrature cells (all waves) for which the density march uses
 # _march_row.c.  Its build takes 100-150 ms, but on another CPU while the
 # process imports numpy, so what it costs is the two CPUs' contention.
-# `dfun --step 1e-3` end to end on a 2-CPU x86-64 box, medians of 16-20
-# alternating runs, kernel against numpy fill: 0.215 against 0.211 s at
-# vmax 5.2 (4.4e6 cells), 0.245 against 0.249 s at 5.6 (5.3e6), 0.200
-# against 0.225 s at 6 (6.25e6), 0.214 against 0.278 s at 8 (1.2e7).
-MARCH_MIN_CELLS = 5 * 10**6
+# `dfun --step 1e-3` end to end on a 2-CPU x86-64 box, medians of 20-24
+# alternating runs, kernel against numpy fill: 0.167 against 0.164 s at
+# vmax 3 (1.0e6 cells), 0.169 against 0.167 s at 3.5 (1.56e6), 0.181
+# against 0.200 s at 4 (2.25e6), 0.165 against 0.183 s at 4.5 (3.06e6),
+# 0.192 against 0.213 s at 5.2 (4.4e6), 0.173 against 0.261 s at 8 (1.2e7).
+MARCH_MIN_CELLS = 2 * 10**6
 
 # Least x for which `enumerate` formats its integer columns with
 # _csv_rows.c.  The build (about 70 ms) competes with the process for the
-# box above; dense t = 2 end to end, medians of 16 alternating runs, C
-# against %: 0.185 against 0.172 s at x = 7e5 (66k rows), 0.208 against
-# 0.215 s at 1e6 (91k rows), 0.217 against 0.239 s at 1.5e6 (133k rows).
-CSV_MIN_X = 10**6
+# box above; dense t = 2 end to end, medians of 20-24 alternating runs, C
+# against %: 0.143 against 0.138 s at x = 2e5 (21k rows), 0.142 against
+# 0.143 s at 2.5e5, 0.143 against 0.145 s at 3e5 (31k rows), 0.145
+# against 0.152 s at 4e5, 0.153 against 0.178 s at 1e6 (91k rows).
+CSV_MIN_X = 3 * 10**5
 
 _pending: dict[str, tuple] = {}  # source -> (compiler, directory, library)
 _loaded: dict[str, object] = {}  # source -> ctypes CDLL, or None

@@ -554,8 +554,16 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """Process entry point (``python -m densediv.cli``, and through
     ``densediv.__main__`` ``python -m densediv`` and the ``densediv``
-    console script): main() with the import-time heap frozen and a stdout
-    closed by its reader handled; returns the exit status."""
+    console script): main() with numpy's OpenBLAS held to one thread, the
+    import-time heap frozen and a stdout closed by its reader handled;
+    returns the exit status.  main() itself leaves the process's BLAS
+    settings to its caller."""
+    # Set before any handler imports numpy, as OpenBLAS reads it once, at
+    # load: a threaded pool's worker spins on the second CPU, the one the C
+    # build and the density march's second thread use, and the CLI's one
+    # BLAS call (a small polyfit) gains nothing from threads.  Set whatever
+    # the inherited value, so the CLI's timing does not depend on it.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     # Objects made by the imports live until exit, so neither the run's
     # collections nor the ones at shutdown need to scan them.  The handlers
     # import numpy and the layers after this freeze, so that a C build can

@@ -36,10 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 PACKAGE = ROOT / "src" / "densediv"
 
-# The prime bound 2.1e9 passes the 2^31 cap, but the sieve and its primes
-# do not fit under the 2 GiB address-space limit.
-COUNT_SIEVE_2_1E9 = ["count", "--family", "dense", "--t", "1000000000000",
-                     "--x", "2100000000"]
+# The prime bound 2^31 is the sieve cap itself, but the sieve and its
+# primes (2.05e9 bytes) do not fit under the 2 GiB address-space limit
+# beside the interpreter, numpy and densediv (about 100 MB of it).
+COUNT_SIEVE_CAP = ["count", "--family", "dense", "--t", "1000000000000",
+                   "--x", "2147483648"]
 
 
 DENSE2 = ["--family", "dense", "--t", "2"]
@@ -647,7 +648,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (COUNT_SIEVE_2_1E9, 1),
+            (COUNT_SIEVE_CAP, 1),
             (["dfun", "--vmax", "nan"], 2),
             (["dfun", "--vmax", "inf"], 2),
             (["dfun", "--vmax", "1e9"], 1),  # past the grid-point cap
@@ -700,7 +701,7 @@ class TestExitCodes:
             (["experiment", "concentration", "--t", "2", "--xs", "10000,1000"], 2),
             (["experiment", "phi-scan", "--xs", "100000", "--ys", "100,100"], 2),
         ],
-        ids=["count-sieve-2.1e9", "dfun-nan", "dfun-inf", "dfun-1e9",
+        ids=["count-sieve-cap", "dfun-nan", "dfun-inf", "dfun-1e9",
              "dfun-1e308", "wfun-1e308", "wfun-1e300", "dfun-step-1e-300",
              "enumerate-sigma-2e18", "enumerate-cells-1e12",
              "lambda0-dense2-2e8", "mu0-practical-1e8", "mu0-shifted2-2^29-1",
@@ -714,7 +715,7 @@ class TestExitCodes:
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         # The sieve's peak is reserved before it starts, so its refusal
         # takes well under a second.
-        capped_cli(argv, code, timeout=10 if argv is COUNT_SIEVE_2_1E9 else 120)
+        capped_cli(argv, code, timeout=10 if argv is COUNT_SIEVE_CAP else 120)
 
     def test_verbose_banner(self, capsys):
         code, _, err = run(
@@ -1164,6 +1165,30 @@ def test_process_entry_flushes_and_renames(capsys, capped_cli, tmp_path, csv_fil
     assert capped_cli([*argv, "--out", str(target)], 0, entry=entry) == b""
     assert target.read_bytes() == want
     assert os.listdir(tmp_path) == ["members.csv"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize(
+    "argv",
+    [["count", *DENSE2, "--x", "1000"], ["dfun", "--vmax", "8", "--step", "1e-3"]],
+    ids=["count", "dfun"],
+)
+def test_process_entry_runs_one_thread(capsys, capped_cli, monkeypatch, argv):
+    # The entry point starts numpy's OpenBLAS with no thread pool, whatever
+    # BLAS setting it inherits, so the process ends with its main thread
+    # alone: the march joins its threads, and gcc is a child process.
+    # main() leaves the environment to its caller.
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    hook = (
+        "import atexit, os, sys; atexit.register(lambda: print("
+        "len(os.listdir('/proc/self/task')), file=sys.stderr)); "
+        "import runpy; runpy.run_module('densediv.cli', run_name='__main__')"
+    )
+    assert capped_cli(argv, 0, stderr_lines=["1"], entry=["-c", hook]) == want
 
 
 def test_console_script_is_the_process_entry():

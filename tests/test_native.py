@@ -161,10 +161,10 @@ def test_csv_rows_equal_percent_d():
 @pytest.mark.parametrize(
     "step, vmax, uses",
     [
-        (1e-3, 5.4, False),  # 4.84e6 cells
-        (1e-3, 5.5, True),  # 5.06e6 cells
+        (1e-3, 3.8, False),  # 1.96e6 cells
+        (1e-3, 3.9, True),  # 2.10e6 cells
         (1e-3, 32.0, True),
-        (1e-2, 30.0, False),
+        (1e-2, 29.0, False),  # 1.96e6 cells
         (0.5, 32.0, False),  # step out of range
         (1e-3, float("nan"), False),
         (1e-3, 1e308, False),  # vmax * m overflows: over the grid cap
