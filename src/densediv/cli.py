@@ -40,17 +40,27 @@ from .families import FAMILY_KINDS, ThetaFamily, parse_t
 if TYPE_CHECKING:
     from .experiments import ExperimentReport
 
-_EXPERIMENTS = (
-    "mean-omega",
-    "concentration",
-    "cq-structure",
-    "phi-scan",
-    "margenstern",
-    "tau-order",
-    "count-ratio",
-)
+# Each experiment's function in experiments, named so that only its handler
+# loads that module, and the options passed to it, in call order.
+_EXPERIMENTS = {
+    "mean-omega": ("mean_omega_experiment", ("t", "xs")),
+    "concentration": ("concentration_experiment", ("t", "xs", "xi")),
+    "cq-structure": ("cq_structure_experiment", ("t", "x", "qs")),
+    "phi-scan": ("phi_approx_scan", ("xs", "ys")),
+    "margenstern": ("margenstern_tables", ("xs",)),
+    "tau-order": ("tau_normal_order_experiment", ("x",)),
+    "count-ratio": ("count_ratio_experiment", ("t", "xs")),
+}
 
-_IDENTITY_CHECKS = ("phi0", "phik", "lambda0", "lambdak", "mu0", "muapprox")
+# Each identity check and the options it requires.
+_IDENTITY_CHECKS = {
+    "phi0": ("x",),
+    "phik": ("x", "qs"),
+    "lambda0": ("N",),
+    "lambdak": ("N", "qs"),
+    "mu0": ("N",),
+    "muapprox": ("x",),
+}
 
 _ROW_BLOCK = 1 << 16  # CSV rows formatted and written at a time
 
@@ -207,6 +217,12 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"--xi must be finite and > 0, got {xi}")
 
 
+def _require(args: argparse.Namespace, names: Iterable[str], command: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ConfigurationError(f"--{name} is required for {command}")
+
+
 # ---- subcommand handlers ----
 
 
@@ -314,12 +330,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     check = args.check
     if not args.s >= 1.0:
         raise ConfigurationError(f"--s must be >= 1, got {args.s}")
-    if check in ("phi0", "phik", "muapprox") and args.x is None:
-        raise ConfigurationError(f"--x is required for {check}")
-    if check in ("lambda0", "lambdak", "mu0") and args.N is None:
-        raise ConfigurationError(f"--N is required for {check}")
-    if check in ("phik", "lambdak") and not args.qs:
-        raise ConfigurationError(f"--qs is required for {check}")
+    _require(args, _IDENTITY_CHECKS[check], check)
     if check == "phi0":
         result = check_partition_identity(family, args.x)
     elif check == "phik":
@@ -375,52 +386,17 @@ def _report_json(report: ExperimentReport) -> list[str]:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import (
-        concentration_experiment,
-        count_ratio_experiment,
-        cq_structure_experiment,
-        margenstern_tables,
-        mean_omega_experiment,
-        phi_approx_scan,
-        tau_normal_order_experiment,
-    )
+    from . import experiments
 
-    name = args.name
-    if name == "mean-omega":
-        _require(args, "t", "xs")
-        report = mean_omega_experiment(parse_t(args.t), args.xs)
-    elif name == "concentration":
-        _require(args, "t", "xs")
-        if args.xi < 1.0:
-            raise ConfigurationError(f"--xi must be >= 1 for concentration, got {args.xi}")
-        report = concentration_experiment(parse_t(args.t), args.xs, args.xi)
-    elif name == "cq-structure":
-        _require(args, "t", "x", "qs")
-        report = cq_structure_experiment(parse_t(args.t), args.x, args.qs)
-    elif name == "phi-scan":
-        _require(args, "xs", "ys")
-        report = phi_approx_scan(args.xs, args.ys)
-    elif name == "margenstern":
-        _require(args, "xs")
-        report = margenstern_tables(args.xs)
-    elif name == "tau-order":
-        _require(args, "x")
-        report = tau_normal_order_experiment(args.x)
-    else:  # count-ratio
-        _require(args, "t", "xs")
-        report = count_ratio_experiment(parse_t(args.t), args.xs)
+    function, names = _EXPERIMENTS[args.name]
+    _require(args, names, args.name)
+    if args.name == "concentration" and args.xi < 1.0:
+        raise ConfigurationError(f"--xi must be >= 1 for concentration, got {args.xi}")
+    report = getattr(experiments, function)(*(getattr(args, n) for n in names))
     lines = _report_json(report) if args.json else _report_lines(report)
     _emit(lines, args.out)
     print(f"experiment {report.name}: {report.verdict}", file=sys.stderr)
     return 1 if report.failed else 0
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigurationError(
-                f"--{name} is required for this experiment"
-            )
 
 
 # ---- parser assembly ----

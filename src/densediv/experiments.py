@@ -207,8 +207,6 @@ def cq_structure_experiment(
     if any(q > tf for q in qs):
         raise DomainError(f"every q must be <= t={tf}, got {qs}")
     counts = count_members_multi(family, x, [1] + list(qs))
-    if counts[0] == 0:
-        raise DomainError(f"no members at all below {x}")
     log_xt = math.log(x) + math.log(tf)
     c1 = counts[0] * log_xt / x
     rows: list[ReportRow] = [ReportRow(x, tf, 1, 0.0, 0.0, 0.0, "coeff_gap")]

@@ -1,7 +1,7 @@
 """Shared fixtures: one big smallest-prime-factor table per session, a
-runner for the CLI under a 2 GiB address-space limit, the C-kernel
-fixtures (a fresh _native, both enumerate CSV paths), plus a terminal hook
-that reprints the acceptance per-criterion verdict lines."""
+runner for the CLI under an address-space limit (2 GiB by default), the
+C-kernel fixtures (a fresh _native, both enumerate CSV paths), plus a
+terminal hook that reprints the acceptance per-criterion verdict lines."""
 
 import os
 import resource
@@ -32,16 +32,11 @@ CLI_ADDRESS_LIMIT = 2 * 1024**3
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _limit_address_space():
-    resource.setrlimit(
-        resource.RLIMIT_AS, (CLI_ADDRESS_LIMIT, CLI_ADDRESS_LIMIT)
-    )
-
-
-def run_capped_cli(argv, code, timeout=120, stderr_lines=(), entry=None):
+def run_capped_cli(argv, code, timeout=120, stderr_lines=(), entry=None,
+                   address_limit=CLI_ADDRESS_LIMIT):
     """Run ``python -m densediv.cli *argv`` (or ``python *entry *argv``)
-    under RLIMIT_AS = 2 GiB and a timeout, assert its exit status, and
-    return its stdout (bytes).
+    under RLIMIT_AS = address_limit (2 GiB by default) and a timeout, assert
+    its exit status, and return its stdout (bytes).
 
     A failing run (code != 0) must print nothing on stdout and exactly one
     stderr line of at most 200 characters, starting with ``error:``; a
@@ -56,7 +51,9 @@ def run_capped_cli(argv, code, timeout=120, stderr_lines=(), entry=None):
         [sys.executable, *(entry or ("-m", "densediv.cli")), *argv],
         capture_output=True,
         env=env,
-        preexec_fn=_limit_address_space,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (address_limit, address_limit)
+        ),
         timeout=timeout,
     )
     stderr = proc.stderr.decode(errors="replace").splitlines()

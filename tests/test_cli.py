@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import importlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -36,11 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 PACKAGE = ROOT / "src" / "densediv"
 
-# The prime bound 2^31 is the sieve cap itself, but the sieve and its
-# primes (2.05e9 bytes) do not fit under the 2 GiB address-space limit
-# beside the interpreter, numpy and densediv (about 100 MB of it).
+# The prime bound 2^31 is the sieve cap itself, but the 2,054,971,680 bytes
+# reserved for the sieve and its primes exceed a 1.5 GiB address-space limit
+# by 444 MB before the interpreter, numpy and densediv (about 100 MB) count.
+# Under 2 GiB they would leave 88 MiB, so the refusal would rest on those
+# 100 MB not shrinking by 10 MB.
 COUNT_SIEVE_CAP = ["count", "--family", "dense", "--t", "1000000000000",
                    "--x", "2147483648"]
+COUNT_SIEVE_CAP_LIMIT = 3 * 1024**3 // 2
 
 
 DENSE2 = ["--family", "dense", "--t", "2"]
@@ -440,6 +444,104 @@ class TestExperimentCommand:
         assert code == 2 and "--t is required" in err
 
 
+# A small valid argument vector for each experiment and identity check
+# (identity checks also get DENSE2).
+EXPERIMENT_ARGV = {
+    "mean-omega": ["--t", "2", "--xs", "100,200"],
+    "concentration": ["--t", "2", "--xs", "1000,10000", "--xi", "50"],
+    "cq-structure": ["--t", "3", "--x", "1000", "--qs", "2,3"],
+    "phi-scan": ["--xs", "1000", "--ys", "10"],
+    "margenstern": ["--xs", "100,1000"],
+    "tau-order": ["--x", "10000"],
+    "count-ratio": ["--t", "2", "--xs", "20,40"],
+}
+IDENTITY_ARGV = {
+    "phi0": ["--x", "100"],
+    "phik": ["--x", "100", "--qs", "2"],
+    "lambda0": ["--N", "100"],
+    "lambdak": ["--N", "100", "--qs", "2"],
+    "mu0": ["--N", "100"],
+    "muapprox": ["--x", "100"],
+}
+
+
+def _command_argv(command, name, drop=None):
+    """The valid argv of an experiment or identity check, without --drop."""
+    if command == "experiment":
+        head, options = ["experiment", name], EXPERIMENT_ARGV[name]
+    else:
+        head, options = ["identity", "--check", name, *DENSE2], IDENTITY_ARGV[name]
+    if drop is not None:
+        at = options.index(f"--{drop}")
+        options = options[:at] + options[at + 2:]
+    return head + options
+
+
+def _readme_table(header):
+    """The body rows of the README table whose first header cell is header,
+    as lists of cells without backticks."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"| {header} |"))
+    body = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return [[cell.strip().replace("`", "") for cell in line.strip("|").split("|")]
+            for line in body]
+
+
+def _option_names(cell):
+    """("t", "xs") from the README cell "--t --xs"."""
+    return tuple(option.removeprefix("--") for option in cell.split())
+
+
+class TestCommandTables:
+    @pytest.mark.parametrize(
+        "command, name",
+        [("experiment", name) for name in EXPERIMENT_ARGV]
+        + [("identity", check) for check in IDENTITY_ARGV],
+    )
+    def test_valid_argv_runs(self, capsys, command, name):
+        code, out, err = run(capsys, _command_argv(command, name))
+        assert code in (0, 1) and out and not err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, name, option",
+        [
+            ("experiment", name, option)
+            for name, (_, options) in densediv.cli._EXPERIMENTS.items()
+            for option in options
+            if (name, option) != ("concentration", "xi")  # has a default
+        ]
+        + [
+            ("identity", check, option)
+            for check, options in densediv.cli._IDENTITY_CHECKS.items()
+            for option in options
+        ],
+    )
+    def test_missing_required_option(self, capsys, command, name, option):
+        code, out, err = run(capsys, _command_argv(command, name, drop=option))
+        assert (code, out) == (2, [])
+        assert err == f"error: --{option} is required for {name}\n"
+
+    @pytest.mark.parametrize("name", list(densediv.cli._EXPERIMENTS))
+    def test_experiment_function_takes_its_options(self, name):
+        function, options = densediv.cli._EXPERIMENTS[name]
+        fn = getattr(densediv.experiments, function)
+        assert fn.__module__ == "densediv.experiments"
+        inspect.signature(fn).bind(*options)
+
+    def test_readme_tables_match(self):
+        experiments = {
+            name: (function, _option_names(options))
+            for name, function, options in _readme_table("experiment")
+        }
+        checks = {
+            check: _option_names(options)
+            for check, options in _readme_table("identity check")
+        }
+        assert list(experiments.items()) == list(densediv.cli._EXPERIMENTS.items())
+        assert list(checks.items()) == list(densediv.cli._IDENTITY_CHECKS.items())
+
+
 class TestOutputFile:
     def test_atomic_write(self, capsys, tmp_path):
         target = tmp_path / "count.txt"
@@ -715,7 +817,10 @@ class TestExitCodes:
     def test_refused_in_one_line_under_2gib(self, capped_cli, argv, code):
         # The sieve's peak is reserved before it starts, so its refusal
         # takes well under a second.
-        capped_cli(argv, code, timeout=10 if argv is COUNT_SIEVE_CAP else 120)
+        if argv is COUNT_SIEVE_CAP:
+            capped_cli(argv, code, timeout=10, address_limit=COUNT_SIEVE_CAP_LIMIT)
+        else:
+            capped_cli(argv, code)
 
     def test_verbose_banner(self, capsys):
         code, _, err = run(
