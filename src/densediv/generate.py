@@ -13,17 +13,17 @@ One production traversal and one reference:
   threshold rule is nondecreasing along divisibility chains) in blocks
   drawn depth first.  It yields each block with the range of its
   childless leaves n*p, those with p^2 > x // n and p at least the
-  largest prime of n, which it never builds as rows.  Every prime count
-  of the walk and its tallies, pi(min(theta(n), x // n)) for the
-  admissible primes, pi(isqrt(x // n)) for the leaf split, the leaves
-  above n_min and the divisor filters, reads the bit-packed pi of
-  arith.prime_counter, whose one sieve of the odd numbers gives the
-  walk's primes and pi's words.  Counts, moment histograms and the
-  identity sums tally those ranges in bulk; member columns, the
-  tau-order experiment, the weight series and the identity sums'
-  take-back below theta_min read ``_member_chunks``, which expands them
-  with the walk's own builder ``_children``; member_columns sorts them by
-  n, the others read them unsorted.  The walk's columns are
+  largest prime of n, which it never builds as rows.  The leaf split
+  counts the primes whose square is at most x // n.  Every other prime
+  count of the walk and its tallies, pi(min(theta(n), x // n)) for the
+  admissible primes, the leaves above n_min and the divisor filters,
+  reads the bit-packed pi of arith.prime_counter, whose one sieve of the
+  odd numbers gives the walk's primes and pi's words.  Counts, moment
+  histograms and the identity sums tally those ranges in bulk; member
+  columns, the tau-order experiment, the weight series and the identity
+  sums' take-back below theta_min read ``_member_chunks``, which expands
+  them with the walk's own builder ``_children``; member_columns sorts
+  them by n, the others read them unsorted.  The walk's columns are
   int64 for every accepted query (the sieve cap keeps x below 2^62, and
   sigma columns stop at x < 2^60); a dense threshold n*t_num past int64
   is formed in Python ints for the few rows that need it.
@@ -213,15 +213,6 @@ def _theta_at_most(family: ThetaFamily, n: np.ndarray, sigma, cap) -> np.ndarray
     return out
 
 
-def _isqrt(v: np.ndarray) -> np.ndarray:
-    """Exact floor square roots of int64 values 0 <= v < 2^62: the float64
-    root, off by at most one past 2^52, corrected by one step each way."""
-    r = np.sqrt(v).astype(np.int64)
-    r -= r * r > v
-    r += (r + 1) * (r + 1) <= v
-    return r
-
-
 class _Histogram:
     """Growable exact int64 histogram over small nonnegative integer keys."""
 
@@ -305,22 +296,23 @@ def _frontier(
 ) -> tuple[np.ndarray, Callable, Iterator[tuple]]:
     """(primes, pi, blocks) for a walk over the members n <= x.  One
     prime_counter sieve gives the primes and pi, after a prime bound past
-    SIEVE_LIMIT_CAP is refused.  pi is the walk's one prime count: every
-    count of primes below a bound, here and in the tallies, reads it.
+    SIEVE_LIMIT_CAP is refused.  Every count of primes below a bound, here
+    and in the tallies, reads pi; the leaf split counts the primes whose
+    square is at most x // n, in the squares of the primes <= isqrt(x).
 
     blocks yields every built block once, as (level, blk, mid, hi): the
     rows of blk have big omega level, and the unbuilt leaves of row i are
     n[i]*primes[j] for j in [mid[i], hi[i]), one level deeper, with
     hi = pi(min(theta(n), x // n)).  A child n*p, p at least the largest
     prime of n, is a leaf exactly when p^2 > x // n (then n*p*p' > x for
-    every p' >= p): with s = pi(isqrt(x // n)), when j >= max(s, last).
-    A row whose largest prime has p^2 > x // n has s <= last, so
-    mid <= last: all its children are leaves, its repeat n*p at j == last
-    among them.  Every other leaf has a new prime.  The stack holds a
-    _children generator over the rows with children of each level; each
-    step draws the next block from the top one, which keeps the live rows
-    near depth * _CHUNK.  A caller that needs the leaves builds them with
-    _children too (_member_chunks).
+    every p' >= p): with s the number of primes p with p^2 <= x // n, when
+    j >= max(s, last).  A row whose largest prime has p^2 > x // n has
+    s <= last, so mid <= last: all its children are leaves, its repeat
+    n*p at j == last among them.  Every other leaf has a new prime.  The
+    stack holds a _children generator over the rows with children of each
+    level; each step draws the next block from the top one, which keeps
+    the live rows near depth * _CHUNK.  A caller that needs the leaves
+    builds them with _children too (_member_chunks).
 
     blk holds "n" and "last" (the index of the largest prime of n); "sigma"
     and "pp" (the sigma of that prime's full power) with sigma=True or for
@@ -335,6 +327,7 @@ def _frontier(
     if sigma and x >= _SIGMA_X_CAP:
         raise ResourceCapError(f"x={x} exceeds the sigma-column cap 2^60")
     primes, pi = prime_counter(bound)
+    squares = primes[: pi(math.isqrt(x))] ** 2  # below 2^62, as x is
 
     def blocks() -> Iterator[tuple]:
         # Root n = 1: last = -1 marks "no prime used yet".  No column is
@@ -356,14 +349,12 @@ def _frontier(
             quot = x // n  # below 2^62, as the sieve cap bounds x
             # hi = pi(min(theta(n), x // n)) primes are admissible next.
             hi = pi(_theta_at_most(family, n, blk.get("sigma"), quot))
-            # j >= max(s, last) with s = pi(isqrt(x // n)): p^2 > x // n,
-            # hence a leaf.  s <= last exactly when p_last^2 > x // n.
-            # Each array is dropped once spent, so few of a block's size are
-            # live at a time and only the block and its bounds pass the yield.
-            sqrt_quot = _isqrt(quot)
+            # j >= max(s, last), s the number of primes with p^2 <= x // n,
+            # is a leaf.  s <= last exactly when p_last^2 > x // n.  Each array
+            # is dropped once spent, so few of a block's size are live at a
+            # time and only the block and its bounds pass the yield.
+            mid = np.searchsorted(squares, quot, "right")
             del quot
-            mid = pi(sqrt_quot)
-            del sqrt_quot
             np.maximum(mid, last, out=mid)
             np.minimum(mid, hi, out=mid)
             yield level, blk, mid, hi

@@ -303,7 +303,8 @@ class TestCollapsedFrontier:
 
 
 # x with x // n = p^2 - 1, p^2 and p^2 + 1 for the rows n = 1, 2, 6 and the
-# primes p <= 13: where the leaf split pi(isqrt(x // n)) moves by one.
+# primes p <= 13: where the leaf split, the count of primes whose square is
+# at most x // n, moves by one.
 SQUARE_EDGE_XS = sorted({
     n * (p * p + d)
     for n in (1, 2, 6)
@@ -314,8 +315,9 @@ SQUARE_EDGE_XS = sorted({
 
 class TestOnePiSource:
     """Every prime count of the walk and its tallies reads one prime_counter:
-    the admissible bound, the leaf split, the leaves above n_min and the
-    divisor filter, each against the references at the square edges."""
+    the admissible bound, the leaves above n_min and the divisor filter,
+    each against the references at the square edges, where the leaf split
+    counts the primes whose square is at most x // n."""
 
     @pytest.mark.parametrize(
         "family", [*COLLAPSE_FAMILIES, INT64_UNSAFE], ids=_family_id
@@ -341,16 +343,15 @@ class TestOnePiSource:
             result = check_partition_identity(family, x)
             assert (result.lhs, result.passed) == (x, True), x
 
-    def test_isqrt_exact(self):
-        # Past 2^52 the float root can round up at k^2 - 1.
-        ks = [1, 2, 3, 2**26 - 1, 2**26, 2**26 + 1, 94906265, 3037000499, 2**31 - 1]
-        ks += np.random.default_rng(7).integers(1, 2**31, 50).tolist()
-        v = np.array(
-            [k * k + d for k in ks for d in (-1, 0, 1) if 0 <= k * k + d < 2**62],
-            dtype=np.int64,
-        )
-        want = [math.isqrt(int(a)) for a in v]
-        assert generate._isqrt(v).tolist() == want
+    def test_identity_at_large_square_edges(self):
+        # x // n = p^2 - 1, p^2 and p^2 + 1 past iter_members' reach: a row
+        # wrongly collapsed takes its Phi as 1 and breaks the identity.
+        # theta(n) < p for the rows n = 1, 2 of the first three families, so
+        # only t = 2*10^4 admits p itself at the split of those rows.
+        p = 10007
+        for family in (DENSE2, PRACTICAL, SHIFTED1, ThetaFamily.dense(2 * 10**4)):
+            for x in (n * (p * p + d) for n in (1, 2) for d in (-1, 0, 1)):
+                assert check_partition_identity(family, x).passed, (family, x)
 
 
 class TestMemberColumns:
