@@ -10,8 +10,13 @@
 #include <stdint.h>
 
 #if defined(__AVX512F__) && defined(__GNUC__) && !defined(__clang__)
-/* gcc keeps 256-bit vectors by default; 512 runs both gathers 8 wide. */
+/* gcc keeps 256-bit vectors by default; 512 runs the fill 8 wide.  Its
+ * generic tune builds each w lookup from 8 scalar loads; AVX512-FP16 hosts
+ * (Sapphire Rapids on, spared by Downfall) tune to use vgatherdpd. */
 #pragma GCC target("prefer-vector-width=512")
+#if defined(__AVX512FP16__)
+#pragma GCC target("tune=sapphirerapids")
+#endif
 #endif
 
 /* numpy's float64 pairwise_sum: under 8 terms a plain loop, up to 128

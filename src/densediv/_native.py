@@ -43,13 +43,13 @@ MARCH_SOURCE = "_march_row.c"
 CSV_SOURCE = "_csv_rows.c"
 
 # Fewest quadrature cells (all waves) for which the density march uses
-# _march_row.c.  Its build takes 100-150 ms, but on another CPU while the
-# process imports numpy, so what it costs is the two CPUs' contention.
-# `dfun --step 1e-3` end to end on a 2-CPU x86-64 box, medians of 20-24
-# alternating runs, kernel against numpy fill: 0.167 against 0.164 s at
-# vmax 3 (1.0e6 cells), 0.169 against 0.167 s at 3.5 (1.56e6), 0.181
-# against 0.200 s at 4 (2.25e6), 0.165 against 0.183 s at 4.5 (3.06e6),
-# 0.192 against 0.213 s at 5.2 (4.4e6), 0.173 against 0.261 s at 8 (1.2e7).
+# _march_row.c.  Its build (about 80 ms) runs on another CPU while the
+# process imports numpy, so it costs the two CPUs' contention, which swings
+# with the box's load.  `dfun --step 1e-3` end to end on a 2-CPU x86-64
+# box, kernel minus numpy fill, paired medians of 2-6 batches of 10-24
+# alternating runs: +10 to +90 ms at vmax 3 (1.0e6 cells), +58 to +83 at
+# 3.5, -49 to +64 at 4 (2.25e6), +43 to +47 at 4.5, +22 to +33 at 5.2
+# (4.4e6), -102 to +17 at 6 (6.25e6), -150 to -29 ms at 8 (1.2e7).
 MARCH_MIN_CELLS = 2 * 10**6
 
 # Least x for which `enumerate` formats its integer columns with

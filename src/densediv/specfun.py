@@ -15,12 +15,12 @@ Two tabulated solutions of delay/Volterra equations:
   (``_march_row.c``, built and loaded by ``_native``) marches whole shares
   of rows on threads: it fills each row's integrand, sums it in numpy's
   pairwise order and adds the half cell.  gcc on an AVX-512 host builds
-  the fill and the sum with 512-bit vectors, so each w gather loads 8
-  lanes at once; cells are independent and each lane keeps its order, so
-  no float changes.  The CLI starts that build before it imports numpy,
-  so it compiles while numpy loads.  Elsewhere,
-  or where no C compiler builds it, numpy passes fill each row and Python
-  finishes it, serially; both give the same floats.
+  the fill and the sum with 512-bit vectors; each 8-lane w lookup is one
+  vgatherdpd on AVX512-FP16 hosts, 8 scalar loads under gcc's generic
+  tune.  Cells are independent, so no float changes.  The CLI starts
+  that build before it imports numpy, so it compiles while numpy loads.
+  Elsewhere, or where no C compiler builds it, numpy passes fill each row
+  and Python finishes it, serially; both give the same floats.
 
 Both solvers snap the grid step to an exact reciprocal 1/m so that the
 integral limits ``u - 1`` (for w) and ``(v-1)/2`` (for d) land on grid or
@@ -50,7 +50,7 @@ from .errors import ConfigurationError, DomainError, ResourceCapError
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
 
 #: Most grid points a tabulator builds.  The density march is O(N^2): at
-#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 3.0-3.3 s end to
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 3.4-3.9 s end to
 #: end on 2 CPUs of an AVX-512 x86-64 box (39 s with the serial numpy row
 #: fill).
 GRID_POINTS_CAP = 2**17

@@ -74,6 +74,29 @@ def test_builds_without_warnings(tmp_path, path):
     assert built.returncode == 0, built.stderr
 
 
+@needs_compiler
+def test_march_fill_uses_hardware_gathers(tmp_path):
+    # gcc's generic tune emulates each w lookup with 8 scalar loads; on
+    # AVX512-FP16 hosts the pragma in _march_row.c makes gcc gather.
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    macros = subprocess.run(
+        [*cc, "-march=native", "-dM", "-E", "-x", "c", os.devnull],
+        capture_output=True,
+        text=True,
+    ).stdout
+    if "#define __AVX512FP16__ " not in macros or "#define __clang__ " in macros:
+        pytest.skip("CC is no gcc, or -march=native defines no __AVX512FP16__")
+    assembly = tmp_path / "march.s"
+    source = os.path.join(os.path.dirname(_native.__file__), _native.MARCH_SOURCE)
+    built = subprocess.run(
+        [*cc, *_native.CFLAGS, "-S", "-o", str(assembly), source],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    assert "vgatherdpd" in assembly.read_text()
+
+
 @pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize(
     "cc",
