@@ -72,7 +72,7 @@ def march_uses_kernel(step: float, vmax: float) -> bool:
     before importing numpy; invalid options give False."""
     if not (0.0 < step <= 0.01 and 3.0 <= vmax):
         return False
-    m = max(2, round(1.0 / step))
+    m = round(1.0 / step)
     span = round(vmax * m, 6)
     if not span < math.inf:  # refused by the grid-point cap
         return False

@@ -254,8 +254,6 @@ def rough_count(x, y, table: SpfTable) -> int:
         return 1  # every n in [2, X] has a prime factor <= X <= Y
     if Y < 2:
         return X  # every n >= 2 has smallest prime factor >= 2 > Y; n = 1 counts too
-    if Y >= table.limit:
-        Y = table.limit  # spf values never exceed limit
     return 1 + int(np.count_nonzero(table.spf[2 : X + 1] > Y))
 
 

@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import __version__, _native
 from .errors import ConfigurationError, DensedivError
@@ -81,21 +81,22 @@ def _parse_exact_int(text: str) -> int:
     return int(value)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, parse: Callable) -> list:
+    """The comma-separated items of text, each through parse.  argparse
+    prints the empty-list refusal as given, and an item's ValueError as an
+    invalid value of the calling list parser."""
     items = [piece for piece in text.split(",") if piece]
     if not items:
-        raise ConfigurationError(f"empty integer list: {text!r}")
-    return [_parse_exact_int(piece) for piece in items]
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return [parse(piece) for piece in items]
+
+
+def _parse_int_list(text: str) -> list[int]:
+    return _parse_list(text, _parse_exact_int)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    items = [piece for piece in text.split(",") if piece]
-    if not items:
-        raise ConfigurationError(f"empty list: {text!r}")
-    try:
-        return [float(piece) for piece in items]
-    except ValueError:
-        raise ConfigurationError(f"not a number list: {text!r}") from None
+    return _parse_list(text, float)
 
 
 def _fmt(value: float | int | str) -> str:
@@ -390,8 +391,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     function, names = _EXPERIMENTS[args.name]
     _require(args, names, args.name)
-    if args.name == "concentration" and args.xi < 1.0:
-        raise ConfigurationError(f"--xi must be >= 1 for concentration, got {args.xi}")
     report = getattr(experiments, function)(*(getattr(args, n) for n in names))
     lines = _report_json(report) if args.json else _report_lines(report)
     _emit(lines, args.out)

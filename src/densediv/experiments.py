@@ -19,7 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,11 +32,6 @@ from .generate import (
     count_members_multi,
     deviation_bound,
 )
-
-# specfun loads only in phi_approx_scan, its one user here.
-if TYPE_CHECKING:
-    from .specfun import TabulatedFunction
-
 
 #: Denominator floor for relative errors against near-zero predictions.
 _REL_EPS = 1e-12
@@ -147,10 +141,11 @@ def concentration_experiment(
     calibration), and two report-only rows with the variance of omega
     (reference ``3 ln ln x``) and the tail fraction with ``Omega >= 3 ln ln
     x``.  Rows come in grid order; fails when any x exceeds its gate.
+    An xi below 1 (or NaN) is refused before the grid is checked.
     """
+    if not xi >= 1.0:
+        raise ConfigurationError(f"xi must be >= 1, got {xi}")
     _validate_grid(xs)
-    if xi < 1.0:
-        raise DomainError(f"xi must be >= 1, got {xi}")
     family = ThetaFamily.dense(t)
     tf = family.t_float
     bound = min(1.0, 3.0 / (xi * xi))
@@ -230,15 +225,12 @@ def cq_structure_experiment(
     )
 
 
-def phi_approx_scan(
-    x_grid: list[int],
-    y_grid: list[float],
-    w: TabulatedFunction | None = None,
-) -> ExperimentReport:
+def phi_approx_scan(x_grid: list[int], y_grid: list[float]) -> ExperimentReport:
     """Exact rough-number counts vs. the main-term approximation on a grid.
 
     The exact counts of each x come from one ``rough_counts`` call and the
-    approximation is ``rough_count_approx``, with each y's Mertens product
+    approximation is ``rough_count_approx`` on the default Buchstab table
+    (``tabulate_buchstab(SolverConfig())``), with each y's Mertens product
     (see mertens_product) computed once for the whole x grid.  Each
     (x, y) yields a ``rough_count`` row (measured = exact count,
     predicted = approximation) and a report-only ``scaled_residual`` row
@@ -260,8 +252,7 @@ def phi_approx_scan(
     if any(a >= b for a, b in zip(y_grid, y_grid[1:])):
         raise ConfigurationError(f"y grid must be strictly ascending, got {y_grid}")
     check_sieve_bound(max(y_grid), "y")
-    if w is None:
-        w = tabulate_buchstab(SolverConfig())
+    w = tabulate_buchstab(SolverConfig())
     mertens = {y: mertens_product(y) for y in y_grid}
     rows: list[ReportRow] = []
     gated: list[float] = []

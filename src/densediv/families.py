@@ -134,12 +134,9 @@ def is_dense_by_ratio_bound(n: int, t_num: int, t_den: int, table: SpfTable) -> 
     return divisor_ratio_bound(factorize(n, table)) * t_den <= n * t_num
 
 
-def is_dense_by_divisor_scan(n: int, t_num: int, t_den: int) -> bool:
-    """Membership by scanning consecutive divisors: d_{i+1}*t_den <= d_i*t_num.
-
-    Independent oracle -- finds divisors by trial division, no factor table.
-    """
-    _validate_ratio(t_num, t_den)
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n):
+    the two oracles below find them with no factor table."""
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     small = []
@@ -151,7 +148,16 @@ def is_dense_by_divisor_scan(n: int, t_num: int, t_den: int) -> bool:
             if d * d != n:
                 large.append(n // d)
         d += 1
-    divs = small + large[::-1]
+    return small + large[::-1]
+
+
+def is_dense_by_divisor_scan(n: int, t_num: int, t_den: int) -> bool:
+    """Membership by scanning consecutive divisors: d_{i+1}*t_den <= d_i*t_num.
+
+    Independent oracle -- finds divisors by trial division, no factor table.
+    """
+    _validate_ratio(t_num, t_den)
+    divs = _divisors(n)
     return all(b * t_den <= a * t_num for a, b in zip(divs, divs[1:]))
 
 
@@ -160,21 +166,9 @@ def is_practical_by_subset_sums(n: int) -> bool:
     cover every integer in [1, n].  Bitset dynamic reachability; bit m of
     reach is set when m is a sum of distinct divisors already considered.
     """
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
     if n > SUBSET_SUM_CAP:
         raise ResourceCapError(f"subset-sum oracle capped at {SUBSET_SUM_CAP}, got {n}")
-    if n == 1:
-        return True
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d * d != n:
-                divs.append(n // d)
-        d += 1
-    divs.sort()
+    divs = _divisors(n)
     target = (1 << (n + 1)) - 1
     reach = 1
     for d in divs:

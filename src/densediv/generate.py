@@ -318,8 +318,10 @@ def _frontier(
     and "pp" (the sigma of that prime's full power) with sigma=True or for
     the practical family; "omega", "tau" and "e" (that prime's exponent)
     with stats=True.  Every column is int64.  Sigma columns at x >= 2^60
-    are refused before any sieving.
+    are refused before any sieving, and so is x < 1 (DomainError).
     """
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
     bound = _prime_limit(family, x)
     if bound > SIEVE_LIMIT_CAP:
         raise ResourceCapError(f"prime bound {bound} exceeds the sieve cap 2^31")
@@ -466,8 +468,6 @@ def collect_moments(family: ThetaFamily, x: int) -> MomentSummary:
     and doubles tau; the repeat leaf n*p of a row with mid == last keeps
     omega and has tau * (e + 2) / (e + 1), with e the exponent of p in n.
     """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
     _, _, blocks = _frontier(family, x, stats=True)
     hist_omega = _Histogram()
     hist_tau = _Histogram()
@@ -508,8 +508,6 @@ def member_columns(
     A counting walk sizes the columns, so _member_chunks fills them in place,
     and refuses (ResourceCapError) past _COLUMN_CELL_CAP cells before any
     leaf is built; sigma at x >= 2^60 is refused before any sieving."""
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
     if n_min < 0:
         raise DomainError(f"n_min must be >= 0, got {n_min}")
     for name in names:

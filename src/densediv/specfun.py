@@ -158,7 +158,7 @@ class SolverConfig:
 
 def _snap(step: float) -> tuple[int, float]:
     """Snap a step to 1/m with integer m >= 100 (step <= 0.01 guaranteed)."""
-    m = max(2, round(1.0 / step))
+    m = round(1.0 / step)
     return m, 1.0 / m
 
 
@@ -450,10 +450,9 @@ def rough_count_approx(x: float, y: float, w: TabulatedFunction) -> float:
                  + (x/ln y) * (w(u) - e^{-gamma} - [y/x if x >= y])
 
     and clamps negative results (possible for x < 1 or tiny x/y, where the
-    asymptotic is meaningless) to 0.
+    asymptotic is meaningless) to 0.  x must be finite; mertens_product
+    checks y.
     """
-    if not y >= 2.0:
-        raise DomainError(f"y must be >= 2, got {y}")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     return _rough_main_term(x, y, mertens_product(y), w)

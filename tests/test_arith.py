@@ -13,6 +13,7 @@ from densediv import (
     DomainError,
     ResourceCapError,
     SieveRangeError,
+    SpfTable,
     build_spf_table,
     divisor_ratio_bound,
     factor_stats,
@@ -161,6 +162,21 @@ class TestFactorize:
     def test_range_error(self, table):
         with pytest.raises(SieveRangeError):
             factorize(table.limit + 1, table)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda table: SpfTable(1, table.spf[:2], table.primes[:0]),
+         ConfigurationError, "table limit must be >= 2, got 1"),
+        (lambda table: factorize(0, table), SieveRangeError,
+         "n must be positive, got 0"),
+    ],
+    ids=["spf-table-limit-1", "factorize-0"],
+)
+def test_refusals(table, call, error, text):
+    with pytest.raises(error, match=text):
+        call(table)
 
 
 class TestDivisorRatioBound:

@@ -656,7 +656,7 @@ class TestExitCodes:
         assert (code, out) == (2, [])
         assert err.startswith("error: --xi") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("xi", ["-1", "0", "0.5", "nan", "inf"])
+    @pytest.mark.parametrize("xi", ["-1", "0", "nan", "inf"])
     def test_experiment_bad_xi_rejected(self, capsys, xi):
         code, out, err = run(
             capsys,
@@ -664,6 +664,34 @@ class TestExitCodes:
         )
         assert (code, out) == (2, [])
         assert err.startswith("error: --xi") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("xs", ["1000", "0"])
+    def test_concentration_xi_below_one_refused_by_library(self, capsys, xs):
+        # The library's one check, made before the grid's, as x = 0 shows.
+        code, out, err = run(
+            capsys,
+            ["experiment", "concentration", "--t", "2", "--xs", xs, "--xi", "0.5"],
+        )
+        assert (code, out, err) == (2, [], "error: xi must be >= 1, got 0.5\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "concentration", "--t", "2", "--xs", ","],
+            ["experiment", "phi-scan", "--xs", "1000", "--ys", ","],
+            ["identity", "--check", "phik", *DENSE2, "--x", "100", "--qs", ","],
+        ],
+        ids=["xs", "ys", "qs"],
+    )
+    def test_empty_list_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert lines[-1].endswith(f"error: argument --{argv[-2][2:]}: empty list: ','")
 
     def test_identity_beyond_cap_starts_no_work(self, capsys, monkeypatch):
         def refuse(limit):

@@ -94,8 +94,11 @@ class TestConcentration:
     def test_validation(self):
         with pytest.raises(DomainError):
             concentration_experiment(2, [0], 4.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="xi must be >= 1"):
             concentration_experiment(2, [1000], 0.5)
+        # xi is checked before the grid, the order the CLI refuses them in.
+        with pytest.raises(ConfigurationError, match="xi must be >= 1, got 0.5"):
+            concentration_experiment(2, [0], 0.5)
 
 
 class TestCqStructure:
@@ -153,8 +156,8 @@ def w():
 
 
 class TestPhiScan:
-    def test_exact_column_and_gating(self, table, w):
-        report = phi_approx_scan([10_000], [10.0], w=w)
+    def test_exact_column_and_gating(self, table):
+        report = phi_approx_scan([10_000], [10.0])
         assert report.verdict == "report-only"  # shallow regime only
         row = report.rows_for("rough_count")[0]
         assert row.measured == rough_count(10_000, 10.0, table)
@@ -162,8 +165,8 @@ class TestPhiScan:
         scaled = report.rows_for("scaled_residual")[0]
         assert scaled.measured >= 0.0
 
-    def test_deep_regime_gate(self, w):
-        report = phi_approx_scan([100_000], [100.0], w=w)
+    def test_deep_regime_gate(self):
+        report = phi_approx_scan([100_000], [100.0])
         assert report.verdict == "pass"
         assert report.rows_for("rough_count")[0].rel_err < 0.05
 
@@ -172,7 +175,7 @@ class TestPhiScan:
         # against rough_count_approx (checked against the table's primes in
         # test_specfun); only (1e5, 100) lies in the gated regime.
         xs, ys = [1000, 100_000], [2.0, 2.5, 100.0, 1000.7, 99_999.0]
-        report = phi_approx_scan(xs, ys, w=w)
+        report = phi_approx_scan(xs, ys)
         rows = report.rows_for("rough_count")
         assert [(row.x, row.t) for row in rows] == [(x, y) for x in xs for y in ys]
         for row in rows:
@@ -180,7 +183,7 @@ class TestPhiScan:
             assert row.predicted == rough_count_approx(row.x, row.t, w)
         assert report.verdict == "pass"
 
-    def test_sieves_each_y_once(self, monkeypatch, w):
+    def test_sieves_each_y_once(self, monkeypatch):
         bounds = []
         sieve = specfun.primes_up_to
 
@@ -190,19 +193,19 @@ class TestPhiScan:
 
         monkeypatch.setattr(specfun, "primes_up_to", counted)
         xs, ys = [10**3, 10**4, 10**5, 10**6], [100.0, 1000.7, 10_000.0]
-        report = phi_approx_scan(xs, ys, w=w)
+        report = phi_approx_scan(xs, ys)
         assert sorted(bounds) == [100, 1000, 10_000]
         assert len(report.rows_for("rough_count")) == 12
 
-    def test_validation(self, w):
+    def test_validation(self):
         with pytest.raises(DomainError):
-            phi_approx_scan([1000], [1.5], w=w)
+            phi_approx_scan([1000], [1.5])
         with pytest.raises(DomainError):
-            phi_approx_scan([1000], [math.nan], w=w)
+            phi_approx_scan([1000], [math.nan])
         with pytest.raises(ResourceCapError):
-            phi_approx_scan([1000], [math.inf], w=w)
+            phi_approx_scan([1000], [math.inf])
         with pytest.raises(ConfigurationError):
-            phi_approx_scan([], [10.0], w=w)
+            phi_approx_scan([], [10.0])
 
 
 class TestMargenstern:

@@ -18,6 +18,8 @@ from densediv import (
     is_practical_by_subset_sums,
     parse_t,
 )
+from densediv.errors import ResourceCapError
+from densediv.families import SUBSET_SUM_CAP, _divisors
 
 
 class TestParseT:
@@ -97,6 +99,42 @@ class TestMembershipOracles:
         got = [n for n in range(1, 25)
                if is_member(n, ThetaFamily.dense(2), table)]
         assert got == known
+
+
+class TestDivisors:
+    def test_matches_brute_force(self):
+        for n in range(1, 2001):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_below_one_refused(self, n):
+        with pytest.raises(DomainError, match=f"n must be positive, got {n}"):
+            _divisors(n)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda table: ThetaFamily("bogus"), ConfigurationError, "unknown family"),
+        (lambda table: ThetaFamily("dense", 4, 2), ConfigurationError, "gcd-reduced"),
+        (lambda table: ThetaFamily("practical", 2, 1), ConfigurationError,
+         "takes no ratio bound"),
+        (lambda table: ThetaFamily("practical").t, DomainError, "has no ratio bound"),
+        (lambda table: is_dense_by_ratio_bound(6, 3, 2, table), DomainError, "t >= 2"),
+        (lambda table: is_dense_by_divisor_scan(6, 3, 2), DomainError, "t >= 2"),
+        (lambda table: is_dense_by_divisor_scan(0, 2, 1), DomainError, "positive"),
+        (lambda table: is_practical_by_subset_sums(0), DomainError, "positive"),
+        (lambda table: is_practical_by_subset_sums(-3), DomainError, "positive"),
+        (lambda table: is_practical_by_subset_sums(SUBSET_SUM_CAP + 1),
+         ResourceCapError, "capped"),
+    ],
+    ids=["kind-bogus", "t-unreduced", "practical-with-t", "practical-t",
+         "ratio-bound-t-1.5", "divisor-scan-t-1.5", "divisor-scan-n-0",
+         "subset-sums-n-0", "subset-sums-n-minus-3", "subset-sums-past-cap"],
+)
+def test_refusals(table, call, error, text):
+    with pytest.raises(error, match=text):
+        call(table)
 
 
 class TestContainments:

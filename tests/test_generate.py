@@ -401,6 +401,8 @@ class TestMemberColumns:
     def test_domain_error(self, monkeypatch):
         with pytest.raises(DomainError):
             member_columns(DENSE2, 0, ("n",))
+        with pytest.raises(DomainError, match="x must be >= 1, got 0"):
+            member_columns(DENSE2, 0, generate.MEMBER_COLUMNS)
         # An unknown column name is refused before any sieving.
         def refuse(limit):
             raise AssertionError(f"prime_counter({limit}) called")
@@ -510,7 +512,7 @@ class TestMoments:
         )
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="x must be >= 1, got 0"):
             collect_moments(DENSE2, 0)
 
 

@@ -116,6 +116,13 @@ class TestShiftedPartitionIdentity:
             res = check_shifted_partition_identity(family, 3000, [2, 3], table)
             assert res.passed
 
+    @pytest.mark.parametrize("with_table", [False, True], ids=["walk", "table"])
+    def test_x_below_one_refused(self, table, with_table):
+        with pytest.raises(DomainError, match="x must be >= 1, got 0"):
+            check_shifted_partition_identity(
+                DENSE2, 0, [2], table if with_table else None
+            )
+
     def test_qs_validation(self, table):
         with pytest.raises(ConfigurationError):
             check_shifted_partition_identity(DENSE2, 100, [], table)
