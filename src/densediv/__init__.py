@@ -51,10 +51,11 @@ _EXPORTS = {
             "member_columns",
         )),
         ("identities", (
-            "CheckResult", "SeriesTerm", "check_partition_identity",
-            "check_shifted_partition_identity", "check_weight_shift",
-            "log_moment_gap", "series_term", "weight_series_partial_sum",
-            "weighted_log_moment_sum",
+            "CheckResult", "SeriesTerm", "check_log_moment_limit",
+            "check_log_moment_series", "check_partition_identity",
+            "check_shifted_partition_identity", "check_weight_series",
+            "check_weight_shift", "log_moment_gap", "series_term",
+            "weight_series_partial_sum", "weighted_log_moment_sum",
         )),
         ("specfun", (
             "BUCHSTAB_LIMIT", "SolverConfig", "TabulatedFunction",

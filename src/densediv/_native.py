@@ -15,8 +15,12 @@ Python path that prints the same bytes.  A build started but never loaded
 (an error, a refusal, a closed stdout) is killed at exit with its process
 group, reaped, and its directory removed.
 
-Only the standard library, and ``subprocess`` and ``shlex`` only inside
-``start``, so the ops that build nothing pay nothing for this module.
+Also here, as the CLI decides on the march's build before it imports
+numpy: the tabulators' grid rule (``snap_grid``) and its cap.
+
+Only the standard library and ``errors``, and ``subprocess`` and ``shlex``
+only inside ``start``, so the ops that build nothing pay nothing for this
+module.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import atexit
 import math
 import os
 import shutil
+
+from .errors import ResourceCapError
 
 # Flags of every build.  A kernel is built in the process that runs it, so
 # -march=native code never leaves its host; gcc's -O2 cost model
@@ -37,6 +43,12 @@ CFLAGS = (
     "-O2", "-march=native", "-fvect-cost-model=dynamic", "-fPIC", "-shared",
     "-ffp-contract=off",
 )
+
+#: Most grid points a tabulator builds.  The density march is O(N^2): at
+#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 3.4-3.9 s end to
+#: end on 2 CPUs of an AVX-512 x86-64 box (39 s with the serial numpy row
+#: fill).
+GRID_POINTS_CAP = 2**17
 
 # The C sources, in this directory.
 MARCH_SOURCE = "_march_row.c"
@@ -64,19 +76,35 @@ _pending: dict[str, tuple] = {}  # source -> (compiler, directory, library)
 _loaded: dict[str, object] = {}  # source -> ctypes CDLL, or None
 
 
+def snap_grid(step: float, span: float) -> tuple[int, int]:
+    """(m, points): m the integer nearest 1/step, and the points of the
+    grid of step 1/m that covers [0, span].  A grid past GRID_POINTS_CAP,
+    such as the infinite one of a step whose reciprocal overflows, is
+    refused (ResourceCapError) before anything is allocated."""
+    m = round(1.0 / step) if 1.0 / step < math.inf else math.inf
+    cells = round(span * m, 6)
+    # ceil(cells) + 1 > cap iff cells + 1 > cap (an integer), also at inf.
+    if cells + 1 > GRID_POINTS_CAP:
+        raise ResourceCapError(
+            f"a grid of {cells + 1:.6g} points exceeds the grid-point cap"
+            f" {GRID_POINTS_CAP}"
+        )
+    return m, math.ceil(cells) + 1
+
+
 def march_uses_kernel(step: float, vmax: float) -> bool:
     """Whether the density march of SolverConfig(step, vmax) repays the
-    build of _march_row.c: with step snapped to 1/m and n grid points,
-    rows m+1..n-1 hold (i - m)//2 + 1 cells each, at least MARCH_MIN_CELLS
-    in all.  Integer arithmetic on the two options, so the CLI can decide
-    before importing numpy; invalid options give False."""
+    build of _march_row.c: on its snap_grid of n points, rows m+1..n-1
+    hold (i - m)//2 + 1 cells each, at least MARCH_MIN_CELLS in all.  No
+    numpy, so the CLI can decide before importing it; invalid options, and
+    grids past the cap, give False."""
     if not (0.0 < step <= 0.01 and 3.0 <= vmax):
         return False
-    m = round(1.0 / step)
-    span = round(vmax * m, 6)
-    if not span < math.inf:  # refused by the grid-point cap
+    try:
+        m, points = snap_grid(step, vmax)
+    except ResourceCapError:
         return False
-    rows = math.ceil(span) - m  # n - m - 1
+    rows = points - m - 1
     return rows * (rows + 2) // 4 >= MARCH_MIN_CELLS
 
 

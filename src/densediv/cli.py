@@ -52,51 +52,51 @@ _EXPERIMENTS = {
     "count-ratio": ("count_ratio_experiment", ("t", "xs")),
 }
 
-# Each identity check and the options it requires.
+# Each identity check's function in identities and the options passed to it
+# after the family, in call order.
 _IDENTITY_CHECKS = {
-    "phi0": ("x",),
-    "phik": ("x", "qs"),
-    "lambda0": ("N",),
-    "lambdak": ("N", "qs"),
-    "mu0": ("N",),
-    "muapprox": ("x",),
+    "phi0": ("check_partition_identity", ("x",)),
+    "phik": ("check_shifted_partition_identity", ("x", "qs")),
+    "lambda0": ("check_weight_series", ("s", "N")),
+    "lambdak": ("check_weight_shift", ("s", "N", "qs")),
+    "mu0": ("check_log_moment_series", ("s", "N")),
+    "muapprox": ("check_log_moment_limit", ("x",)),
 }
 
 _ROW_BLOCK = 1 << 16  # CSV rows formatted and written at a time
 
 
 def _parse_exact_int(text: str) -> int:
-    """Exact integer from '20', '1e6', or '10000.0'; reject fractions."""
-    try:
+    """Exact integer from '20', '1e6', or '10000.0'; argparse prints the
+    refusal of anything else as given."""
+    with contextlib.suppress(ValueError):
         return int(text)
-    except ValueError:
-        pass
-    try:
+    with contextlib.suppress(InvalidOperation):
         value = Decimal(text)
-    except InvalidOperation:
-        raise ConfigurationError(f"not an integer: {text!r}") from None
-    # is_finite first: inf has no int and comparing sNaN raises
-    if not value.is_finite() or value != value.to_integral_value():
-        raise ConfigurationError(f"not an integer: {text!r}")
-    return int(value)
+        # is_finite first: inf has no int and comparing sNaN raises
+        if value.is_finite() and value == value.to_integral_value():
+            return int(value)
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-def _parse_list(text: str, parse: Callable) -> list:
-    """The comma-separated items of text, each through parse.  argparse
-    prints the empty-list refusal as given, and an item's ValueError as an
-    invalid value of the calling list parser."""
-    items = [piece for piece in text.split(",") if piece]
-    if not items:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return [parse(piece) for piece in items]
+def _parse_real(text: str) -> float:
+    """float(text); argparse prints the refusal of a non-number as given."""
+    with contextlib.suppress(ValueError):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return _parse_list(text, _parse_exact_int)
+def _list_of(parse: Callable) -> Callable[[str], list]:
+    """The parser of a comma-separated list, each item through parse;
+    argparse prints the refusal of an empty list as given."""
 
+    def parse_list(text: str) -> list:
+        items = [piece for piece in text.split(",") if piece]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return [parse(piece) for piece in items]
 
-def _parse_float_list(text: str) -> list[float]:
-    return _parse_list(text, float)
+    return parse_list
 
 
 def _fmt(value: float | int | str) -> str:
@@ -218,10 +218,14 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"--xi must be finite and > 0, got {xi}")
 
 
-def _require(args: argparse.Namespace, names: Iterable[str], command: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ConfigurationError(f"--{name} is required for {command}")
+def _dispatch(module, table: dict, name: str, args: argparse.Namespace, *head):
+    """Call module's function table[name] on head and then on the options
+    the table names, in its order; a missing option is refused first."""
+    function, names = table[name]
+    for option in names:
+        if getattr(args, option) is None:
+            raise ConfigurationError(f"--{option} is required for {name}")
+    return getattr(module, function)(*head, *(getattr(args, n) for n in names))
 
 
 # ---- subcommand handlers ----
@@ -317,47 +321,14 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
-    from .identities import (
-        CheckResult,
-        check_partition_identity,
-        check_shifted_partition_identity,
-        check_weight_shift,
-        log_moment_gap,
-        weight_series_partial_sum,
-        weighted_log_moment_sum,
-    )
+    from . import identities
 
     family = _family_from_args(args)
-    check = args.check
     if not args.s >= 1.0:
         raise ConfigurationError(f"--s must be >= 1, got {args.s}")
-    _require(args, _IDENTITY_CHECKS[check], check)
-    if check == "phi0":
-        result = check_partition_identity(family, args.x)
-    elif check == "phik":
-        result = check_shifted_partition_identity(family, args.x, args.qs)
-    elif check == "lambda0":
-        total = weight_series_partial_sum(family, args.s, args.N)
-        result = CheckResult(
-            "weight_series", total, 1.0, 1.0 - total,
-            0.0 <= total <= 1.0 + 1e-9,
-        )
-    elif check == "lambdak":
-        result = check_weight_shift(family, args.s, args.N, args.qs)
-    elif check == "mu0":
-        total = weighted_log_moment_sum(family, args.s, args.N)
-        result = CheckResult("log_moment_series", total, 0.0, abs(total), True)
-    else:  # muapprox
-        if family.kind != "dense":
-            raise ConfigurationError("muapprox applies to the dense family")
-        gap = log_moment_gap(args.x, family.t)
-        result = CheckResult("log_moment_limit", gap, 0.0, gap, True)
-    lines = [
-        "lhs,rhs,gap,pass",
-        f"{_fmt(result.lhs)},{_fmt(result.rhs)},{_fmt(result.gap)},"
-        f"{_fmt(result.passed)}",
-    ]
-    _emit(lines, args.out)
+    result = _dispatch(identities, _IDENTITY_CHECKS, args.check, args, family)
+    row = (result.lhs, result.rhs, result.gap, result.passed)
+    _emit(["lhs,rhs,gap,pass", ",".join(map(_fmt, row))], args.out)
     return 0 if result.passed else 1
 
 
@@ -389,9 +360,7 @@ def _report_json(report: ExperimentReport) -> list[str]:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from . import experiments
 
-    function, names = _EXPERIMENTS[args.name]
-    _require(args, names, args.name)
-    report = getattr(experiments, function)(*(getattr(args, n) for n in names))
+    report = _dispatch(experiments, _EXPERIMENTS, args.name, args)
     lines = _report_json(report) if args.json else _report_lines(report)
     _emit(lines, args.out)
     print(f"experiment {report.name}: {report.verdict}", file=sys.stderr)
@@ -488,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ident.add_argument("--check", required=True, choices=_IDENTITY_CHECKS)
     p_ident.add_argument("--x", type=_parse_exact_int)
-    p_ident.add_argument("--qs", type=_parse_int_list)
+    p_ident.add_argument("--qs", type=_list_of(_parse_exact_int))
     p_ident.add_argument("--s", type=float, default=1.0)
     p_ident.add_argument("--N", type=_parse_exact_int)
     p_ident.set_defaults(handler=_cmd_identity)
@@ -499,9 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=_EXPERIMENTS)
     p_exp.add_argument("--t")
     p_exp.add_argument("--x", type=_parse_exact_int)
-    p_exp.add_argument("--xs", type=_parse_int_list)
-    p_exp.add_argument("--ys", type=_parse_float_list)
-    p_exp.add_argument("--qs", type=_parse_int_list)
+    p_exp.add_argument("--xs", type=_list_of(_parse_exact_int))
+    p_exp.add_argument("--ys", type=_list_of(_parse_real))
+    p_exp.add_argument("--qs", type=_list_of(_parse_exact_int))
     p_exp.add_argument("--xi", type=float, default=4.0)
     p_exp.add_argument("--json", action="store_true")
     p_exp.set_defaults(handler=_cmd_experiment)

@@ -85,8 +85,9 @@ class CheckResult:
     """Two sides of one identity check plus the verdict.
 
     For the exact integer identities ``passed`` means lhs == rhs with zero
-    tolerance; for truncated-series checks the result is report-only and
-    ``passed`` is always True (the interesting output is ``gap``).
+    tolerance.  Of the truncated-series checks, check_weight_series passes
+    when its partial sum lies in [0, 1 + 1e-9]; the others are report-only
+    and ``passed`` is always True (the interesting output is ``gap``).
     """
 
     name: str
@@ -318,6 +319,15 @@ def weight_series_partial_sum(family: ThetaFamily, s: float, limit: int) -> floa
     return _fsum(w for _, _, w, _ in _weight_chunks(family, s, limit))
 
 
+def check_weight_series(family: ThetaFamily, s: float, limit: int) -> CheckResult:
+    """weight_series_partial_sum against the full series' 1, which it
+    approaches from below: passed when it lies in [0, 1 + 1e-9]."""
+    total = weight_series_partial_sum(family, s, limit)
+    return CheckResult(
+        "weight_series", total, 1.0, 1.0 - total, 0.0 <= total <= 1.0 + 1e-9
+    )
+
+
 def check_weight_shift(
     family: ThetaFamily, s: float, limit: int, qs: list[int]
 ) -> CheckResult:
@@ -352,6 +362,23 @@ def weighted_log_moment_sum(family: ThetaFamily, s: float, limit: int) -> float:
     """
     _validate_s(s, limit)
     return _fsum(w * mu for _, _, w, mu in _weight_chunks(family, s, limit))
+
+
+def check_log_moment_series(
+    family: ThetaFamily, s: float, limit: int
+) -> CheckResult:
+    """Report-only: weighted_log_moment_sum against the full series' 0."""
+    total = weighted_log_moment_sum(family, s, limit)
+    return CheckResult("log_moment_series", total, 0.0, abs(total), True)
+
+
+def check_log_moment_limit(family: ThetaFamily, x: int) -> CheckResult:
+    """Report-only: log_moment_gap(x, t) as lhs and gap.  Only the dense
+    family has a fixed t; any other is refused (ConfigurationError)."""
+    if family.kind != "dense":
+        raise ConfigurationError("muapprox applies to the dense family")
+    gap = log_moment_gap(x, family.t)
+    return CheckResult("log_moment_limit", gap, 0.0, gap, True)
 
 
 def log_moment_gap(n: int, t: Fraction) -> float:

@@ -43,17 +43,11 @@ import numpy as np
 from . import _native
 from .arith import check_sieve_bound, primes_up_to
 from .constants import DENSITY_SCALE, EULER_GAMMA
-from .errors import ConfigurationError, DomainError, ResourceCapError
+from .errors import ConfigurationError, DomainError
 
 
 #: Limit of Buchstab's function: e^{-gamma}.
 BUCHSTAB_LIMIT = math.exp(-EULER_GAMMA)
-
-#: Most grid points a tabulator builds.  The density march is O(N^2): at
-#: the cap (`dfun --vmax 131.071 --step 1e-3`) it takes 3.4-3.9 s end to
-#: end on 2 CPUs of an AVX-512 x86-64 box (39 s with the serial numpy row
-#: fill).
-GRID_POINTS_CAP = 2**17
 
 # Most threads one density-kernel wave is split over.
 _MAX_WORKERS = 8
@@ -156,12 +150,6 @@ class SolverConfig:
             )
 
 
-def _snap(step: float) -> tuple[int, float]:
-    """Snap a step to 1/m with integer m >= 100 (step <= 0.01 guaranteed)."""
-    m = round(1.0 / step)
-    return m, 1.0 / m
-
-
 def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
     """Tabulate Buchstab's function on [1, max_abscissa].
 
@@ -176,8 +164,8 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
     for odd k).  Each value is the same float sum, in the same order, as a
     row-by-row march gives.
     """
-    m, h = _snap(cfg.step)
-    n_pts = _grid_points(cfg.max_abscissa - 1.0, m)
+    m, n_pts = _native.snap_grid(cfg.step, cfg.max_abscissa - 1.0)
+    h = 1.0 / m
     u = 1.0 + h * np.arange(n_pts)
     w = np.empty(n_pts)
     w[: m + 1] = 1.0 / u[: m + 1]
@@ -207,19 +195,6 @@ def tabulate_buchstab(cfg: SolverConfig) -> TabulatedFunction:
         tail_kind="constant",
         tail_value=BUCHSTAB_LIMIT,
     )
-
-
-def _grid_points(span: float, m: int) -> int:
-    """Grid points covering [0, span] at step 1/m, refused past
-    GRID_POINTS_CAP before anything is allocated."""
-    cells = round(span * m, 6)
-    # ceil(cells) + 1 > cap iff cells + 1 > cap (an integer), also at inf.
-    if cells + 1 > GRID_POINTS_CAP:
-        raise ResourceCapError(
-            f"a grid of {cells + 1:.6g} points exceeds the grid-point cap"
-            f" {GRID_POINTS_CAP}"
-        )
-    return math.ceil(cells) + 1
 
 
 def _march_workers() -> int:
@@ -386,10 +361,10 @@ def tabulate_density_kernel(
     Raises
     ------
     ResourceCapError
-        If the grid exceeds GRID_POINTS_CAP.
+        If the grid exceeds _native.GRID_POINTS_CAP.
     """
-    m, g = _snap(cfg.step)
-    n_pts = _grid_points(cfg.max_abscissa, m)
+    m, n_pts = _native.snap_grid(cfg.step, cfg.max_abscissa)
+    g = 1.0 / m
     v_max = (n_pts - 1) * g
     if w.u_max < v_max - 1e-9:
         raise ConfigurationError(

@@ -4,6 +4,7 @@ checks of the process entry point (imports, flush, closed pipe), and
 package-wide checks (the one export list, no unused imports, no unread
 private names)."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -13,9 +14,12 @@ import itertools
 import json
 import math
 import os
+import re
+import signal
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,7 +152,8 @@ class TestCount:
         assert out == ""
         lines = err.splitlines()
         assert [line for line in lines if "error:" in line] == lines[-1:]
-        assert "invalid _parse_" in lines[-1]
+        assert re.search(r": argument --\w+: not an integer: '[^']*'$", lines[-1])
+        assert "_parse_" not in err
 
 
 class TestStats:
@@ -213,6 +218,16 @@ class TestTabulators:
     def test_bad_step_rejected(self, capsys):
         code, _, err = run(capsys, ["wfun", "--step", "0.5"])
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dfun", "--step", "5e-324", "--vmax", "4"], ["wfun", "--step", "5e-324"]],
+    )
+    def test_step_without_finite_reciprocal_refused(self, capsys, argv):
+        # 1/step overflows a float: the grid cap refuses it in one line.
+        assert run(capsys, argv) == (
+            1, [], "error: a grid of inf points exceeds the grid-point cap 131072\n"
+        )
 
     def test_dfun_same_bytes_without_kernel(self, capfd, monkeypatch, fresh_native):
         # The first run builds the row kernel afresh: nothing the compiler
@@ -513,8 +528,9 @@ class TestCommandTables:
         ]
         + [
             ("identity", check, option)
-            for check, options in densediv.cli._IDENTITY_CHECKS.items()
+            for check, (_, options) in densediv.cli._IDENTITY_CHECKS.items()
             for option in options
+            if option != "s"  # has a default
         ],
     )
     def test_missing_required_option(self, capsys, command, name, option):
@@ -529,17 +545,144 @@ class TestCommandTables:
         assert fn.__module__ == "densediv.experiments"
         inspect.signature(fn).bind(*options)
 
+    @pytest.mark.parametrize("check", list(densediv.cli._IDENTITY_CHECKS))
+    def test_identity_function_takes_its_options(self, check):
+        function, options = densediv.cli._IDENTITY_CHECKS[check]
+        fn = getattr(densediv.identities, function)
+        assert fn.__module__ == "densediv.identities"
+        inspect.signature(fn).bind("family", *options)
+
     def test_readme_tables_match(self):
         experiments = {
             name: (function, _option_names(options))
             for name, function, options in _readme_table("experiment")
         }
         checks = {
-            check: _option_names(options)
-            for check, options in _readme_table("identity check")
+            check: (function, _option_names(options))
+            for check, function, options in _readme_table("identity check")
         }
         assert list(experiments.items()) == list(densediv.cli._EXPERIMENTS.items())
         assert list(checks.items()) == list(densediv.cli._IDENTITY_CHECKS.items())
+
+
+# A small valid argument vector for each subcommand that takes neither an
+# experiment name nor an identity check.
+SUBCOMMAND_ARGV = {
+    "enumerate": [*DENSE2, "--x", "100"],
+    "count": [*DENSE2, "--x", "100"],
+    "stats": [*DENSE2, "--x", "100"],
+    "wfun": ["--umax", "4", "--step", "0.01"],
+    "dfun": ["--vmax", "4", "--step", "0.01"],
+    "constants": [],
+}
+
+# Extreme values swept through every option that takes a number or a list.
+SWEEP_VALUES = [
+    "0", "-1", "5e-324", "1e-300", "1e308", "1e400", "inf", "-inf", "nan",
+    str(2**63), str(2**64), "1/0", "abc", "", ",",
+]
+SWEEP_ALARM_S = 3
+
+
+def _subparsers():
+    """Each subcommand's parser, by name, from the CLI's own parser."""
+    parser = densediv.cli._build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _swept_options(subparser):
+    """The options of a subparser that take one value other than a choice
+    or a path: every number and list option."""
+    return [
+        action.option_strings[0]
+        for action in subparser._actions
+        if action.option_strings and action.nargs is None
+        and action.choices is None and action.dest != "out"
+    ]
+
+
+def _sweep_cases():
+    subparsers = _subparsers()
+    bases = [([name], SUBCOMMAND_ARGV[name]) for name in SUBCOMMAND_ARGV]
+    bases += [(["experiment", name], EXPERIMENT_ARGV[name]) for name in EXPERIMENT_ARGV]
+    bases += [(["identity", "--check", check], [*DENSE2, *IDENTITY_ARGV[check]])
+              for check in IDENTITY_ARGV]
+    return [
+        pytest.param(head, options, option, id=f"{head[-1]}-{option[2:]}")
+        for head, options in bases
+        for option in _swept_options(subparsers[head[0]])
+    ]
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _raise_alarm(signum, frame):
+    raise _Alarm
+
+
+def _stderr_forms_allowed(err, command):
+    """Whether err is empty, one error: line, an experiment's one verdict
+    line, or argparse's usage form whose error line names no private
+    function."""
+    lines = err.splitlines()
+    if len(lines) <= 1:
+        return not lines or bool(
+            re.fullmatch(r"error: .+|experiment [\w-]+: (pass|fail|report-only)",
+                         lines[0])
+        )
+    return (
+        lines[0].startswith(f"usage: densediv {command} ")
+        and lines[-1].startswith(f"densediv {command}: error: argument ")
+        and "_parse_" not in lines[-1]
+        and not any("error:" in line for line in lines[:-1])
+    )
+
+
+class TestOptionSweep:
+    def test_every_subcommand_has_a_valid_argv(self):
+        assert set(_subparsers()) == {*SUBCOMMAND_ARGV, "experiment", "identity"}
+
+    @pytest.mark.parametrize("head, options, option", _sweep_cases())
+    def test_extreme_values_end_in_one_line(self, capsys, head, options, option):
+        # Each value of SWEEP_VALUES replaces the option's value in a valid
+        # argv (or is added to it) and runs main() under an alarm: it must
+        # exit 0, 1 or 2 within SWEEP_ALARM_S seconds, with no traceback, no
+        # warning and a stderr of an allowed form.
+        if option in options:
+            at = options.index(option)
+            options = options[:at] + options[at + 2:]
+        failures = []
+        previous = signal.signal(signal.SIGALRM, _raise_alarm)
+        try:
+            for value in SWEEP_VALUES:
+                argv = [*head, *options, f"{option}={value}"]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    signal.setitimer(signal.ITIMER_REAL, SWEEP_ALARM_S)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    except _Alarm:
+                        code = "alarm"
+                    except Exception as exc:  # a traceback in a process
+                        code = f"{type(exc).__name__}: {exc}"
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                err = capsys.readouterr().err
+                if (
+                    code not in (0, 1, 2) or caught
+                    or not _stderr_forms_allowed(err, head[0])
+                ):
+                    failures.append((value, code, err[-300:],
+                                     [str(w.message) for w in caught]))
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert not failures
 
 
 class TestOutputFile:

@@ -21,8 +21,11 @@ from densediv import (
     ResourceCapError,
     SieveRangeError,
     ThetaFamily,
+    check_log_moment_limit,
+    check_log_moment_series,
     check_partition_identity,
     check_shifted_partition_identity,
+    check_weight_series,
     check_weight_shift,
     iter_members,
     log_moment_gap,
@@ -258,6 +261,23 @@ class TestWeightSeries:
         with pytest.raises(DomainError):
             weight_series_partial_sum(DENSE2, math.nan, 100)
 
+    def test_check(self):
+        total = weight_series_partial_sum(DENSE2, 1.0, 1000)
+        assert check_weight_series(DENSE2, 1.0, 1000) == CheckResult(
+            "weight_series", total, 1.0, 1.0 - total, True
+        )
+
+    @pytest.mark.parametrize(
+        "total, passed",
+        [(0.0, True), (1.0 + 1e-9, True), (-1e-300, False),
+         (math.nextafter(1.0 + 1e-9, 2.0), False), (math.nan, False)],
+    )
+    def test_check_passes_on_zero_to_one(self, monkeypatch, total, passed):
+        monkeypatch.setattr(
+            identities, "weight_series_partial_sum", lambda *args: total
+        )
+        assert check_weight_series(DENSE2, 1.0, 100).passed is passed
+
     @pytest.mark.parametrize("limit", SERIES_LIMITS)
     @pytest.mark.parametrize("family", SERIES_FAMILIES, ids=SERIES_IDS)
     def test_weight_chunks_match_iter_members(self, family, limit):
@@ -382,6 +402,34 @@ class TestLogMomentSeries:
             weighted_log_moment_sum(DENSE2, 0.9, 100)
         with pytest.raises(DomainError):
             weighted_log_moment_sum(DENSE2, math.nan, 100)
+
+
+class TestLogMomentChecks:
+    def test_series_check(self):
+        total = weighted_log_moment_sum(DENSE2, 1.5, 1000)
+        assert check_log_moment_series(DENSE2, 1.5, 1000) == CheckResult(
+            "log_moment_series", total, 0.0, abs(total), True
+        )
+
+    def test_limit_check(self):
+        gap = log_moment_gap(100, Fraction(2))
+        assert check_log_moment_limit(DENSE2, 100) == CheckResult(
+            "log_moment_limit", gap, 0.0, gap, True
+        )
+
+    @pytest.mark.parametrize("value", [-5.0, 1e9])
+    def test_report_only(self, monkeypatch, value):
+        monkeypatch.setattr(identities, "weighted_log_moment_sum", lambda *a: value)
+        monkeypatch.setattr(identities, "log_moment_gap", lambda *a: value)
+        assert check_log_moment_series(DENSE2, 1.0, 100).passed is True
+        assert check_log_moment_limit(DENSE2, 100).passed is True
+
+    @pytest.mark.parametrize("family", [PRACTICAL, ThetaFamily("shifted1")])
+    def test_limit_needs_the_dense_family(self, family):
+        with pytest.raises(
+            ConfigurationError, match="^muapprox applies to the dense family$"
+        ):
+            check_log_moment_limit(family, 100)
 
 
 class TestLogMomentGap:

@@ -3,6 +3,7 @@ sources: the density-march row kernel and the integer-CSV formatter."""
 
 import glob
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from densediv import (
+    ResourceCapError,
     SolverConfig,
     _native,
     cli,
@@ -191,10 +193,37 @@ def test_csv_rows_equal_percent_d():
         (0.5, 32.0, False),  # step out of range
         (1e-3, float("nan"), False),
         (1e-3, 1e308, False),  # vmax * m overflows: over the grid cap
+        (1e-3, 1e9, False),  # over the grid cap
+        (5e-324, 4.0, False),  # 1/step overflows: over the grid cap
     ],
 )
 def test_march_rule(step, vmax, uses):
     assert _native.march_uses_kernel(step, vmax) is uses
+
+
+def test_grid_point_cap():
+    # Refused before any allocation: the cap's edge at m = 1000.
+    n_max = _native.GRID_POINTS_CAP
+    assert n_max >= 64_001
+    assert _native.snap_grid(1e-3, (n_max - 1) / 1000) == (1000, n_max)
+    with pytest.raises(ResourceCapError):
+        _native.snap_grid(1e-3, n_max / 1000)
+
+
+def test_snap_grid_takes_the_nearest_reciprocal():
+    # 1/step = 3333.3, so 999.9 cells of 1/3333 cover [0, 0.3].
+    assert _native.snap_grid(3e-4, 0.3) == (3333, 1001)
+
+
+@pytest.mark.parametrize(
+    "step, shown", [(5e-324, "inf"), (1e-308, "inf"), (1e-300, "4e+300")]
+)
+def test_tiny_step_refused_at_the_cap(step, shown):
+    # 5e-324 has no finite reciprocal; 1e-308 has one, but its grid
+    # overflows.  Each is refused with its point count.
+    message = re.escape(f"a grid of {shown} points")
+    with pytest.raises(ResourceCapError, match=message):
+        _native.snap_grid(step, 4.0)
 
 
 @needs_compiler

@@ -118,11 +118,6 @@ class TestSolverConfig:
         w = TabulatedFunction(u_min=1.0, step=1.0, values=np.ones(2))
         with pytest.raises(ResourceCapError):
             tabulate_density_kernel(cfg, w)
-        n_max = specfun.GRID_POINTS_CAP
-        assert n_max >= 64_001
-        assert specfun._grid_points((n_max - 1) / 1000, 1000) == n_max
-        with pytest.raises(ResourceCapError):
-            specfun._grid_points(n_max / 1000, 1000)
 
 
 class TestBuchstab:
